@@ -8,6 +8,7 @@ The package must be importable (run.py sets PYTHONPATH).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import shutil
 import statistics
@@ -15,12 +16,14 @@ import time
 
 import checks
 import workloads
+from speed import METER, Phase
 from tracer import Tracer
 
 # setup_s is the median of at least MIN_SETUPS set-ups: one per round, and
 # extra ones after the last round when fewer rounds fit
 MIN_SETUPS = 5
 MAX_ROUNDS = 200
+PHASES = ("setup", "solve", "query")
 
 
 class Tally:
@@ -52,31 +55,51 @@ class Tally:
 
 
 def timed_rounds(wl, seed: int, seconds: float, tally: Tally) -> dict:
+    """Rounds while another one fits in `seconds`, with the host-speed
+    meter running; each phase's time is the median over rounds of its
+    corrected time per round."""
     clock = time.perf_counter
-    setup_s, solve, query = [], [], []
+    corrected = {p: [] for p in PHASES}
+    raw = {p: [] for p in PHASES}
+
+    def record(name, phase, fallback):
+        corrected[name].append(phase.corrected(fallback))
+        raw[name].append(phase.raw)
+
     start = clock()
-    for _ in range(MAX_ROUNDS):
-        t0 = clock()
-        rd = wl.setup(seed)
-        setup_s.append(clock() - t0)
-        t0 = clock()
-        wl.run(rd)
-        solve.append(sum(rd.solve_s))
-        query.append(sum(rd.query_s))
-        tally.check(wl, rd)
-        del rd
-        # another round if at least half of one more still fits
-        now = clock()
-        if now - start + (now - t0) / 2 > seconds:
-            break
-    while len(setup_s) < MIN_SETUPS:
-        t0 = clock()
-        wl.setup(seed)
-        setup_s.append(clock() - t0)
-    return {"setup_s": statistics.median(setup_s),
-            "solve_s": statistics.fmean(solve),
-            "query_s": statistics.fmean(query),
-            "rounds": len(solve), "setups": len(setup_s)}
+    with METER.running():
+        for _ in range(MAX_ROUNDS):
+            # untimed: every round starts with no garbage left by the last
+            gc.collect()
+            n0 = len(METER.factors)
+            setup = Phase()
+            with METER.measure(setup):
+                rd = wl.setup(seed)
+            t0 = clock()
+            wl.run(rd)
+            ran = clock() - t0
+            fallback = METER.mean_factor(n0)
+            record("setup", setup, fallback)
+            record("solve", rd.solve, fallback)
+            record("query", rd.query, fallback)
+            tally.check(wl, rd)
+            del rd
+            # another round if at least half of one more still fits
+            if clock() - start + ran / 2 > seconds:
+                break
+        rounds = len(corrected["solve"])
+        while len(corrected["setup"]) < MIN_SETUPS:
+            n0 = len(METER.factors)
+            setup = Phase()
+            with METER.measure(setup):
+                wl.setup(seed)
+            record("setup", setup, METER.mean_factor(n0))
+    out = {f"{p}_s": statistics.median(corrected[p]) for p in PHASES}
+    out.update({f"raw_{p}_s": statistics.median(raw[p]) for p in PHASES})
+    out.update(rounds=rounds, setups=len(corrected["setup"]),
+               slices=len(METER.factors),
+               speed_factor=METER.mean_factor(0))
+    return out
 
 
 def traced_round(wl, seed: int, tally: Tally) -> dict:
@@ -84,7 +107,7 @@ def traced_round(wl, seed: int, tally: Tally) -> dict:
     is the tracing overhead."""
     rd = wl.setup(seed)
     wl.run(rd)
-    untraced = sum(rd.solve_s)
+    untraced = rd.solve.raw
     tally.check(wl, rd)
     del rd
 
@@ -96,7 +119,7 @@ def traced_round(wl, seed: int, tally: Tally) -> dict:
             wl.run(rd)
         nodes = tracer.nodes_created()
     tally.check(wl, rd)
-    traced = sum(rd.solve_s)
+    traced = rd.solve.raw
     layers = tracer.layer_metrics(nodes)
     layers["trace.solve_s"] = (traced, "s")
     layers["trace.overhead_s"] = (traced - untraced, "s")

@@ -10,10 +10,11 @@ machine down.  Workloads: hole_conj, gb_bool, interp_basis, zm_std (see
 workloads.py and README.md).
 
 --trace 0 prints the end-to-end metrics: solve_s and query_s (solver and
-query time per round, averaged over the rounds that fit in --seconds),
-setup_s (median set-up time) and peak_rss_mb (the child's ru_maxrss).
---trace 1 runs one round untraced and once more traced, and prints the
-per-layer metrics of the traced round and the tracing overhead.  The last
+query time per round, median over the rounds that fit in --seconds),
+setup_s (median set-up time), all three corrected for the host's speed
+(speed.py), and peak_rss_mb (the child's ru_maxrss).  --trace 1 runs one
+round untraced and once more traced, and prints the per-layer metrics of
+the traced round and the tracing overhead, in raw wall time.  The last
 line of output is one JSON object with the keys correct, attempted, failed
 and metrics.
 """
@@ -91,7 +92,12 @@ def main() -> int:
         metrics = {name: {"value": res[name], "unit": "s"}
                    for name in ("solve_s", "query_s", "setup_s")}
         metrics["peak_rss_mb"] = {"value": peak_mb, "unit": "MB"}
-        print(f"rounds {res['rounds']}, set-ups {res['setups']}")
+        print(f"rounds {res['rounds']}, set-ups {res['setups']}, "
+              f"speed slices {res['slices']}, "
+              f"mean speed factor {res['speed_factor']:.4f}")
+        print("raw wall time (median over rounds): " + ", ".join(
+            f"{p} {res[f'raw_{p}_s']:.4f} s"
+            for p in ("setup", "solve", "query")))
     for name, m in metrics.items():
         print(f"{name:<36} {m['value']:>14.6g} {m['unit']}")
     print(f"fail_ratio {failed / attempted:.4g} "

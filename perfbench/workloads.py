@@ -4,11 +4,9 @@ A run repeats rounds of identical work.  A round builds its inputs from
 the seed (`setup`, timed as setup_s), then (`run`) makes the solver calls
 and, right after each, the normal-form queries against its result, timing
 every call on its own, and then checks every answer outside the timed
-regions (`check`).  The runner reports the mean over rounds of the summed
-solver-call and query times: the host's speed switches between two levels
-about 1.7x apart, in stretches of seconds to a minute, and the mean over a
-whole run follows the share of slow time smoothly where a median jumps
-between the two levels.
+regions (`check`).  Each call's time goes to the round's solve or query
+`Phase`, which also collects the host-speed samples taken during it (see
+speed.py).
 
 Random instances come from fixed pools (instance i of a pool is generated
 from its own string seed), so the canonical result of every instance has
@@ -28,13 +26,13 @@ from __future__ import annotations
 import gc
 import io
 import random
-import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
 from zddgb import boolgb, boolpoly, cli, encode, interp, ringstd
 
 import checks
+from speed import METER, Phase
 
 WORK_DIR = Path(__file__).resolve().parent / "_work"
 
@@ -47,7 +45,7 @@ CNF_PER_RATIO = 4
 
 ZM_MODULI = (4, 8)
 ZM_POOL = 256            # per modulus; per-ideal time ranges 0.1 ms-0.6 s
-ZM_QUERIES = 3
+ZM_QUERIES = 8
 
 POINT_SIZES = ((11, 350), (12, 500))
 POINT_POOL = 2           # per size
@@ -95,24 +93,23 @@ def random_terms(rng: random.Random, n: int, count: int, p: float):
             for _ in range(count)]
 
 
-def _timed(times: list, fn, *args):
-    """fn(*args), or the exception it raised (a failed item); appends the
-    call's wall time to `times`."""
-    t0 = time.perf_counter()
-    try:
-        result = fn(*args)
-    except Exception as exc:  # noqa: BLE001 - any failure counts, run goes on
-        result = exc
-    times.append(time.perf_counter() - t0)
+def _timed(phase: Phase, fn, *args):
+    """fn(*args), or the exception it raised (a failed item); the call's
+    time is added to `phase`."""
+    with METER.measure(phase):
+        try:
+            result = fn(*args)
+        except Exception as exc:  # noqa: BLE001 - any failure counts, run goes on
+            result = exc
     return result
 
 
-def _cli(times: list, argv):
+def _cli(phase: Phase, argv):
     """(exit code or exception, captured standard output) of cli.main,
     timed like `_timed`."""
     out = io.StringIO()
     with redirect_stdout(out):
-        code = _timed(times, cli.main, argv)
+        code = _timed(phase, cli.main, argv)
     return code, out.getvalue()
 
 
@@ -168,8 +165,8 @@ class Round:
 
     def __init__(self, **inputs):
         self.__dict__.update(inputs)
-        self.solve_s: list[float] = []
-        self.query_s: list[float] = []
+        self.solve = Phase()
+        self.query = Phase()
 
 
 # -- hole_conj --------------------------------------------------------------
@@ -210,12 +207,12 @@ class HoleConj:
     def run(self, rd: Round) -> None:
         for _, _, _, cnf, system, polys in rd.items:
             with BasisCapture() as cap:
-                code, out = _cli(rd.solve_s, ["sat", str(cnf), "--preprocess",
+                code, out = _cli(rd.solve, ["sat", str(cnf), "--preprocess",
                                               "conjunction"])
                 rd.answers.append((code, out, cap.take()))
             for text in polys:
                 rd.results.append(
-                    _cli(rd.query_s, ["nf", str(system), "--poly", text]))
+                    _cli(rd.query, ["nf", str(system), "--poly", text]))
 
     def check(self, rd: Round, ref: dict) -> tuple[int, list[str]]:
         fails = []
@@ -315,13 +312,13 @@ class GbBool:
     def run(self, rd: Round) -> None:
         with BasisCapture() as cap:
             for (_, system, _), polys in zip(rd.items, rd.queries):
-                got = _timed(rd.solve_s, boolgb.sat_check, system.polys)
+                got = _timed(rd.solve, boolgb.sat_check, system.polys)
                 basis = cap.take()
                 rd.answers.append((got, basis))
                 if polys:
                     gc.collect()
                 rd.results.append([
-                    _timed(rd.query_s, boolgb.greedy_nf, f, basis or [])
+                    _timed(rd.query, boolgb.greedy_nf, f, basis or [])
                     for f in polys
                 ])
 
@@ -398,16 +395,16 @@ class InterpBasis:
 
     def run(self, rd: Round) -> None:
         for _, P, polys in rd.sets:
-            basis = _timed(rd.solve_s, interp.points_gb, P)
+            basis = _timed(rd.solve, interp.points_gb, P)
             rd.bases.append(basis)
             for f in polys:
                 if isinstance(basis, Exception):
                     rd.results.append((basis, basis))
                     continue
                 rd.results.append(
-                    (_timed(rd.query_s, boolgb.greedy_nf, f, basis),
-                     _timed(rd.query_s, interp.nf_by_interpolate, f, P)))
-        rd.varieties = [_timed(rd.solve_s, _variety, system)
+                    (_timed(rd.query, boolgb.greedy_nf, f, basis),
+                     _timed(rd.query, interp.nf_by_interpolate, f, P)))
+        rd.varieties = [_timed(rd.solve, _variety, system)
                         for _, system in rd.holes]
 
     def check(self, rd: Round, ref: dict) -> tuple[int, list[str]]:
@@ -473,12 +470,12 @@ class ZmStd:
 
     def run(self, rd: Round) -> None:
         for _, gens, queries in rd.items:
-            basis = _timed(rd.solve_s, ringstd.std_basis, gens)
+            basis = _timed(rd.solve, ringstd.std_basis, gens)
             rd.bases.append(basis)
             if isinstance(basis, Exception):
                 rd.results.append([basis] * len(queries))
             else:
-                rd.results.append([_timed(rd.query_s, ringstd.nf_ring, f,
+                rd.results.append([_timed(rd.query, ringstd.nf_ring, f,
                                           basis) for f in queries])
 
     def check(self, rd: Round, ref: dict) -> tuple[int, list[str]]:
