@@ -12,7 +12,6 @@ pairs and often injects low-degree elements early.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
 from .boolpoly import (
@@ -42,7 +41,6 @@ class Strategy:
     linear_lead_criterion: bool = True
     sugar: bool = True
     symmetry_cache: bool = True
-    table_path: str | None = None
     # rank reductors by sum of (1 + deg t) instead of term count
     weighted_reductors: bool = True
 
@@ -228,28 +226,6 @@ class SymCache:
     def key(core: BoolPoly, ordering: Ordering):
         return (str(ordering), tuple(sorted(core.terms())))
 
-    def load(self, path: str) -> None:
-        with open(path) as fh:
-            raw = json.load(fh)
-        for entry in raw:
-            key = (entry["ordering"], tuple(tuple(t) for t in entry["core"]))
-            self.table[key] = [
-                [tuple(t) for t in g] for g in entry["basis"]
-            ]
-
-    def save(self, path: str) -> None:
-        out = []
-        for (ordering, core), basis in sorted(self.table.items()):
-            out.append(
-                {
-                    "ordering": ordering,
-                    "core": [list(t) for t in core],
-                    "basis": [[list(t) for t in g] for g in basis],
-                }
-            )
-        with open(path, "w") as fh:
-            json.dump(out, fh)
-
 
 # cache misses above this core size are not worth a nested basis run
 SYMCACHE_VAR_LIMIT = 10
@@ -413,8 +389,6 @@ def buchberger(gens, ordering: Ordering | None = None,
     if strategy.symmetry_cache and ordering.is_symmetric:
         if symcache is None:
             symcache = SymCache()
-        if strategy.table_path:
-            symcache.load(strategy.table_path)
     else:
         symcache = None
 

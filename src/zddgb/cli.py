@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import encode as enc
-from .boolgb import Strategy, buchberger, greedy_nf, sat_check
+from .boolgb import buchberger, greedy_nf, sat_check
 from .boolpoly import BoolRing, OrderingError, parse_ordering
 from .interp import PartialFn, PointSet, points_gb, zeros
 from .ringstd import RingStrategy, ZmRing, rednf_ring, std_basis
 from .zdd import ZddError
-
-TABLE_ENV = "ZDDGB_TABLE"
 
 
 class CliError(Exception):
@@ -33,62 +30,69 @@ class CliError(Exception):
 # -- system files ------------------------------------------------------------------
 
 
-def read_bool_system(text: str, order: str | None):
-    """Directive lines (vars/order) followed by one polynomial per line."""
+def read_system(text: str, order: str | None, modulus: int | None = None):
+    """Directive lines (vars/order/mod) and one polynomial per line.
+
+    A directive is recognised by its first token, so a polynomial may start
+    with a variable such as `varsity`.  The ring is a ZmRing when a modulus
+    is given (`modulus`, else a `mod` line) and a BoolRing otherwise;
+    `order` and `modulus` take precedence over the file's lines.
+    """
     names = None
     file_order = None
+    file_mod = None
     polys_src: list[tuple[int, str]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("vars"):
-            names = line.split()[1:]
-        elif line.startswith("order"):
-            file_order = line.split(None, 1)[1].strip()
+        head, *rest = line.split(None, 1)
+        arg = rest[0] if rest else ""
+        if head == "vars":
+            names = arg.split()
+        elif head == "order":
+            if not arg:
+                raise CliError(f"line {ln}: 'order' needs a value")
+            file_order = arg
+        elif head == "mod":
+            try:
+                file_mod = _modulus(arg)
+            except argparse.ArgumentTypeError as exc:
+                raise CliError(f"line {ln}: {exc}") from None
         else:
             polys_src.append((ln, line))
     if names is None:
         raise CliError("missing 'vars' line in system file")
+    if modulus is None:
+        modulus = file_mod
+    order = order or file_order or "lp"
+    if modulus is None:
+        try:
+            ring = BoolRing(names, parse_ordering(order))
+        except OrderingError as exc:
+            raise CliError(str(exc)) from None
+    else:
+        ring = ZmRing(modulus, names, order)
+    polys = []
+    for ln, src in polys_src:
+        try:
+            polys.append(ring.parse(src))
+        except ValueError as exc:
+            raise CliError(f"line {ln}: {exc}") from None
+    return ring, polys
+
+
+def _modulus(text: str) -> int:
+    """The coefficient modulus m >= 2 written in text."""
     try:
-        ring = BoolRing(names, parse_ordering(order or file_order or "lp"))
-    except OrderingError as exc:
-        raise CliError(str(exc)) from None
-    polys = []
-    for ln, src in polys_src:
-        try:
-            polys.append(ring.parse(src))
-        except ValueError as exc:
-            raise CliError(f"line {ln}: {exc}") from None
-    return ring, polys
-
-
-def read_ring_system(text: str, modulus: int, order: str | None):
-    names = None
-    file_order = None
-    polys_src: list[tuple[int, str]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("vars"):
-            names = line.split()[1:]
-        elif line.startswith("order"):
-            file_order = line.split(None, 1)[1].strip()
-        elif line.startswith("mod"):
-            modulus = int(line.split()[1])
-        else:
-            polys_src.append((ln, line))
-    if names is None:
-        raise CliError("missing 'vars' line in system file")
-    ring = ZmRing(modulus, names, order or file_order or "lp")
-    polys = []
-    for ln, src in polys_src:
-        try:
-            polys.append(ring.parse(src))
-        except ValueError as exc:
-            raise CliError(f"line {ln}: {exc}") from None
-    return ring, polys
+        m = int(text)
+    except ValueError:
+        m = 0
+    if m < 2:
+        raise argparse.ArgumentTypeError(
+            f"modulus must be an integer >= 2, got {text!r}"
+        )
+    return m
 
 
 def read_points(text: str, values: bool):
@@ -118,10 +122,6 @@ def read_points(text: str, values: bool):
     return width, pts, vals
 
 
-def _strategy() -> Strategy:
-    return Strategy(table_path=os.environ.get(TABLE_ENV) or None)
-
-
 def _report(args, payload: dict) -> None:
     if getattr(args, "json", False):
         sys.stdout.write(json.dumps(payload) + "\n")
@@ -133,14 +133,12 @@ def _report(args, payload: dict) -> None:
 def cmd_gb(args) -> int:
     text = _read(args.file)
     t0 = time.perf_counter()
-    if args.mod:
-        ring, polys = read_ring_system(text, args.mod, args.order)
+    ring, polys = read_system(text, args.order, args.mod)
+    if isinstance(ring, ZmRing):
         basis = std_basis(polys, strategy=RingStrategy())
-        lines = [str(g) for g in basis]
     else:
-        ring, polys = read_bool_system(text, args.order)
-        basis = buchberger(polys, strategy=_strategy())
-        lines = [str(g) for g in basis]
+        basis = buchberger(polys)
+    lines = [str(g) for g in basis]
     seconds = time.perf_counter() - t0
     for line in lines:
         print(line)
@@ -155,14 +153,10 @@ def cmd_gb(args) -> int:
 
 def cmd_nf(args) -> int:
     text = _read(args.file)
-    if args.mod:
-        ring, polys = read_ring_system(text, args.mod, args.order)
-        f = ring.parse(args.poly)
-        print(rednf_ring(f, polys))
-    else:
-        ring, polys = read_bool_system(text, args.order)
-        f = ring.parse(args.poly)
-        print(greedy_nf(f, polys))
+    ring, polys = read_system(text, args.order, args.mod)
+    f = ring.parse(args.poly)
+    nf = rednf_ring if isinstance(ring, ZmRing) else greedy_nf
+    print(nf(f, polys))
     return 0
 
 
@@ -172,11 +166,12 @@ def cmd_sat(args) -> int:
         system = enc.cnf_to_polys(text)
         ring, polys = system.ring, system.polys
     else:
-        ring, polys = read_bool_system(text, args.order)
+        ring, polys = read_system(text, args.order)
+        if isinstance(ring, ZmRing):
+            raise CliError("sat needs a Boolean system; the file sets a modulus")
     t0 = time.perf_counter()
     preprocess = None if args.preprocess == "none" else args.preprocess
-    verdict, model = sat_check(polys, strategy=_strategy(),
-                               preprocess=preprocess)
+    verdict, model = sat_check(polys, preprocess=preprocess)
     seconds = time.perf_counter() - t0
     if verdict == "UNSAT":
         print("s UNSATISFIABLE")
@@ -215,7 +210,7 @@ def cmd_interp(args) -> int:
         width, pts, _ = read_points(text, values=False)
         ring = BoolRing([f"x{i}" for i in range(width)], "lp")
         P = PointSet.from_points(ring, pts)
-        for g in points_gb(P, seed=args.seed):
+        for g in points_gb(P):
             print(g)
         return 0
     width, pts, vals = read_points(text, values=True)
@@ -263,8 +258,7 @@ def cmd_bench(args) -> int:
             raise CliError(f"unknown family {family!r}")
     for name, system, preprocess in rows:
         t0 = time.perf_counter()
-        verdict, _ = sat_check(system.polys, strategy=_strategy(),
-                               preprocess=preprocess)
+        verdict, _ = sat_check(system.polys, preprocess=preprocess)
         seconds = time.perf_counter() - t0
         basis_size = 1 if verdict == "UNSAT" else None
         payload = {
@@ -300,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file")
         p.add_argument("--order", help="lp, dlex, dp_asc or block(kind:end,...)")
         if mod:
-            p.add_argument("--mod", type=int,
-                           help="coefficient modulus (ring mode)")
+            p.add_argument("--mod", type=_modulus,
+                           help="coefficient modulus m >= 2 (ring mode)")
         p.add_argument("--json", action="store_true",
                        help="emit a json-lines report")
 
@@ -328,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interp", help="lex-smallest interpolant of a point/value file")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--basis", action="store_true",
                    help="treat the file as a plain point list and print the "
                         "reduced lex basis of its vanishing ideal")

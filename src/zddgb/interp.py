@@ -8,8 +8,6 @@ points is a ZDD over the same manager as the polynomials it meets.
 
 from __future__ import annotations
 
-import random
-
 from .boolpoly import BoolPoly, BoolRing
 from .zdd import ONE, ZERO, ZddManager
 
@@ -224,56 +222,31 @@ def nf_by_interpolate(f: BoolPoly, P: PointSet) -> BoolPoly:
     return interpolate_smallest_lex(PartialFn(Z, P.diff(Z)))
 
 
-def random_subset(P: PointSet, rng: random.Random) -> PointSet:
-    """One independent fair coin per point of P."""
-    man = P.ring.manager
-    z = ZERO
-    for s in man.iter_paths(P.z):
-        if rng.getrandbits(1):
-            z = man.union(z, man.singleton(s))
-    return PointSet(P.ring, z)
+def standard_monomials(P: PointSet) -> int:
+    """Lex standard monomials of I(P), as a ZDD, by the lex game.
 
-
-MAX_STANDARD_MONOMIAL_ROUNDS = 64
-
-
-def standard_monomials(P: PointSet, seed: int = 0) -> int:
-    """Divisor-closed set of lex standard monomials of I(P), as a ZDD.
-
-    Repeatedly interpolates random partial functions on P; every support
-    monomial of a reduced normal form is standard, and the expected number
-    of rounds until all |P| of them appear is small.
+    With x_i the top variable of P and P1, P0 its then/else cofactors,
+    SM(P) = x_i * SM(P1 ∩ P0) ∪ SM(P1 ∪ P0) (Felszeghy, Ráth and Rónyai,
+    "The lex game and some applications", J. Symb. Comput. 41, 2006).
     """
-    ring = P.ring
-    man = ring.manager
-    rng = random.Random(seed)
-    target = len(P)
-    S = ZERO
-    rounds = 0
-    while man.count_paths(S) != target:
-        rounds += 1
-        if rounds > MAX_STANDARD_MONOMIAL_ROUNDS:
-            raise InterpolationError(
-                f"standard monomial search did not converge (seed={seed})"
-            )
-        Z = random_subset(P, rng)
-        p = interpolate_smallest_lex(PartialFn(Z, P.diff(Z)))
-        S = _divisor_closure(man, man.union(S, p.z))
-    return S
+    return _standard_monomials(P.ring.manager, P.z)
 
 
-def _divisor_closure(man: ZddManager, S: int) -> int:
-    """All divisors of members of S (the down-closure under inclusion)."""
-    if S <= ONE:
-        return S
-    cache = man.cache("dclose")
-    r = cache.get(S)
+def _standard_monomials(man: ZddManager, P: int) -> int:
+    if P <= ONE:
+        return P
+    cache = man.cache("stdmon")
+    r = cache.get(P)
     if r is not None:
         return r
-    c1 = _divisor_closure(man, man.then_branch(S))
-    c0 = _divisor_closure(man, man.else_branch(S))
-    r = man.mk_node(man.top(S), c1, man.union(c1, c0))
-    cache[S] = r
+    p1 = man.then_branch(P)
+    p0 = man.else_branch(P)
+    r = man.mk_node(
+        man.top(P),
+        _standard_monomials(man, man.intersect(p1, p0)),
+        _standard_monomials(man, man.union(p1, p0)),
+    )
+    cache[P] = r
     return r
 
 
@@ -329,19 +302,19 @@ def _non_superset(man: ZddManager, A: int, B: int) -> int:
     return r
 
 
-def leading_monomials_variety(P: PointSet, seed: int = 0) -> int:
+def leading_monomials_variety(P: PointSet) -> int:
     """Minimal generators of the lex leading ideal of I(P) (Boolean part)."""
     man = P.ring.manager
     all_terms = man.full_family(P.ring.n)
-    rest = man.diff(all_terms, standard_monomials(P, seed))
+    rest = man.diff(all_terms, standard_monomials(P))
     return minimal_elements(man, rest)
 
 
-def points_gb(P: PointSet, seed: int = 0) -> list[BoolPoly]:
+def points_gb(P: PointSet) -> list[BoolPoly]:
     """Reduced lex Boolean Groebner basis of the vanishing ideal of P."""
     ring = P.ring
     man = ring.manager
-    leads = leading_monomials_variety(P, seed)
+    leads = leading_monomials_variety(P)
     out = []
     for t in man.iter_paths(leads):
         tp = BoolPoly(ring, man.singleton(t))

@@ -45,6 +45,10 @@ class Modulus:
 
     m: int
 
+    def __post_init__(self):
+        if self.m < 2:
+            raise ValueError(f"modulus must be >= 2, got {self.m}")
+
     @property
     def primes(self) -> tuple[tuple[int, int], ...]:
         return factorize(self.m)
@@ -129,34 +133,6 @@ class Modulus:
 
 def _raise_div(a, b):
     raise ValueError(f"{b} does not divide {a}")
-
-
-def nu(mod: Modulus, a: int) -> tuple[int, ...]:
-    return mod.nu(a)
-
-
-def is_unit(mod: Modulus, a: int) -> bool:
-    return mod.is_unit(a)
-
-
-def unit_normalize(mod: Modulus, a: int) -> tuple[int, int]:
-    return mod.unit_normalize(a)
-
-
-def divides(mod: Modulus, a: int, b: int) -> bool:
-    return mod.divides(a, b)
-
-
-def gcd_zm(mod: Modulus, a: int, b: int) -> int:
-    return mod.gcd(a, b)
-
-
-def lcm_zm(mod: Modulus, a: int, b: int) -> int:
-    return mod.lcm(a, b)
-
-
-def ann_generator(mod: Modulus, a: int) -> int:
-    return mod.ann_generator(a)
 
 
 def solve_lead(mod: Modulus, c: int, coeffs) -> list[int] | None:

@@ -86,6 +86,31 @@ def lex_poly_key(terms, n: int):
     return tuple(sorted((mon_key(m) for m in terms), reverse=True))
 
 
+def lex_standard_monomials(points, n: int) -> set:
+    """Lex standard monomials (x0 largest) of the vanishing ideal of the
+    points, by Gaussian elimination over GF(2).
+
+    Monomials are visited in ascending lex order; one is standard iff its
+    evaluation vector on the points (a bitmask) is independent of the
+    vectors of all smaller monomials.
+    """
+    pts = list(points)
+    pivots: dict[int, int] = {}  # highest set bit -> reduced vector
+    out = set()
+    # exponent vectors (x0 first) come out in ascending lex order
+    for bits in itertools.product((0, 1), repeat=n):
+        m = frozenset(i for i in range(n) if bits[i])
+        vec = sum(1 << j for j, p in enumerate(pts) if all(p[i] for i in m))
+        while vec:
+            top = vec.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = vec
+                out.add(m)
+                break
+            vec ^= pivots[top]
+    return out
+
+
 # -- Z/m helpers -----------------------------------------------------------------
 
 

@@ -200,8 +200,8 @@ def test_criterion_5_cross_algorithm_identity():
         }
         P = PointSet.from_points(ring, pts)
         f = ring.from_terms(rand_terms(rnd, n, 5))
-        assert nf_by_interpolate(f, P) == greedy_nf(f, points_gb(P, seed=9))
-        S = standard_monomials(P, seed=17)
+        assert nf_by_interpolate(f, P) == greedy_nf(f, points_gb(P))
+        S = standard_monomials(P)
         assert ring.manager.count_paths(S) == len(P)
     report("5 cross-algorithm-identity", True)
 

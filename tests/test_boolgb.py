@@ -281,7 +281,7 @@ def test_bgb_single_matches_points_gb():
         basis = bgb_single(p)
         vpts = [q for q in pts if eval_poly(p, q) == 0]
         P = PointSet.from_points(ring, vpts)
-        expected = points_gb(P, seed=1)
+        expected = points_gb(P)
         assert {g.z for g in basis} == {g.z for g in expected}
 
 
@@ -294,23 +294,6 @@ def test_bgb_single_cache_hits():
     assert cache.hits >= 1
     assert [str(g) for g in b1] == ["x0 + 1", "x1 + 1"]
     assert [str(g) for g in b2] == ["x3 + 1", "x5 + 1"]
-
-
-def test_symcache_save_load(tmp_path):
-    ring = BoolRing.indexed(4, "lp")
-    cache = SymCache()
-    bgb_single(ring.from_terms([{0, 1}, {}]), cache=cache)
-    path = tmp_path / "table.json"
-    cache.save(str(path))
-    fresh = SymCache()
-    fresh.load(str(path))
-    assert fresh.table == cache.table
-    # a strategy pointing at the table gets hits immediately
-    basis = buchberger(
-        [ring.from_terms([{2, 3}, {}])],
-        strategy=Strategy(table_path=str(path)),
-    )
-    assert [str(g) for g in basis] == ["x2 + 1", "x3 + 1"]
 
 
 # -- buchberger --------------------------------------------------------------------------

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from oracles import all_polynomials, interpolates, lex_poly_key
+from oracles import (
+    all_polynomials,
+    interpolates,
+    lex_poly_key,
+    lex_standard_monomials,
+)
 from zddgb.boolgb import greedy_nf
 from zddgb.boolpoly import BoolRing, eval_poly
 from zddgb.interp import (
@@ -18,7 +23,6 @@ from zddgb.interp import (
     nf_by_interpolate,
     ones,
     points_gb,
-    random_subset,
     standard_monomials,
     zeros,
 )
@@ -128,7 +132,9 @@ def test_both_interpolators_agree_on_domain():
         n = rnd.randrange(1, 6)
         ring = BoolRing.indexed(n, "lp")
         dom = rand_points(ring, rnd, 10)
-        Zp = random_subset(dom, rnd)
+        Zp = PointSet.from_points(
+            ring, [q for q in dom.points() if rnd.getrandbits(1)]
+        )
         b = PartialFn(Zp, dom.diff(Zp))
         for interp in (interpolate_simple, interpolate_smallest_lex):
             p = interp(b)
@@ -188,16 +194,16 @@ def test_nf_by_interpolate_idempotent_and_bounded():
 def test_standard_monomials_examples():
     ring = BoolRing(["x", "y"], "lp")
     single = PointSet.from_points(ring, [(1, 0)])
-    assert set(ring.manager.iter_paths(standard_monomials(single, 3))) == {()}
+    assert set(ring.manager.iter_paths(standard_monomials(single))) == {()}
     cube = PointSet.full_cube(ring)
-    assert set(ring.manager.iter_paths(standard_monomials(cube, 3))) == {
+    assert set(ring.manager.iter_paths(standard_monomials(cube))) == {
         (),
         (0,),
         (1,),
         (0, 1),
     }
     P = PointSet.from_points(ring, [(0, 0), (1, 0)])
-    assert set(ring.manager.iter_paths(standard_monomials(P, 3))) == {(), (0,)}
+    assert set(ring.manager.iter_paths(standard_monomials(P))) == {(), (0,)}
 
 
 def test_standard_monomials_cardinality_and_closure():
@@ -206,7 +212,7 @@ def test_standard_monomials_cardinality_and_closure():
         n = rnd.randrange(1, 6)
         ring = BoolRing.indexed(n, "lp")
         P = rand_points(ring, rnd, 14)
-        S = standard_monomials(P, seed=rnd.randrange(1000))
+        S = standard_monomials(P)
         mons = set(ring.manager.iter_paths(S))
         assert len(mons) == len(P)
         for m in mons:
@@ -214,15 +220,29 @@ def test_standard_monomials_cardinality_and_closure():
                 assert tuple(v for i, v in enumerate(m) if i != k) in mons
 
 
+def test_standard_monomials_match_gf2_elimination():
+    rnd = random.Random(37)
+    for _ in range(300):
+        n = rnd.randrange(1, 7)
+        ring = BoolRing.indexed(n, "lp")
+        pts = {
+            tuple(rnd.randrange(2) for _ in range(n))
+            for _ in range(rnd.randrange(25))
+        }
+        S = standard_monomials(PointSet.from_points(ring, pts))
+        got = {frozenset(m) for m in ring.manager.iter_paths(S)}
+        assert got == lex_standard_monomials(pts, n)
+
+
 def test_leading_monomials_examples():
     ring = BoolRing(["x", "y"], "lp")
     cube = PointSet.full_cube(ring)
-    assert set(ring.manager.iter_paths(leading_monomials_variety(cube, 3))) == set()
+    assert set(ring.manager.iter_paths(leading_monomials_variety(cube))) == set()
     assert set(
-        ring.manager.iter_paths(leading_monomials_variety(PointSet(ring, 0), 3))
+        ring.manager.iter_paths(leading_monomials_variety(PointSet(ring, 0)))
     ) == {()}
     P = PointSet.from_points(ring, [(0, 0), (1, 0)])
-    assert set(ring.manager.iter_paths(leading_monomials_variety(P, 3))) == {(1,)}
+    assert set(ring.manager.iter_paths(leading_monomials_variety(P))) == {(1,)}
 
 
 def test_minimal_elements():
@@ -250,4 +270,4 @@ def test_cross_algorithm_identity():
         ring = BoolRing.indexed(n, "lp")
         f = rand_poly(ring, rnd)
         P = rand_points(ring, rnd, 12)
-        assert nf_by_interpolate(f, P) == greedy_nf(f, points_gb(P, seed=2))
+        assert nf_by_interpolate(f, P) == greedy_nf(f, points_gb(P))
