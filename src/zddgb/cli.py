@@ -162,7 +162,7 @@ def cmd_nf(args) -> int:
 
 def cmd_sat(args) -> int:
     text = _read(args.file)
-    if "p cnf" in text:
+    if any(line.split()[:2] == ["p", "cnf"] for line in text.splitlines()):
         system = enc.cnf_to_polys(text)
         ring, polys = system.ring, system.polys
     else:

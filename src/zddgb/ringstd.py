@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -39,6 +40,71 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+# Coefficient arithmetic is memoized per modulus, keyed by (m, residues):
+# a standard basis computation asks the same few questions of the same few
+# lead coefficients many times.  The caches hold one entry per residue (or
+# residue pair) actually seen.
+
+
+@lru_cache(maxsize=None)
+def _nu(m: int, a: int) -> tuple[int, ...]:
+    out = []
+    for p, e in factorize(m):
+        if a == 0:
+            out.append(e)
+            continue
+        v, x = 0, a
+        while v < e and x % p == 0:
+            x //= p
+            v += 1
+        out.append(v)
+    return tuple(out)
+
+
+def _full_core(m: int, nu) -> int:
+    """Product of p^nu_p, not reduced mod m."""
+    c = 1
+    for (p, _), v in zip(factorize(m), nu):
+        c *= p**v
+    return c
+
+
+@lru_cache(maxsize=None)
+def _unit_normalize(m: int, a: int) -> tuple[int, int]:
+    core = _full_core(m, _nu(m, a))
+    n = a // core
+    # u = n + (m / core) * prod of primes not dividing n
+    bump = 1
+    for p, _ in factorize(m):
+        if n % p != 0:
+            bump *= p
+    u = (n + (m // core) * bump) % m
+    if math.gcd(u, m) != 1 or (u * core - a) % m != 0:
+        raise AssertionError("unit normalization failed; modulus bug")
+    return u, core % m
+
+
+@lru_cache(maxsize=None)
+def _divides(m: int, a: int, b: int) -> bool:
+    return all(map(operator.le, _nu(m, a), _nu(m, b)))
+
+
+@lru_cache(maxsize=None)
+def _lcm(m: int, *vals: int) -> int:
+    nus = [_nu(m, a) for a in vals]
+    return _full_core(m, tuple(map(max, zip(*nus)))) % m
+
+
+@lru_cache(maxsize=None)
+def _div_exact(m: int, a: int, b: int) -> int:
+    if not _divides(m, b, a):
+        raise ValueError(f"{b} does not divide {a} mod {m}")
+    u, core = _unit_normalize(m, b)
+    if core == 0:  # b = 0, so b | a forces a = 0
+        return 0
+    return pow(u, -1, m) * a % m // core
+
+
 @dataclass(frozen=True)
 class Modulus:
     """m >= 2 together with its prime factorization."""
@@ -55,62 +121,31 @@ class Modulus:
 
     def nu(self, a: int) -> tuple[int, ...]:
         """Capped valuation vector: min(v_p(a), e_p) per prime of m."""
-        a %= self.m
-        out = []
-        for p, e in self.primes:
-            if a == 0:
-                out.append(e)
-                continue
-            v, x = 0, a
-            while v < e and x % p == 0:
-                x //= p
-                v += 1
-            out.append(v)
-        return tuple(out)
+        return _nu(self.m, a % self.m)
 
     def core(self, nu: tuple[int, ...]) -> int:
         """Product of p^nu_p, reduced mod m."""
-        c = 1
-        for (p, _), v in zip(self.primes, nu):
-            c *= p**v
-        return c % self.m
+        return _full_core(self.m, nu) % self.m
 
     def is_unit(self, a: int) -> bool:
         return math.gcd(a % self.m, self.m) == 1
 
     def unit_normalize(self, a: int) -> tuple[int, int]:
         """(u, core) with u a unit and u * core = a mod m."""
-        a %= self.m
-        nu = self.nu(a)
-        core_int = 1
-        for (p, _), v in zip(self.primes, nu):
-            core_int *= p**v
-        n = a // core_int
-        # u = n + (m / core) * prod of primes with e > 0 not dividing n
-        bump = 1
-        for p, e in self.primes:
-            if e > 0 and n % p != 0:
-                bump *= p
-        u = (n + (self.m // core_int) * bump) % self.m
-        if not self.is_unit(u) or (u * core_int - a) % self.m != 0:
-            raise AssertionError("unit normalization failed; modulus bug")
-        return u, core_int % self.m
-
-    def inverse(self, u: int) -> int:
-        return pow(u % self.m, -1, self.m)
+        return _unit_normalize(self.m, a % self.m)
 
     def divides(self, a: int, b: int) -> bool:
         """a | b in Z/m, equivalently nu(a) <= nu(b) componentwise."""
-        na, nb = self.nu(a), self.nu(b)
-        return all(x <= y for x, y in zip(na, nb))
+        m = self.m
+        return _divides(m, a % m, b % m)
 
     def gcd(self, *vals: int) -> int:
         nus = [self.nu(v) for v in vals]
         return self.core(tuple(min(col) for col in zip(*nus)))
 
     def lcm(self, *vals: int) -> int:
-        nus = [self.nu(v) for v in vals]
-        return self.core(tuple(max(col) for col in zip(*nus)))
+        m = self.m
+        return _lcm(m, *[v % m for v in vals])
 
     def ann_generator(self, a: int) -> int:
         """Generator of {x : a*x = 0}, namely prod p^(e - nu_p(a))."""
@@ -122,17 +157,8 @@ class Modulus:
 
     def div_exact(self, a: int, b: int) -> int:
         """Some x with b*x = a mod m; requires b | a."""
-        if not self.divides(b, a):
-            raise ValueError(f"{b} does not divide {a} mod {self.m}")
-        u, core = self.unit_normalize(b)
-        if core == 0:
-            return 0 if a % self.m == 0 else _raise_div(a, b)
-        r = (self.inverse(u) * a) % self.m
-        return (r // core) % self.m
-
-
-def _raise_div(a, b):
-    raise ValueError(f"{b} does not divide {a}")
+        m = self.m
+        return _div_exact(m, a % m, b % m)
 
 
 def solve_lead(mod: Modulus, c: int, coeffs) -> list[int] | None:
@@ -264,25 +290,31 @@ class ZmRing:
 
 
 def _mon_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _mon_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _mon_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _mon_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 class ZmPoly:
-    """Term list sorted strictly descending; no zero coefficients."""
+    """Term list sorted strictly descending; no zero coefficients.
 
-    __slots__ = ("ring", "terms")
+    `ZmPoly(ring, terms)` canonicalizes arbitrary input.  The arithmetic
+    below keeps term lists sorted without re-sorting: both orderings are
+    monomial orderings, so multiplying by a term or a scalar preserves the
+    order, and sums are merges of two sorted lists.
+    """
+
+    __slots__ = ("ring", "terms", "_ecart")
 
     def __init__(self, ring: ZmRing, terms):
         m = ring.m
@@ -298,6 +330,16 @@ class ZmPoly:
         self.terms = tuple(
             (e, acc[e]) for e in sorted(acc, key=key, reverse=True)
         )
+        self._ecart = None
+
+    @classmethod
+    def _canonical(cls, ring: ZmRing, terms: tuple) -> "ZmPoly":
+        """Wrap terms that are already sorted, reduced and nonzero."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        p._ecart = None
+        return p
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -327,7 +369,7 @@ class ZmPoly:
         return self.lt()[1]
 
     def tail(self) -> "ZmPoly":
-        return ZmPoly(self.ring, self.terms[1:])
+        return ZmPoly._canonical(self.ring, self.terms[1:])
 
     def deg(self) -> int:
         if not self.terms:
@@ -336,22 +378,50 @@ class ZmPoly:
 
     def ecart(self) -> int:
         """deg(f) - deg(lm(f)); guides reducer choice in the normal form."""
-        if not self.terms:
-            return 0
-        return self.deg() - sum(self.lm())
+        if self._ecart is None:
+            self._ecart = self.deg() - sum(self.lm()) if self.terms else 0
+        return self._ecart
 
     def __add__(self, other: "ZmPoly") -> "ZmPoly":
-        return ZmPoly(self.ring, self.terms + other.terms)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "ZmPoly") -> "ZmPoly":
-        neg = tuple((e, -c) for e, c in other.terms)
-        return ZmPoly(self.ring, self.terms + neg)
+        return self._merge(other, -1)
+
+    def _merge(self, other: "ZmPoly", sign: int) -> "ZmPoly":
+        """self + sign * other by merging the two sorted term lists."""
+        ring = self.ring
+        m = ring.m
+        key = ring.ordering.sort_key
+        s, t = self.terms, other.terms
+        out = []
+        i = j = 0
+        while i < len(s) and j < len(t):
+            (e, c), (f, d) = s[i], t[j]
+            if e == f:
+                c = (c + sign * d) % m
+                if c:
+                    out.append((e, c))
+                i += 1
+                j += 1
+            elif key(e) > key(f):
+                out.append(s[i])
+                i += 1
+            else:
+                out.append((f, sign * d % m))
+                j += 1
+        out += s[i:]
+        out += [(f, sign * d % m) for f, d in t[j:]]
+        return ZmPoly._canonical(ring, tuple(out))
 
     def mul_term(self, exps: tuple[int, ...], coef: int) -> "ZmPoly":
-        return ZmPoly(
-            self.ring,
-            tuple((_mon_mul(e, exps), c * coef) for e, c in self.terms),
-        )
+        m = self.ring.m
+        out = []
+        for e, c in self.terms:
+            c = c * coef % m
+            if c:
+                out.append((_mon_mul(e, exps), c))
+        return ZmPoly._canonical(self.ring, tuple(out))
 
     def __mul__(self, other: "ZmPoly") -> "ZmPoly":
         out = []
@@ -361,7 +431,7 @@ class ZmPoly:
         return ZmPoly(self.ring, out)
 
     def scale(self, c: int) -> "ZmPoly":
-        return ZmPoly(self.ring, tuple((e, c * x) for e, x in self.terms))
+        return self.mul_term((0,) * self.ring.n, c)
 
     def eval(self, point) -> int:
         m = self.ring.m
@@ -427,7 +497,7 @@ def nf_ring(f: ZmPoly, G, ordering: RingOrdering | None = None) -> ZmPoly:
         cands = [
             (g.ecart(), pos, g)
             for pos, g in enumerate(T)
-            if _mon_divides(g.lm(), mf)
+            if _mon_divides(g.terms[0][0], mf)  # T holds nonzero polys only
         ]
         if not cands:
             return f
@@ -487,12 +557,16 @@ def _term_divides(mod: Modulus, t1: tuple, t2: tuple) -> bool:
     return _mon_divides(m1, m2) and mod.divides(c1, c2)
 
 
+def _lcm_term(mod: Modulus, t1: tuple, t2: tuple) -> tuple:
+    """Lcm of two terms: lcm of the monomials with lcm of the coefficients."""
+    (m1, c1), (m2, c2) = t1, t2
+    return (_mon_lcm(m1, m2), mod.lcm(c1, c2))
+
+
 def chain_criterion_ring(mod: Modulus, lt_i: tuple, lt_j: tuple,
                          lt_l: tuple) -> bool:
     """Middle lead term divides the lcm term of the outer pair."""
-    (mi, ci), (ml, cl) = lt_i, lt_l
-    lcm_term = (_mon_lcm(mi, ml), mod.lcm(ci, cl))
-    return _term_divides(mod, lt_j, lcm_term)
+    return _term_divides(mod, lt_j, _lcm_term(mod, lt_i, lt_l))
 
 
 def zero_criterion(mod: Modulus, ci: int, cl: int) -> bool:
@@ -537,15 +611,11 @@ def std_basis(gens, ordering: RingOrdering | None = None,
     queued_lcm: dict[tuple[int, int], tuple] = {}
     counter = 0
 
-    def lcm_term(i: int, j: int):
-        (mi, ci), (mj, cj) = G[i].lt(), G[j].lt()
-        return (_mon_lcm(mi, mj), mod.lcm(ci, cj))
-
     def push(kind: str, a: int, b: int):
         nonlocal counter
         counter += 1
         if kind == "pair":
-            mon, coef = lcm_term(a, b)
+            mon, coef = _lcm_term(mod, G[a].lt(), G[b].lt())
             queued_lcm[(min(a, b), max(a, b))] = (mon, coef)
         else:
             mon, coef = G[a].lm(), 0
@@ -597,32 +667,21 @@ def std_basis(gens, ordering: RingOrdering | None = None,
 
 
 def _chain_drop(mod, G, i, l, done, queued_lcm) -> bool:
-    lt_i, lt_l = G[i].lt(), G[l].lt()
-    lcm_mon = _mon_lcm(lt_i[0], lt_l[0])
-    lcm_coef = mod.lcm(lt_i[1], lt_l[1])
+    """Some lt(G[j]) divides the lcm term of (i, l), and each of the pairs
+    (i, j) and (j, l) is done or queued with a properly smaller lcm term."""
+    lcm_term = _lcm_term(mod, G[i].lt(), G[l].lt())
     for j in range(len(G)):
-        if j in (i, l):
+        if j in (i, l) or not _term_divides(mod, G[j].lt(), lcm_term):
             continue
-        if not chain_criterion_ring(mod, lt_i, G[j].lt(), lt_l):
-            continue
-        ok = True
-        for side in ((min(i, j), max(i, j)), (min(l, j), max(l, j))):
-            if side in done:
-                continue
-            q = queued_lcm.get(side)
-            if q is None:
-                ok = False
-                break
-            mon, coef = q
-            properly_smaller = (
-                _mon_divides(mon, lcm_mon)
-                and mod.divides(coef, lcm_coef)
-                and (mon, coef) != (lcm_mon, lcm_coef)
+        if all(
+            side in done
+            or (
+                (q := queued_lcm.get(side)) is not None
+                and q != lcm_term
+                and _term_divides(mod, q, lcm_term)
             )
-            if not properly_smaller:
-                ok = False
-                break
-        if ok:
+            for side in ((min(i, j), max(i, j)), (min(l, j), max(l, j)))
+        ):
             return True
     return False
 

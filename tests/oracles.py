@@ -8,6 +8,7 @@ meant to check.
 from __future__ import annotations
 
 import itertools
+import math
 
 
 def eval_terms(terms, point) -> int:
@@ -143,3 +144,45 @@ def zm_variety(polys, n: int, m: int) -> set:
         for p in pts
         if all(eval_zm_terms(f.terms, p, m) == 0 for f in polys)
     }
+
+
+def zm_prime_powers(m: int) -> list[tuple[int, int]]:
+    """(p, e) with p^e exactly dividing m, by trial division over 2..m."""
+    out = []
+    for p in range(2, m + 1):
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            out.append((p, e))
+    return out
+
+
+def zm_nu(m: int, a: int) -> tuple[int, ...]:
+    """Largest k <= e with p^k | a, per prime power p^e of m."""
+    a %= m
+    return tuple(
+        max(k for k in range(e + 1) if a % p**k == 0)
+        for p, e in zm_prime_powers(m)
+    )
+
+
+def zm_lcm(m: int, a: int, b: int) -> int:
+    """Generator of (a) ∩ (b) in Z/m that divides m as an integer:
+    (a) = (gcd(a, m)), and ideals of Z/m meet like divisors of m."""
+    return math.lcm(math.gcd(a, m), math.gcd(b, m)) % m
+
+
+def zm_div_exact(m: int, a: int, b: int) -> int:
+    """The quotient a / b that Modulus.div_exact picks, computed without
+    caches: b = u * core with core = gcd(b, m) and u a unit, then
+    (u^-1 * a mod m) / core."""
+    a, b = a % m, b % m
+    core = math.gcd(b, m)
+    if core == m:
+        return 0
+    n = b // core
+    bump = math.prod(p for p, _ in zm_prime_powers(m) if n % p)
+    u = (n + m // core * bump) % m
+    return pow(u, -1, m) * a % m // core

@@ -75,6 +75,18 @@ def test_sat_exit_codes(tmp_path, capsys):
     assert out.splitlines()[1] == "v 1 2 0"
 
 
+def test_sat_p_cnf_in_comment(tmp_path, capsys):
+    # only a line whose first two tokens are `p cnf` marks a DIMACS file
+    path = write(tmp_path, "sys.txt", "vars x\n# was p cnf 1 1\nx + 1\n")
+    code, out, _ = run(capsys, "sat", path)
+    assert code == 10
+    assert out.splitlines()[1] == "v 1 0"
+    cnf = write(tmp_path, "f.cnf", "c header below\n  p   cnf 1 1\n1 0\n")
+    code, out, _ = run(capsys, "sat", cnf)
+    assert code == 10
+    assert out.splitlines()[1] == "v 1 0"
+
+
 def test_sat_conjunction_preprocess(tmp_path, capsys):
     from zddgb.encode import pigeonhole_cnf
 

@@ -1,12 +1,26 @@
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import zm_annihilator_set, zm_divides, zm_ideal_generated, zm_variety
+from oracles import (
+    zm_annihilator_set,
+    zm_div_exact,
+    zm_divides,
+    zm_ideal_generated,
+    zm_lcm,
+    zm_nu,
+    zm_variety,
+)
 from zddgb.ringstd import (
     Modulus,
     RingStrategy,
+    ZmPoly,
     ZmRing,
     is_strong_basis,
     nf_ring,
@@ -105,6 +119,28 @@ def test_ann_generator():
         for a in range(m):
             if mod.is_unit(a):
                 assert mod.ann_generator(a) == 0
+
+
+def test_memoized_arithmetic_matches_reference_exhaustive():
+    # each query twice: the first call fills the caches, the second reads them
+    for m in range(2, 65):
+        mod = Modulus(m)
+        ideals = [zm_ideal_generated(m, b) for b in range(m)]
+        for a in range(m):
+            assert mod.nu(a) == mod.nu(a + m) == zm_nu(m, a), (m, a)
+        for a in range(m):
+            for b in range(m):
+                lcm, divides = zm_lcm(m, a, b), a in ideals[b]
+                quotient = zm_div_exact(m, a, b) if divides else None
+                for _ in range(2):
+                    assert mod.lcm(a, b) == lcm, (m, a, b)
+                    assert mod.divides(b, a) == divides, (m, a, b)
+                    if divides:
+                        assert mod.div_exact(a, b) == quotient, (m, a, b)
+                        assert b * quotient % m == a
+                    else:
+                        with pytest.raises(ValueError):
+                            mod.div_exact(a, b)
 
 
 # -- s-polynomials ---------------------------------------------------------------------
@@ -334,3 +370,84 @@ def test_parse_print_roundtrip():
         R = ZmRing(m, ["x", "y"], rnd.choice(["lp", "dlex"]))
         f = rand_zm(R, rnd)
         assert R.parse(str(f)) == f
+
+
+# -- order-preserving term-list operations ---------------------------------------------
+
+
+FAST_PATH_MODULI = (4, 8, 12, 36, 2**16)
+
+
+@st.composite
+def ring_and_raw_terms(draw, count=2):
+    """A ring and `count` raw term lists: repeated monomials, unreduced,
+    negative and zero coefficients, in no particular order."""
+    m = draw(st.sampled_from(FAST_PATH_MODULI))
+    n = draw(st.integers(1, 3))
+    ring = ZmRing(m, [f"x{i}" for i in range(n)], draw(st.sampled_from(("lp", "dlex"))))
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 3)] * n), st.integers(-2 * m, 2 * m)
+    )
+    return ring, [draw(st.lists(term, max_size=8)) for _ in range(count)]
+
+
+def assert_canonical(ring, f):
+    key = ring.ordering.sort_key
+    assert all(0 < c < ring.m for _, c in f.terms)
+    assert all(key(a) > key(b) for (a, _), (b, _) in zip(f.terms, f.terms[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_raw_terms())
+def test_add_sub_merge_match_canonicalized_concatenation(case):
+    ring, (s, t) = case
+    f, g = ZmPoly(ring, s), ZmPoly(ring, t)
+    total, diff = f + g, f - g
+    assert total.terms == ZmPoly(ring, s + t).terms
+    assert diff.terms == ZmPoly(ring, s + [(e, -c) for e, c in t]).terms
+    assert_canonical(ring, total)
+    assert_canonical(ring, diff)
+    assert (f - f).is_zero()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_raw_terms(count=1), st.data())
+def test_mul_term_scale_tail_match_canonicalized_terms(case, data):
+    ring, (s,) = case
+    f = ZmPoly(ring, s)
+    exps = data.draw(st.tuples(*[st.integers(0, 3)] * ring.n))
+    c = data.draw(st.integers(-2 * ring.m, 2 * ring.m))
+    shifted = [(tuple(a + b for a, b in zip(e, exps)), x * c) for e, x in s]
+    assert f.mul_term(exps, c).terms == ZmPoly(ring, shifted).terms
+    assert f.scale(c).terms == ZmPoly(ring, [(e, x * c) for e, x in s]).terms
+    assert f.tail().terms == ZmPoly(ring, f.terms[1:]).terms
+    for h in (f.mul_term(exps, c), f.scale(c), f.tail()):
+        assert_canonical(ring, h)
+        assert h.ecart() == (max(map(sum, (e for e, _ in h.terms))) - sum(h.lm())
+                             if h.terms else 0)
+
+
+# -- exact answers on the benchmark's Z/m pool -------------------------------------------
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# sha256 over repr([g.terms for g in basis]) of each basis in turn, first 64
+# ideals of Z/4 then of Z/8, recorded before the ring layer was optimized
+ZM_POOL_HEAD_DIGEST = "5cd8afed73a76b66"
+
+
+def test_benchmark_pool_bases_unchanged(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    from workloads import ZM_MODULI, zm_instance
+
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["instances"]
+    h = hashlib.sha256()
+    for m in ZM_MODULI:
+        for i in range(64):
+            names, order, gen_terms = zm_instance(m, i)
+            ring = ZmRing(m, names, order)
+            basis = std_basis([ring.poly(t) for t in gen_terms])
+            assert checks.zm_lead_digest(basis) == ref[f"zm:{m}:{i}"]["leads"], (m, i)
+            h.update(repr([g.terms for g in basis]).encode())
+    assert h.hexdigest()[:16] == ZM_POOL_HEAD_DIGEST
