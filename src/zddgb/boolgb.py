@@ -15,7 +15,6 @@ import heapq
 from dataclasses import dataclass
 
 from .boolpoly import (
-    BoolMonomial,
     BoolPoly,
     BoolRing,
     Ordering,
@@ -29,6 +28,7 @@ from .boolpoly import (
     lead_vars,
     mul_monomial,
 )
+from .interp import PointSet, zeros
 from .zdd import ONE, ZERO
 
 
@@ -41,8 +41,6 @@ class Strategy:
     linear_lead_criterion: bool = True
     sugar: bool = True
     symmetry_cache: bool = True
-    # rank reductors by sum of (1 + deg t) instead of term count
-    weighted_reductors: bool = True
 
 
 def weighted_length(f: BoolPoly) -> int:
@@ -56,19 +54,18 @@ def weighted_length(f: BoolPoly) -> int:
 class _ReductionTable:
     """Leads of a reductor set plus pick-the-cheapest bookkeeping."""
 
-    __slots__ = ("ring", "lead_set", "by_lead", "weighted")
+    __slots__ = ("ring", "lead_set", "by_lead")
 
-    def __init__(self, ring: BoolRing, weighted: bool = True):
+    def __init__(self, ring: BoolRing):
         self.ring = ring
         self.lead_set = ZERO
         # lead zdd id -> (rank, poly zdd id, lead vars)
         self.by_lead: dict[int, tuple] = {}
-        self.weighted = weighted
 
     def add(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
         man = self.ring.manager
         lz = man.singleton(lead_vars)
-        rank = (_rank_val(g, self.weighted), g.z)
+        rank = (weighted_length(g), g.z)
         prev = self.by_lead.get(lz)
         if prev is None:
             self.by_lead[lz] = (rank, g.z, lead_vars)
@@ -104,12 +101,7 @@ class _ReductionTable:
         return result
 
 
-def _rank_val(g: BoolPoly, weighted: bool) -> int:
-    return weighted_length(g) if weighted else len(g)
-
-
-def greedy_nf(f: BoolPoly, G, ordering: Ordering | None = None,
-              weighted: bool = True) -> BoolPoly:
+def greedy_nf(f: BoolPoly, G, ordering: Ordering | None = None) -> BoolPoly:
     """Reduced normal form of f against the polynomials G.
 
     Each step cancels *every* term divisible by the chosen reductor's lead
@@ -119,7 +111,7 @@ def greedy_nf(f: BoolPoly, G, ordering: Ordering | None = None,
     """
     ring = f.ring
     ordering = ordering or ring.ordering
-    table = _ReductionTable(ring, weighted)
+    table = _ReductionTable(ring)
     for g in G:
         if not g.is_zero():
             table.add(g, lead_vars(g, ordering))
@@ -127,15 +119,6 @@ def greedy_nf(f: BoolPoly, G, ordering: Ordering | None = None,
 
 
 # -- criteria -------------------------------------------------------------------
-
-
-def product_criterion(f: BoolPoly, g: BoolPoly,
-                      ordering: Ordering | None = None) -> bool:
-    """Coprime leading monomials; lead coefficients are always units here."""
-    ordering = ordering or f.ring.ordering
-    lf = lead(f, ordering).vars
-    lg = lead(g, ordering).vars
-    return not (set(lf) & set(lg))
 
 
 def linear_lead_criterion(f: BoolPoly, v: int) -> bool:
@@ -290,31 +273,20 @@ def bgb_single(p: BoolPoly, ordering: Ordering | None = None,
 
 
 class GBState:
-    """Mutable state of one Buchberger run."""
+    """Mutable state of one Buchberger run.
+
+    Pairs are pruned when they are queued (Gebauer-Moeller), so the queue
+    and the lead sets are the only pair bookkeeping.
+    """
 
     def __init__(self, ring: BoolRing, ordering: Ordering, strategy: Strategy):
-        self.ring = ring
         self.ordering = ordering
         self.strategy = strategy
         self.gens: list[BoolPoly] = []
-        self.leads: list[BoolMonomial] = []
         self.lead_fsets: list[frozenset] = []
-        self.lead_set = ZERO                  # ZDD of live leading monomials
-        self.lead_map: dict[int, int] = {}    # lead id -> generator index
-        self.table = _ReductionTable(ring, strategy.weighted_reductors)
+        self.table = _ReductionTable(ring)
         self.queue: list = []
-        self.queued_lcm: dict[tuple[int, int], frozenset] = {}
-        self.done: set[tuple[int, int]] = set()
         self.counter = 0
-
-    def search_reductor(self, m: BoolMonomial) -> list[BoolPoly]:
-        """Live generators whose lead divides m."""
-        man = self.ring.manager
-        hits = man.divisors_within(self.lead_set, m.z)
-        return [
-            self.gens[self.lead_map[man.singleton(t)]]
-            for t in man.iter_paths(hits)
-        ]
 
     def push(self, kind: str, a: int, b: int, lcm_vars, sugar: int):
         key_mon = tuple(sorted(lcm_vars))
@@ -325,10 +297,8 @@ class GBState:
             ((primary, self.ordering.sort_key(key_mon), self.counter),
              (kind, a, b, frozenset(lcm_vars))),
         )
-        if kind == "pair":
-            self.queued_lcm[(min(a, b), max(a, b))] = frozenset(lcm_vars)
 
-    def prune_old_pairs(self, lm_new: frozenset, idx: int) -> None:
+    def prune_old_pairs(self, lm_new: frozenset) -> None:
         """Gebauer-Moeller style: drop queued pairs whose lcm the new lead
         properly mediates."""
         fsets = self.lead_fsets
@@ -337,36 +307,11 @@ class GBState:
             kind, a, b, lab = entry[1]
             if kind == "pair" and lm_new <= lab:
                 if (fsets[a] | lm_new) != lab and (fsets[b] | lm_new) != lab:
-                    self.queued_lcm.pop((min(a, b), max(a, b)), None)
                     continue
             keep.append(entry)
         if len(keep) != len(self.queue):
             self.queue = keep
             heapq.heapify(self.queue)
-
-
-def chain_criterion(state: GBState, i: int, j: int) -> bool:
-    """Drop (i, j) when some third generator's lead divides the pair's lcm
-    and both side pairs were handled already or sit in the queue with a
-    properly smaller lcm (so citation chains cannot cycle)."""
-    lcm = frozenset(state.leads[i].vars) | frozenset(state.leads[j].vars)
-    man = state.ring.manager
-    mediators = man.divisors_within(state.lead_set, man.singleton(lcm))
-    for t in man.iter_paths(mediators):
-        k = state.lead_map[man.singleton(t)]
-        if k in (i, j):
-            continue
-        ok = True
-        for side in ((min(i, k), max(i, k)), (min(j, k), max(j, k))):
-            if side in state.done:
-                continue
-            side_lcm = state.queued_lcm.get(side)
-            if side_lcm is None or not (side_lcm < lcm):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 # -- the main loop ------------------------------------------------------------------
@@ -393,7 +338,6 @@ def buchberger(gens, ordering: Ordering | None = None,
         symcache = None
 
     state = GBState(ring, ordering, strategy)
-    man = ring.manager
 
     def add_generator(h: BoolPoly, skip_field_pairs: bool) -> bool:
         """Insert an NF-reduced nonzero h; False once the basis hits {1}."""
@@ -402,29 +346,26 @@ def buchberger(gens, ordering: Ordering | None = None,
             state.queue.clear()
             return False
         idx = len(state.gens)
-        lm = lead(h, ordering)
+        lm = lead_vars(h, ordering)
         state.gens.append(h)
-        state.leads.append(lm)
-        lm_set = frozenset(lm.vars)
+        lm_set = frozenset(lm)
         state.lead_fsets.append(lm_set)
-        state.lead_set = man.union(state.lead_set, lm.z)
-        state.lead_map[lm.z] = idx
-        state.table.add(h, lm.vars)
+        state.table.add(h, lm)
         sugar_h = deg(h)
 
         if strategy.chain_criterion:
-            state.prune_old_pairs(lm_set, idx)
+            state.prune_old_pairs(lm_set)
         groups: dict[frozenset, list[int]] = {}
         for j in range(idx):
             groups.setdefault(lm_set | state.lead_fsets[j], []).append(j)
         lcms = sorted(groups, key=lambda L: (len(L), tuple(sorted(L))))
         kept_lcms: list[frozenset] = []
+
+        def coprime(j):
+            return not (lm_set & state.lead_fsets[j])
+
         for L in lcms:
             members = groups[L]
-
-            def coprime(j):
-                return not (lm_set & state.lead_fsets[j])
-
             if strategy.chain_criterion:
                 # Gebauer-Moeller: minimal lcms only, one pair per lcm,
                 # whole group dropped when one member is coprime
@@ -440,10 +381,9 @@ def buchberger(gens, ordering: Ordering | None = None,
                     if not (strategy.product_criterion and coprime(j))
                 ]
             for j in chosen:
-                lj = state.leads[j].vars
                 sugar = max(
-                    sugar_h + len(L) - lm.degree,
-                    deg(state.gens[j]) + len(L) - len(lj),
+                    sugar_h + len(L) - len(lm),
+                    deg(state.gens[j]) + len(L) - len(state.lead_fsets[j]),
                 )
                 state.push("pair", j, idx, L, sugar)
         if not skip_field_pairs:
@@ -478,24 +418,16 @@ def buchberger(gens, ordering: Ordering | None = None,
                 break
 
     while alive and state.queue:
-        _, (kind, a, b, _lcm) = heapq.heappop(state.queue)
+        _, (kind, a, b, lcm) = heapq.heappop(state.queue)
         if kind == "pair":
-            key = (min(a, b), max(a, b))
-            state.queued_lcm.pop(key, None)
+            # coprime pairs were never queued (product criterion)
             f, g = state.gens[a], state.gens[b]
-            if strategy.product_criterion and product_criterion(f, g, ordering):
-                state.done.add(key)
-                continue
-            lf = set(state.leads[a].vars)
-            lg = set(state.leads[b].vars)
-            lcm = lf | lg
-            s = mul_monomial(f, ring.monomial(lcm - lf)) + mul_monomial(
-                g, ring.monomial(lcm - lg)
-            )
-            state.done.add(key)
+            s = mul_monomial(
+                f, ring.monomial(lcm - state.lead_fsets[a])
+            ) + mul_monomial(g, ring.monomial(lcm - state.lead_fsets[b]))
         else:
             g, v = state.gens[a], b
-            if strategy.product_criterion and v not in state.leads[a].vars:
+            if strategy.product_criterion and v not in state.lead_fsets[a]:
                 continue
             if strategy.linear_lead_criterion and linear_lead_criterion(g, v):
                 continue
@@ -503,10 +435,10 @@ def buchberger(gens, ordering: Ordering | None = None,
         if not s.is_zero():
             alive = insert(s)
 
-    return interreduce(state.gens, ordering, strategy.weighted_reductors)
+    return interreduce(state.gens, ordering)
 
 
-def interreduce(basis, ordering: Ordering, weighted: bool = True):
+def interreduce(basis, ordering: Ordering):
     """Minimal, tail-reduced form of a Boolean basis, sorted lead-descending."""
     basis = [g for g in basis if not g.is_zero()]
     if not basis:
@@ -526,7 +458,7 @@ def interreduce(basis, ordering: Ordering, weighted: bool = True):
     while changed:
         changed = False
         for i, g in enumerate(kept):
-            r = greedy_nf(g, kept[:i] + kept[i + 1:], ordering, weighted)
+            r = greedy_nf(g, kept[:i] + kept[i + 1:], ordering)
             if r != g:
                 kept[i] = r
                 changed = True
@@ -565,7 +497,8 @@ def sat_check(gens, ordering: Ordering | None = None,
     """Decide solvability of {g = 0 : g in gens} over {0,1}^n.
 
     Returns ("UNSAT", None) when the basis collapses to {1}; otherwise
-    ("SAT", model) with a verified satisfying assignment.  With
+    ("SAT", model) with the lex-smallest point of the basis's variety,
+    computed by `zeros` over the full cube and verified.  With
     preprocess="conjunction" the system is first collapsed to its unique
     ideal generator by Boolean multiplication, as the benchmark runs do.
     """
@@ -583,23 +516,23 @@ def sat_check(gens, ordering: Ordering | None = None,
     basis = buchberger(work, ordering, strategy)
     if basis and basis[0].is_one():
         return "UNSAT", None
-    # characteristic function of the variety: conjunction of the basis
-    c = ring.one
+    variety = PointSet.full_cube(ring)
     for g in basis:
-        c = c * (g + ring.one)
-    model = _some_one(c)
+        variety = zeros(g, variety)
+    model = _lex_min_point(variety)
     for g in gens:
         if eval_poly(g, model) != 0:
             raise AssertionError("witness fails a generator; engine bug")
     return "SAT", model
 
 
-def _some_one(c: BoolPoly) -> tuple[int, ...]:
-    """A point where the nonzero polynomial c evaluates to 1."""
-    ring = c.ring
+def _lex_min_point(S: PointSet) -> tuple[int, ...]:
+    """The lex-smallest point of the nonempty point set S: the walk takes
+    x_i = 0 whenever some point below allows it."""
+    ring = S.ring
     man = ring.manager
     assign = [0] * ring.n
-    z = c.z
+    z = S.z
     while z > ONE:
         e = man.else_branch(z)
         if e != ZERO:

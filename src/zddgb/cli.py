@@ -171,7 +171,11 @@ def cmd_sat(args) -> int:
             raise CliError("sat needs a Boolean system; the file sets a modulus")
     t0 = time.perf_counter()
     preprocess = None if args.preprocess == "none" else args.preprocess
-    verdict, model = sat_check(polys, preprocess=preprocess)
+    if polys:
+        verdict, model = sat_check(polys, preprocess=preprocess)
+    else:
+        # no constraints: every point is a model, the lex-smallest is 0...0
+        verdict, model = "SAT", (0,) * ring.n
     seconds = time.perf_counter() - t0
     if verdict == "UNSAT":
         print("s UNSATISFIABLE")

@@ -563,12 +563,6 @@ def _lcm_term(mod: Modulus, t1: tuple, t2: tuple) -> tuple:
     return (_mon_lcm(m1, m2), mod.lcm(c1, c2))
 
 
-def chain_criterion_ring(mod: Modulus, lt_i: tuple, lt_j: tuple,
-                         lt_l: tuple) -> bool:
-    """Middle lead term divides the lcm term of the outer pair."""
-    return _term_divides(mod, lt_j, _lcm_term(mod, lt_i, lt_l))
-
-
 def zero_criterion(mod: Modulus, ci: int, cl: int) -> bool:
     """The pair's multiplier of f_i lies in the annihilator syzygy of c_i.
 

@@ -5,17 +5,14 @@ import pytest
 
 from oracles import variety
 from zddgb.boolgb import (
-    GBState,
     Strategy,
     SymCache,
     bgb_single,
     buchberger,
-    chain_criterion,
     conjunction_generator,
     factor_linear_leads,
     greedy_nf,
     linear_lead_criterion,
-    product_criterion,
     sat_check,
     suitable_shift,
     weighted_length,
@@ -83,59 +80,7 @@ def test_greedy_nf_reduced_and_in_ideal():
                 assert eval_poly(f, p) == eval_poly(r, p)
 
 
-def test_search_reductor():
-    ring = BoolRing(["x", "y", "z"], "lp")
-    state = GBState(ring, ring.ordering, Strategy())
-    for g in (ring.parse("x"), ring.parse("x*y"), ring.parse("z")):
-        state.gens.append(g)
-        lm = lead(g)
-        state.leads.append(lm)
-        state.lead_fsets.append(frozenset(lm.vars))
-        state.lead_set = ring.manager.union(state.lead_set, lm.z)
-        state.lead_map[lm.z] = len(state.gens) - 1
-    hits = state.search_reductor(ring.monomial([0, 1]))
-    assert {str(h) for h in hits} == {"x", "x*y"}
-    assert state.search_reductor(ring.monomial([])) == []
-    empty = GBState(ring, ring.ordering, Strategy())
-    assert empty.search_reductor(ring.monomial([0])) == []
-
-
 # -- criteria -----------------------------------------------------------------------
-
-
-def test_product_criterion():
-    ring = BoolRing(["x", "y", "z"], "lp")
-    assert product_criterion(ring.parse("x"), ring.parse("y"))
-    assert not product_criterion(ring.parse("x*y"), ring.parse("y*z"))
-    assert product_criterion(ring.parse("1"), ring.parse("x*y"))
-
-
-def test_chain_criterion_op():
-    ring = BoolRing(["x", "y", "z"], "lp")
-    state = GBState(ring, ring.ordering, Strategy())
-    for g in (ring.parse("x*y"), ring.parse("y*z"), ring.parse("y")):
-        idx = len(state.gens)
-        state.gens.append(g)
-        lm = lead(g)
-        state.leads.append(lm)
-        state.lead_fsets.append(frozenset(lm.vars))
-        state.lead_set = ring.manager.union(state.lead_set, lm.z)
-        state.lead_map[lm.z] = idx
-    # mediator y divides lcm(x*y, y*z); true once both side pairs are done
-    assert not chain_criterion(state, 0, 1)
-    state.done |= {(0, 2), (1, 2)}
-    assert chain_criterion(state, 0, 1)
-    # no mediator
-    state2 = GBState(ring, ring.ordering, Strategy())
-    for g in (ring.parse("x*y"), ring.parse("y*z")):
-        idx = len(state2.gens)
-        state2.gens.append(g)
-        lm = lead(g)
-        state2.leads.append(lm)
-        state2.lead_fsets.append(frozenset(lm.vars))
-        state2.lead_set = ring.manager.union(state2.lead_set, lm.z)
-        state2.lead_map[lm.z] = idx
-    assert not chain_criterion(state2, 0, 1)
 
 
 def all_factorizations(ring, f, v):
@@ -420,6 +365,7 @@ def test_sat_models_verified():
         vin = variety([g.term_set() for g in gens], n)
         if verdict == "SAT":
             assert model in vin
+            assert model == min(vin)
         else:
             assert not vin
 

@@ -87,6 +87,17 @@ def test_sat_p_cnf_in_comment(tmp_path, capsys):
     assert out.splitlines()[1] == "v 1 0"
 
 
+def test_sat_empty_system(tmp_path, capsys):
+    # no clauses or no polynomials: satisfiable, all-false model
+    cnf = write(tmp_path, "empty.cnf", "p cnf 3 0\n")
+    sys_file = write(tmp_path, "empty.txt", "vars a b c\n")
+    for path in (cnf, sys_file):
+        for extra in ((), ("--preprocess", "conjunction")):
+            code, out, _ = run(capsys, "sat", path, *extra)
+            assert code == 10
+            assert out.splitlines() == ["s SATISFIABLE", "v -1 -2 -3 0"]
+
+
 def test_sat_conjunction_preprocess(tmp_path, capsys):
     from zddgb.encode import pigeonhole_cnf
 

@@ -295,7 +295,8 @@ def test_std_basis_variety_preservation_exhaustive():
 
 def test_criteria_helpers():
     from zddgb.ringstd import (
-        chain_criterion_ring,
+        _lcm_term,
+        _term_divides,
         product_criterion_ring,
         zero_criterion,
     )
@@ -307,14 +308,14 @@ def test_criteria_helpers():
 
     mod4 = Modulus(4)
     lt = lambda c, mon: (mon, c)
-    # middle 2xy divides lcm(2x, 2y) = 2xy
-    assert chain_criterion_ring(
-        mod4, ((1, 0, 0), 2), ((1, 1, 0), 2), ((0, 1, 0), 2)
+    # chain test: middle 2xy divides lcm(2x, 2y) = 2xy
+    assert _term_divides(
+        mod4, ((1, 1, 0), 2), _lcm_term(mod4, ((1, 0, 0), 2), ((0, 1, 0), 2))
     )
     mod8 = Modulus(8)
     # coefficient 4 does not divide coefficient 2 at equal monomials
-    assert not chain_criterion_ring(
-        mod8, ((1, 0, 0), 2), ((1, 1, 0), 4), ((0, 1, 0), 2)
+    assert not _term_divides(
+        mod8, ((1, 1, 0), 4), _lcm_term(mod8, ((1, 0, 0), 2), ((0, 1, 0), 2))
     )
 
     # the lemma's printed hypothesis (ann | lcm) is unsound: over Z8 it
