@@ -17,14 +17,12 @@ from dataclasses import dataclass
 from .boolpoly import (
     BoolPoly,
     BoolRing,
-    Ordering,
     OrderingError,
     _lead_vars,
     _mul,
     _nf_mon,
     deg,
     eval_poly,
-    lead,
     lead_vars,
     mul_monomial,
 )
@@ -73,7 +71,7 @@ class _ReductionTable:
         elif prev[0] > rank:
             self.by_lead[lz] = (rank, g.z, lead_vars)
 
-    def reduce(self, fz: int, ordering: Ordering) -> int:
+    def reduce(self, fz: int) -> int:
         """Reduced normal form of the polynomial with term set fz."""
         man = self.ring.manager
         if not self.by_lead:
@@ -88,7 +86,7 @@ class _ReductionTable:
                 if fz == ZERO:
                     break
             # every term of fz is now divisible by some lead
-            m = _lead_vars(man, fz, ordering)
+            m = _lead_vars(man, fz, self.ring.ordering)
             hits = man.divisors_within(lead_set, man.singleton(m))
             best = min(
                 self.by_lead[man.singleton(t)] for t in man.iter_paths(hits)
@@ -101,7 +99,7 @@ class _ReductionTable:
         return result
 
 
-def greedy_nf(f: BoolPoly, G, ordering: Ordering | None = None) -> BoolPoly:
+def greedy_nf(f: BoolPoly, G) -> BoolPoly:
     """Reduced normal form of f against the polynomials G.
 
     Each step cancels *every* term divisible by the chosen reductor's lead
@@ -110,12 +108,11 @@ def greedy_nf(f: BoolPoly, G, ordering: Ordering | None = None) -> BoolPoly:
     lies in the ideal of G plus the field ideal.
     """
     ring = f.ring
-    ordering = ordering or ring.ordering
     table = _ReductionTable(ring)
     for g in G:
         if not g.is_zero():
-            table.add(g, lead_vars(g, ordering))
-    return BoolPoly(ring, table.reduce(f.z, ordering))
+            table.add(g, lead_vars(g))
+    return BoolPoly(ring, table.reduce(f.z))
 
 
 # -- criteria -------------------------------------------------------------------
@@ -166,14 +163,13 @@ def factor_linear_leads(p: BoolPoly) -> tuple[list[BoolPoly], BoolPoly]:
     return factors, BoolPoly(ring, z)
 
 
-def suitable_shift(p: BoolPoly, ordering: Ordering | None = None):
+def suitable_shift(p: BoolPoly):
     """Relabel p's variables order-preservingly onto x_0..x_{k-1}.
 
     Returns (shifted polynomial, mapping old index -> new index).  Only a
     symmetric ordering keeps monomial comparisons intact under the shift.
     """
-    ordering = ordering or p.ring.ordering
-    if not ordering.is_symmetric:
+    if not p.ring.ordering.is_symmetric:
         raise OrderingError("variable shifts need a symmetric ordering")
     mapping = {v: i for i, v in enumerate(p.vars_of())}
     man = p.ring.manager
@@ -206,24 +202,23 @@ class SymCache:
         self.misses = 0
 
     @staticmethod
-    def key(core: BoolPoly, ordering: Ordering):
-        return (str(ordering), tuple(sorted(core.terms())))
+    def key(core: BoolPoly):
+        return (str(core.ring.ordering), tuple(sorted(core.terms())))
 
 
 # cache misses above this core size are not worth a nested basis run
 SYMCACHE_VAR_LIMIT = 10
 
 
-def _single_worthwhile(h: BoolPoly, cache: SymCache, ordering: Ordering) -> bool:
+def _single_worthwhile(h: BoolPoly, cache: SymCache) -> bool:
     factors, core = factor_linear_leads(h)
     if core.is_one() or len(core.vars_of()) <= SYMCACHE_VAR_LIMIT:
         return True
-    shifted, _ = suitable_shift(core, ordering)
-    return SymCache.key(shifted, ordering) in cache.table
+    shifted, _ = suitable_shift(core)
+    return SymCache.key(shifted) in cache.table
 
 
-def bgb_single(p: BoolPoly, ordering: Ordering | None = None,
-               cache: SymCache | None = None) -> list[BoolPoly]:
+def bgb_single(p: BoolPoly, cache: SymCache | None = None) -> list[BoolPoly]:
     """Reduced Boolean Groebner basis of the ideal of a single polynomial.
 
     Linear-lead factors are pulled out first, the core is shifted onto the
@@ -231,8 +226,7 @@ def bgb_single(p: BoolPoly, ordering: Ordering | None = None,
     shifted back and multiplied by the factors again.
     """
     ring = p.ring
-    ordering = ordering or ring.ordering
-    if not ordering.is_symmetric:
+    if not ring.ordering.is_symmetric:
         raise OrderingError("bgb_single needs a symmetric ordering")
     if p.is_zero():
         return []
@@ -240,15 +234,13 @@ def bgb_single(p: BoolPoly, ordering: Ordering | None = None,
     if core.is_one():
         basis = [ring.one]
     else:
-        shifted, mapping = suitable_shift(core, ordering)
-        key = SymCache.key(shifted, ordering)
+        shifted, mapping = suitable_shift(core)
+        key = SymCache.key(shifted)
         stored = cache.table.get(key) if cache is not None else None
         if stored is None:
             if cache is not None:
                 cache.misses += 1
-            sub = buchberger(
-                [shifted], ordering, Strategy(symmetry_cache=False)
-            )
+            sub = buchberger([shifted], Strategy(symmetry_cache=False))
             stored = [sorted(g.terms()) for g in sub]
             if cache is not None:
                 cache.table[key] = stored
@@ -263,9 +255,7 @@ def bgb_single(p: BoolPoly, ordering: Ordering | None = None,
         basis = [q * l for q in basis]
     basis = [q for q in basis if not q.is_zero()]
     return sorted(
-        basis,
-        key=lambda q: ordering.sort_key(lead(q, ordering).vars),
-        reverse=True,
+        basis, key=lambda q: ring.ordering.sort_key(lead_vars(q)), reverse=True
     )
 
 
@@ -279,8 +269,8 @@ class GBState:
     and the lead sets are the only pair bookkeeping.
     """
 
-    def __init__(self, ring: BoolRing, ordering: Ordering, strategy: Strategy):
-        self.ordering = ordering
+    def __init__(self, ring: BoolRing, strategy: Strategy):
+        self.sort_key = ring.ordering.sort_key
         self.strategy = strategy
         self.gens: list[BoolPoly] = []
         self.lead_fsets: list[frozenset] = []
@@ -294,7 +284,7 @@ class GBState:
         self.counter += 1
         heapq.heappush(
             self.queue,
-            ((primary, self.ordering.sort_key(key_mon), self.counter),
+            ((primary, self.sort_key(key_mon), self.counter),
              (kind, a, b, frozenset(lcm_vars))),
         )
 
@@ -317,9 +307,7 @@ class GBState:
 # -- the main loop ------------------------------------------------------------------
 
 
-def buchberger(gens, ordering: Ordering | None = None,
-               strategy: Strategy | None = None,
-               symcache: SymCache | None = None) -> list[BoolPoly]:
+def buchberger(gens, strategy: Strategy | None = None) -> list[BoolPoly]:
     """Reduced Boolean Groebner basis of the ideal of gens plus the field
     ideal (Boolean part only).
 
@@ -329,15 +317,12 @@ def buchberger(gens, ordering: Ordering | None = None,
     if not gens:
         return []
     ring = gens[0].ring
-    ordering = ordering or ring.ordering
     strategy = strategy or Strategy()
-    if strategy.symmetry_cache and ordering.is_symmetric:
-        if symcache is None:
-            symcache = SymCache()
-    else:
-        symcache = None
+    symcache = None
+    if strategy.symmetry_cache and ring.ordering.is_symmetric:
+        symcache = SymCache()
 
-    state = GBState(ring, ordering, strategy)
+    state = GBState(ring, strategy)
 
     def add_generator(h: BoolPoly, skip_field_pairs: bool) -> bool:
         """Insert an NF-reduced nonzero h; False once the basis hits {1}."""
@@ -346,7 +331,7 @@ def buchberger(gens, ordering: Ordering | None = None,
             state.queue.clear()
             return False
         idx = len(state.gens)
-        lm = lead_vars(h, ordering)
+        lm = lead_vars(h)
         state.gens.append(h)
         lm_set = frozenset(lm)
         state.lead_fsets.append(lm_set)
@@ -393,16 +378,16 @@ def buchberger(gens, ordering: Ordering | None = None,
 
     def insert(h: BoolPoly) -> bool:
         """Reduce h and feed it (or its single-poly basis) into the state."""
-        h = BoolPoly(ring, state.table.reduce(h.z, ordering))
+        h = BoolPoly(ring, state.table.reduce(h.z))
         if h.is_zero():
             return True
         if (symcache is not None and not h.is_one()
-                and _single_worthwhile(h, symcache, ordering)):
-            basis = bgb_single(h, ordering, symcache)
+                and _single_worthwhile(h, symcache)):
+            basis = bgb_single(h, symcache)
             if len(basis) == 1 and basis[0] == h:
                 return add_generator(h, skip_field_pairs=True)
             for b in basis:
-                br = BoolPoly(ring, state.table.reduce(b.z, ordering))
+                br = BoolPoly(ring, state.table.reduce(b.z))
                 if br.is_zero():
                     continue
                 if not add_generator(br, skip_field_pairs=(br == b)):
@@ -435,39 +420,31 @@ def buchberger(gens, ordering: Ordering | None = None,
         if not s.is_zero():
             alive = insert(s)
 
-    return interreduce(state.gens, ordering)
+    return interreduce(state.gens)
 
 
-def interreduce(basis, ordering: Ordering):
-    """Minimal, tail-reduced form of a Boolean basis, sorted lead-descending."""
+def interreduce(basis):
+    """Minimal, tail-reduced form of a Boolean basis, sorted lead-descending.
+
+    One reduction pass suffices: no lead of a minimal basis divides
+    another, so reducing a tail never changes a lead, and each element
+    ends free of every other element's lead.
+    """
     basis = [g for g in basis if not g.is_zero()]
     if not basis:
         return []
     ring = basis[0].ring
     if any(g.is_one() for g in basis):
         return [ring.one]
-    basis = sorted(
-        basis, key=lambda g: ordering.sort_key(lead(g, ordering).vars)
-    )
+    key = ring.ordering.sort_key
     kept: list[BoolPoly] = []
-    for g in basis:
-        lg = set(lead(g, ordering).vars)
-        if not any(set(lead(h, ordering).vars) <= lg for h in kept):
+    for g in sorted(basis, key=lambda g: key(lead_vars(g))):
+        lg = set(lead_vars(g))
+        if not any(set(lead_vars(h)) <= lg for h in kept):
             kept.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(kept):
-            r = greedy_nf(g, kept[:i] + kept[i + 1:], ordering)
-            if r != g:
-                kept[i] = r
-                changed = True
-        kept = [g for g in kept if not g.is_zero()]
-    return sorted(
-        kept,
-        key=lambda g: ordering.sort_key(lead(g, ordering).vars),
-        reverse=True,
-    )
+    for i, g in enumerate(kept):
+        kept[i] = greedy_nf(g, kept[:i] + kept[i + 1:])
+    return sorted(kept, key=lambda g: key(lead_vars(g)), reverse=True)
 
 
 # -- satisfiability -------------------------------------------------------------------
@@ -491,8 +468,7 @@ def conjunction_generator(gens) -> BoolPoly:
     return ring.one + c
 
 
-def sat_check(gens, ordering: Ordering | None = None,
-              strategy: Strategy | None = None,
+def sat_check(gens, strategy: Strategy | None = None,
               preprocess: str | None = None):
     """Decide solvability of {g = 0 : g in gens} over {0,1}^n.
 
@@ -506,14 +482,13 @@ def sat_check(gens, ordering: Ordering | None = None,
     if not gens:
         raise ValueError("sat_check needs at least one polynomial")
     ring = gens[0].ring
-    ordering = ordering or ring.ordering
     if preprocess == "conjunction":
         work = [conjunction_generator(gens)]
     elif preprocess is None:
         work = gens
     else:
         raise ValueError(f"unknown preprocess mode {preprocess!r}")
-    basis = buchberger(work, ordering, strategy)
+    basis = buchberger(work, strategy)
     if basis and basis[0].is_one():
         return "UNSAT", None
     variety = PointSet.full_cube(ring)

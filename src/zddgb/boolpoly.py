@@ -63,12 +63,6 @@ class Ordering:
         if self.kind == "block" and self.blocks[-1][1] != n:
             raise OrderingError("blocks must partition the variable range")
 
-    def block_of(self, v: int) -> tuple[str, int]:
-        for kind, end in self.blocks:
-            if v < end:
-                return kind, end
-        raise OrderingError(f"variable {v} beyond the last block")
-
     def sort_key(self, mon: tuple[int, ...]):
         """Key with key(m1) < key(m2) iff m1 < m2 in this ordering."""
         if self.kind == LEX:
@@ -265,7 +259,7 @@ class BoolPoly:
     def __str__(self) -> str:
         if self.z == ZERO:
             return "0"
-        parts = [self.ring.mon_str(m) for m in terms_iter(self, self.ring.ordering)]
+        parts = [self.ring.mon_str(m) for m in terms_iter(self)]
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -321,11 +315,6 @@ class BoolMonomial:
 
 
 # -- arithmetic ---------------------------------------------------------------
-
-
-def add(f: BoolPoly, g: BoolPoly) -> BoolPoly:
-    """f + g over Z/2: symmetric difference of the term sets."""
-    return f + g
 
 
 def mul_boolean(f: BoolPoly, g: BoolPoly) -> BoolPoly:
@@ -437,61 +426,22 @@ def _nf_mon(man: ZddManager, f: int, G: int) -> int:
 
 def deg(f: BoolPoly) -> int:
     """Maximal term degree; deg(0) = 0 by convention."""
-    return _deg(f.ring.manager, f.z)
+    man = f.ring.manager
+    return _deg(man, f.z, man.num_vars)
 
 
-def _deg(man: ZddManager, z: int) -> int:
-    if z <= ONE:
-        return 0
-    cache = man.cache("deg")
-    r = cache.get(z)
-    if r is not None:
-        return r
-    r = max(_deg(man, man.then_branch(z)) + 1, _deg(man, man.else_branch(z)))
-    cache[z] = r
-    return r
-
-
-def deg_bounded(f: BoolPoly, bound: int) -> int:
-    """Degree capped at `bound`; short-circuits once the bound is reached."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    return _deg_bounded(f.ring.manager, f.z, bound)
-
-
-def _deg_bounded(man: ZddManager, z: int, bound: int) -> int:
-    if z <= ONE or bound == 0:
-        return 0
-    cache = man.cache("degb")
-    key = (z, bound)
-    r = cache.get(key)
-    if r is not None:
-        return r
-    d1 = _deg_bounded(man, man.then_branch(z), bound - 1) + 1
-    if d1 == bound:
-        r = d1
-    else:
-        r = max(d1, _deg_bounded(man, man.else_branch(z), bound))
-    cache[key] = r
-    return r
-
-
-def block_deg(f: BoolPoly, end: int) -> int:
+def _deg(man: ZddManager, z: int, end: int) -> int:
     """Maximal number of term variables with index < end."""
-    return _block_deg(f.ring.manager, f.z, end)
-
-
-def _block_deg(man: ZddManager, z: int, end: int) -> int:
     if z <= ONE or man.top_or_end(z) >= end:
         return 0
-    cache = man.cache("blockdeg")
+    cache = man.cache("deg")
     key = (z, end)
     r = cache.get(key)
     if r is not None:
         return r
     r = max(
-        _block_deg(man, man.then_branch(z), end) + 1,
-        _block_deg(man, man.else_branch(z), end),
+        _deg(man, man.then_branch(z), end) + 1,
+        _deg(man, man.else_branch(z), end),
     )
     cache[key] = r
     return r
@@ -500,89 +450,48 @@ def _block_deg(man: ZddManager, z: int, end: int) -> int:
 # -- leading terms --------------------------------------------------------------
 
 
-def lead_vars(f: BoolPoly, ordering: Ordering | None = None) -> tuple[int, ...]:
-    """Index tuple of the ordering-largest term of f."""
+def lead_vars(f: BoolPoly) -> tuple[int, ...]:
+    """Index tuple of the largest term of f under the ring's ordering."""
     if f.z == ZERO:
         raise ValueError("the zero polynomial has no leading term")
-    ordering = ordering or f.ring.ordering
-    return _lead_vars(f.ring.manager, f.z, ordering)
+    return _lead_vars(f.ring.manager, f.z, f.ring.ordering)
 
 
 def _lead_vars(man: ZddManager, z: int, ordering: Ordering) -> tuple[int, ...]:
     if ordering.kind == LEX:
         return man.path_vars(man.first_path(z))
-    if ordering.kind == DLEX:
-        return tuple(_lead_deg(man, z, True))
-    if ordering.kind == DP_ASC:
-        return tuple(_lead_deg(man, z, False))
-    return tuple(_lead_block(man, z, ordering))
-
-
-def lead(f: BoolPoly, ordering: Ordering | None = None) -> BoolMonomial:
-    """Largest term of f under the ordering (default: the ring's)."""
-    return f.ring.monomial(lead_vars(f, ordering))
-
-
-def _lead_deg(man: ZddManager, z: int, tie_then: bool) -> list[int]:
-    """Degree-ordering lead; dlex keeps the top variable on ties, dp_asc drops it."""
+    # a degree ordering is a block ordering with a single block; variables
+    # grow along a path, so the walk meets the blocks in order
+    blocks = ordering.blocks or ((ordering.kind, man.num_vars),)
     out = []
-    while z > ONE:
-        d1 = _deg(man, man.then_branch(z)) + 1
-        d0 = _deg(man, man.else_branch(z))
-        if d0 < d1 or (tie_then and d0 == d1):
-            out.append(man.top(z))
-            z = man.then_branch(z)
-        else:
-            z = man.else_branch(z)
-    return out
+    for kind, end in blocks:
+        while z > ONE and man.top(z) < end:
+            t, e = man.then_branch(z), man.else_branch(z)
+            d1 = _deg(man, t, end) + 1
+            d0 = _deg(man, e, end)
+            # on a degree tie dlex keeps the top variable, dp_asc drops it
+            if d0 < d1 or (kind == DLEX and d0 == d1):
+                out.append(man.top(z))
+                z = t
+            else:
+                z = e
+    return tuple(out)
 
 
-def _lead_block(man: ZddManager, z: int, ordering: Ordering) -> list[int]:
-    out = []
-    while z > ONE:
-        kind, end = ordering.block_of(man.top(z))
-        d1 = _block_deg(man, man.then_branch(z), end) + 1
-        d0 = _block_deg(man, man.else_branch(z), end)
-        if d0 < d1 or (kind == DLEX and d0 == d1):
-            out.append(man.top(z))
-            z = man.then_branch(z)
-        else:
-            z = man.else_branch(z)
-    return out
+def lead(f: BoolPoly) -> BoolMonomial:
+    """Largest term of f under the ring's ordering."""
+    return f.ring.monomial(lead_vars(f))
 
 
-def compare_monomials(
-    m1: BoolMonomial | tuple, m2: BoolMonomial | tuple, ordering: Ordering
-) -> int:
-    """-1, 0 or 1 as m1 is smaller, equal or greater under the ordering."""
-    t1 = m1.vars if isinstance(m1, BoolMonomial) else tuple(m1)
-    t2 = m2.vars if isinstance(m2, BoolMonomial) else tuple(m2)
-    k1, k2 = ordering.sort_key(t1), ordering.sort_key(t2)
-    return (k1 > k2) - (k1 < k2)
-
-
-def terms_iter(f: BoolPoly, ordering: Ordering | None = None):
+def terms_iter(f: BoolPoly):
     """Terms of f in strictly decreasing order; first yield equals lead(f)."""
-    ordering = ordering or f.ring.ordering
-    man = f.ring.manager
-    if f.z == ZERO:
-        return
+    ordering = f.ring.ordering
+    paths = f.ring.manager.iter_paths(f.z)
     if ordering.kind == LEX:
-        yield from man.iter_paths(f.z)
-        return
-    if ordering.kind in _DEGREE_KINDS:
-        # rescan the path sequence once per degree level
-        top_deg = _deg(man, f.z)
-        for d in range(top_deg, -1, -1):
-            level = [m for m in man.iter_paths(f.z) if len(m) == d]
-            if ordering.kind == DP_ASC:
-                level.reverse()
-            yield from level
-        return
-    monomials = sorted(
-        man.iter_paths(f.z), key=ordering.sort_key, reverse=True
-    )
-    yield from monomials
+        # the natural path order is descending lex
+        yield from paths
+    else:
+        yield from sorted(paths, key=ordering.sort_key, reverse=True)
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -611,18 +520,13 @@ def eval_poly(f: BoolPoly, point) -> int:
     return go(f.z)
 
 
-def vars_of(f: BoolPoly) -> tuple[int, ...]:
-    return f.vars_of()
-
-
-def spoly(f: BoolPoly, g: BoolPoly, ordering: Ordering | None = None) -> BoolPoly:
+def spoly(f: BoolPoly, g: BoolPoly) -> BoolPoly:
     """S-polynomial with Boolean multiplication; the lcm terms cancel."""
     if f.z == ZERO or g.z == ZERO:
         raise ValueError("s-polynomial needs nonzero inputs")
     _same_ring(f, g)
-    ordering = ordering or f.ring.ordering
-    lf = lead(f, ordering).vars
-    lg = lead(g, ordering).vars
+    lf = lead(f).vars
+    lg = lead(g).vars
     lcm = set(lf) | set(lg)
     mf = f.ring.monomial(lcm - set(lf))
     mg = f.ring.monomial(lcm - set(lg))

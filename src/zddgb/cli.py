@@ -67,10 +67,7 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
         modulus = file_mod
     order = order or file_order or "lp"
     if modulus is None:
-        try:
-            ring = BoolRing(names, parse_ordering(order))
-        except OrderingError as exc:
-            raise CliError(str(exc)) from None
+        ring = _bool_ring(names, order)
     else:
         ring = ZmRing(modulus, names, order)
     polys = []
@@ -80,6 +77,13 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
         except ValueError as exc:
             raise CliError(f"line {ln}: {exc}") from None
     return ring, polys
+
+
+def _bool_ring(names, order: str) -> BoolRing:
+    try:
+        return BoolRing(names, parse_ordering(order))
+    except OrderingError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _modulus(text: str) -> int:
@@ -163,8 +167,10 @@ def cmd_nf(args) -> int:
 def cmd_sat(args) -> int:
     text = _read(args.file)
     if any(line.split()[:2] == ["p", "cnf"] for line in text.splitlines()):
-        system = enc.cnf_to_polys(text)
-        ring, polys = system.ring, system.polys
+        nvars, clauses = enc.parse_dimacs(text)
+        names = [f"v{i}" for i in range(1, nvars + 1)]
+        ring = _bool_ring(names, args.order or "lp")
+        polys = enc.cnf_to_polys((nvars, clauses), ring).polys
     else:
         ring, polys = read_system(text, args.order)
         if isinstance(ring, ZmRing):

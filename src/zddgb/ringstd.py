@@ -479,7 +479,7 @@ def spoly_extended(f: ZmPoly) -> ZmPoly:
 # -- normal form ------------------------------------------------------------------
 
 
-def nf_ring(f: ZmPoly, G, ordering: RingOrdering | None = None) -> ZmPoly:
+def nf_ring(f: ZmPoly, G) -> ZmPoly:
     """Polynomial weak normal form: the result is 0 or has its leading term
     outside the leading ideal of the (possibly extended) reducer set.
 
@@ -487,10 +487,7 @@ def nf_ring(f: ZmPoly, G, ordering: RingOrdering | None = None) -> ZmPoly:
     as possible; a reducer set with positive maximal ecart appends the
     current remainder to the working set, as the termination proof needs.
     """
-    ring = f.ring
-    mod = ring.mod
-    if ordering is not None and ordering != ring.ordering:
-        raise ValueError("polynomials are bound to their ring's ordering")
+    mod = f.ring.mod
     T = [g for g in G if not g.is_zero()]
     while not f.is_zero():
         mf, cf = f.lt()
@@ -528,11 +525,11 @@ def nf_ring(f: ZmPoly, G, ordering: RingOrdering | None = None) -> ZmPoly:
     return f
 
 
-def rednf_ring(f: ZmPoly, G, ordering: RingOrdering | None = None) -> ZmPoly:
+def rednf_ring(f: ZmPoly, G) -> ZmPoly:
     """Tail-reduced normal form: weak NF applied to every remaining term."""
     out = f.ring.zero
     while not f.is_zero():
-        f = nf_ring(f, G, ordering)
+        f = nf_ring(f, G)
         if f.is_zero():
             break
         out = out + ZmPoly(f.ring, (f.lt(),))
@@ -584,8 +581,7 @@ class RingStrategy:
     zero_criterion: bool = True
 
 
-def std_basis(gens, ordering: RingOrdering | None = None,
-              strategy: RingStrategy | None = None) -> list[ZmPoly]:
+def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
     """Standard basis of the ideal of gens over Z/m.
 
     Every s-polynomial, including the extended annihilator multiples,
@@ -595,7 +591,7 @@ def std_basis(gens, ordering: RingOrdering | None = None,
     if not gens:
         return []
     ring = gens[0].ring
-    ordering = ordering or ring.ordering
+    sort_key = ring.ordering.sort_key
     strategy = strategy or RingStrategy()
     mod = ring.mod
 
@@ -614,7 +610,7 @@ def std_basis(gens, ordering: RingOrdering | None = None,
         else:
             mon, coef = G[a].lm(), 0
         heapq.heappush(
-            queue, ((ordering.sort_key(mon), coef, counter), (kind, a, b))
+            queue, ((sort_key(mon), coef, counter), (kind, a, b))
         )
 
     def add(h: ZmPoly):
@@ -625,7 +621,7 @@ def std_basis(gens, ordering: RingOrdering | None = None,
         push("ext", idx, idx)
 
     for f in gens:
-        h = nf_ring(f, G, ordering)
+        h = nf_ring(f, G)
         if not h.is_zero():
             add(h)
 
@@ -653,11 +649,11 @@ def std_basis(gens, ordering: RingOrdering | None = None,
             s = spoly_extended(G[a])
         if s.is_zero():
             continue
-        h = nf_ring(s, G, ordering)
+        h = nf_ring(s, G)
         if not h.is_zero():
             add(h)
 
-    return _reduce_basis(G, ordering)
+    return _reduce_basis(G)
 
 
 def _chain_drop(mod, G, i, l, done, queued_lcm) -> bool:
@@ -680,16 +676,17 @@ def _chain_drop(mod, G, i, l, done, queued_lcm) -> bool:
     return False
 
 
-def _reduce_basis(G, ordering: RingOrdering) -> list[ZmPoly]:
+def _reduce_basis(G) -> list[ZmPoly]:
     """Drop term-divisible leads, tail-reduce, sort lead-descending."""
     if not G:
         return []
     ring = G[0].ring
+    sort_key = ring.ordering.sort_key
     mod = ring.mod
     # scanning by (monomial, valuation weight) puts divisor terms first
     ordered = sorted(
         G,
-        key=lambda g: (ordering.sort_key(g.lm()), sum(mod.nu(g.lc())), g.lc()),
+        key=lambda g: (sort_key(g.lm()), sum(mod.nu(g.lc())), g.lc()),
     )
     kept: list[ZmPoly] = []
     for g in ordered:
@@ -698,19 +695,15 @@ def _reduce_basis(G, ordering: RingOrdering) -> list[ZmPoly]:
     out = []
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        reduced = ZmPoly(ring, (g.lt(),)) + rednf_ring(g.tail(), others, ordering)
+        reduced = ZmPoly(ring, (g.lt(),)) + rednf_ring(g.tail(), others)
         out.append(reduced)
-    return sorted(
-        out,
-        key=lambda g: (ordering.sort_key(g.lm()), g.lc()),
-        reverse=True,
-    )
+    return sorted(out, key=lambda g: (sort_key(g.lm()), g.lc()), reverse=True)
 
 
 # -- verification helpers ----------------------------------------------------------------
 
 
-def verify_standard_rep(f: ZmPoly, G, ordering: RingOrdering | None = None) -> bool:
+def verify_standard_rep(f: ZmPoly, G) -> bool:
     """Does f have a representation sum h_i g_i with every partial product's
     lead at most lead(f)?  Decides by repeated lead cancellation."""
     mod = f.ring.mod

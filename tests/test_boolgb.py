@@ -230,6 +230,19 @@ def test_bgb_single_matches_points_gb():
         assert {g.z for g in basis} == {g.z for g in expected}
 
 
+def test_buchberger_matches_points_gb():
+    # a reduced lex basis is determined by its variety: the engine and the
+    # basis interpolated from brute-force zeros must agree as lists
+    rnd = random.Random(31)
+    for _ in range(300):
+        n = rnd.randint(1, 7)
+        ring = BoolRing.indexed(n, "lp")
+        gens = [rand_poly(ring, rnd, 6) for _ in range(rnd.randint(1, 4))]
+        pts = variety([g.term_set() for g in gens], n)
+        expected = points_gb(PointSet.from_points(ring, sorted(pts)))
+        assert buchberger(gens) == expected
+
+
 def test_bgb_single_cache_hits():
     ring = BoolRing.indexed(6, "lp")
     cache = SymCache()

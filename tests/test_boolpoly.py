@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_add, naive_mul, naive_nf_monomials, truth_table
 from zddgb.boolpoly import (
@@ -9,11 +11,10 @@ from zddgb.boolpoly import (
     Ordering,
     OrderingError,
     RingMismatchError,
-    compare_monomials,
     deg,
-    deg_bounded,
     eval_poly,
     lead,
+    lead_vars,
     mul_boolean,
     mul_monomial,
     nf_monomial_set,
@@ -21,7 +22,6 @@ from zddgb.boolpoly import (
     quotient_by_monomial,
     spoly,
     terms_iter,
-    vars_of,
 )
 
 
@@ -163,8 +163,6 @@ def test_degrees(ring):
     assert deg(ring.one) == 0
     assert deg(ring.zero) == 0
     assert deg(ring.parse("a*c + c")) == 2
-    assert deg_bounded(ring.parse("a*b*c + a"), 1) == 1
-    assert deg_bounded(ring.parse("a*b*c + a"), 3) == 3
 
 
 # -- orderings -------------------------------------------------------------------
@@ -187,14 +185,6 @@ def test_lead_dp_asc_reversed_variables():
     terms = list(f.terms())
     best = max(terms, key=ring.ordering.sort_key)
     assert lead(f).vars == best == (1, 2)
-
-
-def test_compare_monomials_examples():
-    ring = BoolRing(["x", "y", "z"], "lp")
-    assert compare_monomials((0,), (0,), ring.ordering) == 0
-    dlex = Ordering("dlex")
-    assert compare_monomials((0, 1), (2,), dlex) == 1
-    assert compare_monomials((0,), (1, 2), ring.ordering) == 1
 
 
 def test_lead_is_max_under_comparator_all_orderings():
@@ -221,6 +211,38 @@ def test_block_ordering_lead_and_iter():
         assert lead(f).vars == best
         seq = list(terms_iter(f))
         assert seq == sorted(f.terms(), key=ordering.sort_key, reverse=True)
+
+
+@st.composite
+def orderings(draw):
+    """(n, ordering): lp, dlex, dp_asc or a block ordering with random cut
+    points and block kinds (a single block of either kind, dp_asc first,
+    ...)."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(("lp", "dlex", "dp_asc", "block")))
+    if kind != "block":
+        return n, Ordering(kind)
+    cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    ends = sorted(cuts) + [n]
+    kinds = draw(st.lists(st.sampled_from(("dlex", "dp_asc")),
+                          min_size=len(ends), max_size=len(ends)))
+    return n, Ordering("block", tuple(zip(kinds, ends)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(orderings(), st.integers(0, 2**32))
+def test_lead_terms_iter_deg_agree_with_sort_key(n_ordering, seed):
+    n, ordering = n_ordering
+    ring = BoolRing.indexed(n, ordering)
+    rnd = random.Random(seed)
+    for _ in range(15):
+        f = rand_poly(ring, rnd, 10)
+        terms = list(f.terms())
+        seq = list(terms_iter(f))
+        assert seq == sorted(terms, key=ordering.sort_key, reverse=True)
+        assert deg(f) == max(map(len, terms), default=0)
+        if terms:
+            assert lead_vars(f) == lead(f).vars == seq[0]
 
 
 def test_block_ordering_validation():
@@ -280,9 +302,9 @@ def test_spoly_properties():
 
 
 def test_vars_of(ring):
-    assert vars_of(ring.one) == ()
-    assert vars_of(ring.zero) == ()
-    assert vars_of(ring.parse("a*c + c")) == (0, 2)
+    assert ring.one.vars_of() == ()
+    assert ring.zero.vars_of() == ()
+    assert ring.parse("a*c + c").vars_of() == (0, 2)
 
 
 def test_parse_exponents_and_roundtrip(ring):

@@ -98,6 +98,18 @@ def test_sat_empty_system(tmp_path, capsys):
             assert out.splitlines() == ["s SATISFIABLE", "v -1 -2 -3 0"]
 
 
+def test_sat_order_applies_to_dimacs(tmp_path, capsys):
+    # --order builds the CNF's ring as it does a system file's
+    path = write(tmp_path, "f.cnf", "p cnf 3 2\n1 -2 0\n2 3 0\n")
+    for order in ("bogus", "block(dlex:9)", "block(lp:3)"):
+        code, out, err = run(capsys, "sat", path, "--order", order)
+        assert code == 2 and out == "" and err.startswith("error:")
+    for order in ("lp", "dlex", "dp_asc", "block(dp_asc:1,dlex:3)"):
+        code, out, _ = run(capsys, "sat", path, "--order", order)
+        assert code == 10
+        assert out.splitlines() == ["s SATISFIABLE", "v -1 -2 3 0"]
+
+
 def test_sat_conjunction_preprocess(tmp_path, capsys):
     from zddgb.encode import pigeonhole_cnf
 
@@ -222,3 +234,16 @@ def test_readme_cli_lines_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_library_quick_start(capsys):
+    # README's Python block runs and prints what its comments say
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(
+        r"## Library quick start.*?```python\n(.*?)```", readme, re.S
+    ).group(1)
+    prints = [ln for ln in block.splitlines() if ln.startswith("print(")]
+    assert prints and all("  # " in ln for ln in prints)
+    expected = [ln.split("  # ", 1)[1] for ln in prints]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
