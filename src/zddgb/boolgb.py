@@ -27,7 +27,7 @@ from .boolpoly import (
     mul_monomial,
 )
 from .interp import PointSet, zeros
-from .zdd import ONE, ZERO
+from .zdd import ONE, ZERO, ZddManager
 
 
 @dataclass
@@ -43,7 +43,22 @@ class Strategy:
 
 def weighted_length(f: BoolPoly) -> int:
     """Sum over terms of (1 + deg t); monotone in count and degree."""
-    return sum(1 + len(t) for t in f.terms())
+    count, degrees = _wlen(f.ring.manager, f.z)
+    return count + degrees
+
+
+def _wlen(man: ZddManager, z: int) -> tuple[int, int]:
+    """(number of terms, sum of term degrees) of z, cached per node."""
+    if z <= ONE:
+        return z, 0
+    cache = man._wlen
+    r = cache.get(z)
+    if r is None:
+        ct, dt = _wlen(man, man._then[z])
+        ce, de = _wlen(man, man._else[z])
+        # every term of the then-branch gains the node's variable
+        r = cache[z] = (ct + ce, dt + ct + de)
+    return r
 
 
 # -- normal form ---------------------------------------------------------------
@@ -57,25 +72,25 @@ class _ReductionTable:
     def __init__(self, ring: BoolRing):
         self.ring = ring
         self.lead_set = ZERO
-        # lead zdd id -> (rank, poly zdd id, lead vars)
-        self.by_lead: dict[int, tuple] = {}
+        # lead vars (ascending, as lead_vars returns them) -> (rank, poly zdd id)
+        self.by_lead: dict[tuple[int, ...], tuple] = {}
 
     def add(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
-        man = self.ring.manager
-        lz = man.singleton(lead_vars)
         rank = (weighted_length(g), g.z)
-        prev = self.by_lead.get(lz)
+        prev = self.by_lead.get(lead_vars)
         if prev is None:
-            self.by_lead[lz] = (rank, g.z, lead_vars)
-            self.lead_set = man.union(self.lead_set, lz)
+            self.by_lead[lead_vars] = (rank, g.z)
+            man = self.ring.manager
+            self.lead_set = man.union(self.lead_set, man.singleton(lead_vars))
         elif prev[0] > rank:
-            self.by_lead[lz] = (rank, g.z, lead_vars)
+            self.by_lead[lead_vars] = (rank, g.z)
 
     def reduce(self, fz: int) -> int:
         """Reduced normal form of the polynomial with term set fz."""
         man = self.ring.manager
         if not self.by_lead:
             return fz
+        by_lead = self.by_lead
         result = ZERO
         lead_set = self.lead_set
         while fz != ZERO:
@@ -88,10 +103,8 @@ class _ReductionTable:
             # every term of fz is now divisible by some lead
             m = _lead_vars(man, fz, self.ring.ordering)
             hits = man.divisors_within(lead_set, man.singleton(m))
-            best = min(
-                self.by_lead[man.singleton(t)] for t in man.iter_paths(hits)
-            )
-            _, gz, g_lead = best
+            g_lead = min(man.iter_paths(hits), key=by_lead.__getitem__)
+            gz = by_lead[g_lead][1]
             q = fz
             for v in g_lead:
                 q = man.subset1(q, v)

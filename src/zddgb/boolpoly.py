@@ -103,7 +103,12 @@ def parse_ordering(text: str) -> Ordering:
             kind, _, end = seg.strip().partition(":")
             if not end:
                 raise OrderingError(f"block segment {seg!r} needs kind:end")
-            blocks.append((kind.strip(), int(end)))
+            try:
+                blocks.append((kind.strip(), int(end)))
+            except ValueError:
+                raise OrderingError(
+                    f"block end {end.strip()!r} is not an integer"
+                ) from None
         return Ordering("block", tuple(blocks))
     return Ordering(text)
 
@@ -118,8 +123,6 @@ class BoolRing:
         names = list(names)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        if not names:
-            raise ValueError("a ring needs at least one variable")
         if isinstance(ordering, str):
             ordering = parse_ordering(ordering)
         ordering.validate(len(names))
@@ -332,23 +335,23 @@ def _mul(man: ZddManager, f: int, g: int) -> int:
         return f
     if f > g:
         f, g = g, f
-    cache = man.cache("bmul")
+    cache = man._bmul
     key = (f, g)
     r = cache.get(key)
     if r is not None:
         return r
-    vf = man.top_or_end(f)
-    vg = man.top_or_end(g)
+    var = man._var
+    vf = var[f]
+    vg = var[g]
     if vf != vg:
         # the top variable occurs in one operand only: distribute the other
         if vf > vg:
             f, g = g, f
             vf = vg
-        p1, p0 = man.then_branch(f), man.else_branch(f)
-        r = man.mk_node(vf, _mul(man, p1, g), _mul(man, p0, g))
+        r = man.mk_node(vf, _mul(man, man._then[f], g), _mul(man, man._else[f], g))
     else:
-        p1, p0 = man.then_branch(f), man.else_branch(f)
-        q1, q0 = man.then_branch(g), man.else_branch(g)
+        p1, p0 = man._then[f], man._else[f]
+        q1, q0 = man._then[g], man._else[g]
         tpart = man.symmetric_diff(
             man.symmetric_diff(_mul(man, p0, q1), _mul(man, p1, q1)),
             _mul(man, p1, q0),
@@ -381,41 +384,57 @@ def nf_monomial_set(f: BoolPoly, G: int) -> BoolPoly:
 
 
 def _contains_empty(man: ZddManager, z: int) -> bool:
+    """Whether the empty set is a member: the else-chain ends in 1."""
+    els = man._else
     while z > ONE:
-        z = man.else_branch(z)
+        z = els[z]
     return z == ONE
 
 
 def _nf_mon(man: ZddManager, f: int, G: int) -> int:
+    """Terms of f divisible by no member of G.
+
+    The empty monomial divides every term, so it is tested once, here.
+    Below, `_nf_mon_rec` keeps the invariant that G never contains the
+    empty set: else-branches of G keep it, and the one descent into a
+    then-branch checks it first.
+    """
     if _contains_empty(man, G):
         return ZERO
+    return _nf_mon_rec(man, f, G)
+
+
+def _nf_mon_rec(man: ZddManager, f: int, G: int) -> int:
+    # invariant: the empty set is not a member of G
     if f <= ONE:
         return f
-    while man.top_or_end(f) > man.top_or_end(G):
-        G = man.else_branch(G)
+    var = man._var
+    els = man._else
+    vf = var[f]
+    # members with a variable above f's top divide no term of f
+    while var[G] < vf:
+        G = els[G]
     if G == ZERO:
         return f
-    cache = man.cache("nfmon")
+    cache = man._nfmon
     key = (f, G)
     r = cache.get(key)
     if r is not None:
         return r
-    vf = man.top_or_end(f)
-    if vf == man.top_or_end(G):
-        # terms with vf must dodge divisors both with and without vf
-        r = man.mk_node(
-            vf,
-            _nf_mon(
-                man, _nf_mon(man, man.then_branch(f), man.else_branch(G)),
-                man.then_branch(G),
-            ),
-            _nf_mon(man, man.else_branch(f), man.else_branch(G)),
-        )
+    then = man._then
+    if var[G] == vf:
+        # terms with vf must dodge divisors both with and without vf;
+        # if then(G) holds the empty set, x_vf itself is a divisor
+        G0 = els[G]
+        G1 = then[G]
+        if _contains_empty(man, G1):
+            t = ZERO
+        else:
+            t = _nf_mon_rec(man, _nf_mon_rec(man, then[f], G0), G1)
+        r = man.mk_node(vf, t, _nf_mon_rec(man, els[f], G0))
     else:
         r = man.mk_node(
-            vf,
-            _nf_mon(man, man.then_branch(f), G),
-            _nf_mon(man, man.else_branch(f), G),
+            vf, _nf_mon_rec(man, then[f], G), _nf_mon_rec(man, els[f], G)
         )
     cache[key] = r
     return r
@@ -432,16 +451,16 @@ def deg(f: BoolPoly) -> int:
 
 def _deg(man: ZddManager, z: int, end: int) -> int:
     """Maximal number of term variables with index < end."""
-    if z <= ONE or man.top_or_end(z) >= end:
+    if z <= ONE or man._var[z] >= end:
         return 0
-    cache = man.cache("deg")
+    cache = man._deg
     key = (z, end)
     r = cache.get(key)
     if r is not None:
         return r
     r = max(
-        _deg(man, man.then_branch(z), end) + 1,
-        _deg(man, man.else_branch(z), end),
+        _deg(man, man._then[z], end) + 1,
+        _deg(man, man._else[z], end),
     )
     cache[key] = r
     return r
@@ -463,15 +482,16 @@ def _lead_vars(man: ZddManager, z: int, ordering: Ordering) -> tuple[int, ...]:
     # a degree ordering is a block ordering with a single block; variables
     # grow along a path, so the walk meets the blocks in order
     blocks = ordering.blocks or ((ordering.kind, man.num_vars),)
+    var, then, els = man._var, man._then, man._else
     out = []
     for kind, end in blocks:
-        while z > ONE and man.top(z) < end:
-            t, e = man.then_branch(z), man.else_branch(z)
+        while z > ONE and var[z] < end:
+            t, e = then[z], els[z]
             d1 = _deg(man, t, end) + 1
             d0 = _deg(man, e, end)
             # on a degree tie dlex keeps the top variable, dp_asc drops it
             if d0 < d1 or (kind == DLEX and d0 == d1):
-                out.append(man.top(z))
+                out.append(var[z])
                 z = t
             else:
                 z = e

@@ -17,7 +17,7 @@ from . import encode as enc
 from .boolgb import buchberger, greedy_nf, sat_check
 from .boolpoly import BoolRing, OrderingError, parse_ordering
 from .interp import PartialFn, PointSet, points_gb, zeros
-from .ringstd import RingStrategy, ZmRing, rednf_ring, std_basis
+from .ringstd import RingOrdering, RingStrategy, ZmRing, rednf_ring, std_basis
 from .zdd import ZddError
 
 
@@ -40,6 +40,7 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
     """
     names = None
     file_order = None
+    order_line = None
     file_mod = None
     polys_src: list[tuple[int, str]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -53,7 +54,7 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
         elif head == "order":
             if not arg:
                 raise CliError(f"line {ln}: 'order' needs a value")
-            file_order = arg
+            file_order, order_line = arg, ln
         elif head == "mod":
             try:
                 file_mod = _modulus(arg)
@@ -65,11 +66,15 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
         raise CliError("missing 'vars' line in system file")
     if modulus is None:
         modulus = file_mod
-    order = order or file_order or "lp"
+    where = ""
+    if order is None and file_order is not None:
+        # the ring kind is known only now; errors still name the line
+        order, where = file_order, f"line {order_line}: "
+    ordering = _ordering(order or "lp", modulus, len(names), where)
     if modulus is None:
-        ring = _bool_ring(names, order)
+        ring = BoolRing(names, ordering)
     else:
-        ring = ZmRing(modulus, names, order)
+        ring = ZmRing(modulus, names, ordering)
     polys = []
     for ln, src in polys_src:
         try:
@@ -79,11 +84,17 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
     return ring, polys
 
 
-def _bool_ring(names, order: str) -> BoolRing:
+def _ordering(text: str, modulus: int | None, n: int, where: str = ""):
+    """The ordering `text` names, for a BoolRing on n variables or, given a
+    modulus, a ZmRing; `where` prefixes the error message."""
     try:
-        return BoolRing(names, parse_ordering(order))
-    except OrderingError as exc:
-        raise CliError(str(exc)) from None
+        if modulus is not None:
+            return RingOrdering(text)
+        ordering = parse_ordering(text)
+        ordering.validate(n)
+        return ordering
+    except (OrderingError, ValueError) as exc:
+        raise CliError(f"{where}{exc}") from None
 
 
 def _modulus(text: str) -> int:
@@ -169,7 +180,7 @@ def cmd_sat(args) -> int:
     if any(line.split()[:2] == ["p", "cnf"] for line in text.splitlines()):
         nvars, clauses = enc.parse_dimacs(text)
         names = [f"v{i}" for i in range(1, nvars + 1)]
-        ring = _bool_ring(names, args.order or "lp")
+        ring = BoolRing(names, _ordering(args.order or "lp", None, nvars))
         polys = enc.cnf_to_polys((nvars, clauses), ring).polys
     else:
         ring, polys = read_system(text, args.order)
@@ -191,7 +202,7 @@ def cmd_sat(args) -> int:
         lits = [
             (i + 1) if model[i] else -(i + 1) for i in range(ring.n)
         ]
-        print("v " + " ".join(map(str, lits)) + " 0")
+        print("v " + " ".join(map(str, lits + [0])))
         code = 10
     _report(args, {
         "command": "sat", "instance": args.file, "vars": ring.n,

@@ -100,29 +100,32 @@ def _zeros(man: ZddManager, p: int, S: int) -> int:
         return S
     if p == ONE or S == ZERO:
         return ZERO
+    var, then, els = man._var, man._then, man._else
     if S == ONE:
         # only the origin: value there is the constant part of p
         q = p
         while q > ONE:
-            q = man.else_branch(q)
+            q = els[q]
         return ZERO if q == ONE else S
-    cache = man.cache("zeros")
+    cache = man._zeros
     key = (p, S)
     r = cache.get(key)
     if r is not None:
         return r
-    while man.top_or_end(p) < man.top_or_end(S):
+    i = var[S]
+    while var[p] < i:
         # the variable cannot be 1 on any point of S
-        p = man.else_branch(p)
+        p = els[p]
         if p <= ONE:
             r = _zeros(man, p, S)
             cache[key] = r
             return r
-    i = min(man.top_or_end(p), man.top_or_end(S))
-    p0 = man.subset0(p, i)
-    p1 = man.subset1(p, i)
-    s0 = man.subset0(S, i)
-    s1 = man.subset1(S, i)
+    # now S's top variable splits both diagrams; p may not depend on it
+    s0, s1 = els[S], then[S]
+    if var[p] == i:
+        p0, p1 = els[p], then[p]
+    else:
+        p0, p1 = p, ZERO
     z00 = _zeros(man, p0, s0)
     z01 = _zeros(man, p0, s1)
     z11 = _zeros(man, p1, s1)
@@ -150,6 +153,17 @@ def add_partial(f: PartialFn, g: PartialFn) -> PartialFn:
     return PartialFn(PointSet(ring, z), PointSet(ring, o))
 
 
+def _split(man: ZddManager, Z: int, O: int):
+    """The higher top variable i of Z and O, with the (subset1, subset0)
+    cofactors of each by i."""
+    var = man._var
+    vz, vo = var[Z], var[O]
+    i = min(vz, vo)
+    zc = (man._then[Z], man._else[Z]) if vz == i else (ZERO, Z)
+    oc = (man._then[O], man._else[O]) if vo == i else (ZERO, O)
+    return i, zc, oc
+
+
 def interpolate_simple(b: PartialFn) -> BoolPoly:
     """Some Boolean polynomial agreeing with b on its domain."""
     return BoolPoly(b.ring, _interp_simple(b.ring.manager, b.zeros.z, b.ones.z))
@@ -160,14 +174,12 @@ def _interp_simple(man: ZddManager, Z: int, O: int) -> int:
         return ONE
     if O == ZERO:
         return ZERO
-    cache = man.cache("isimple")
+    cache = man._isimple
     key = (Z, O)
     r = cache.get(key)
     if r is not None:
         return r
-    i = min(man.top_or_end(O), man.top_or_end(Z))
-    z1, z0 = man.subset1(Z, i), man.subset0(Z, i)
-    o1, o0 = man.subset1(O, i), man.subset0(O, i)
+    i, (z1, z0), (o1, o0) = _split(man, Z, O)
     he = _interp_simple(man, z0, o0)
     ht = man.symmetric_diff(_interp_simple(man, z1, o1), he)
     r = man.symmetric_diff(man.mk_node(i, ht, ZERO), he)
@@ -191,14 +203,12 @@ def _interp_lex(man: ZddManager, Z: int, O: int) -> int:
         return ZERO
     if Z == ZERO:
         return ONE
-    cache = man.cache("ilex")
+    cache = man._ilex
     key = (Z, O)
     r = cache.get(key)
     if r is not None:
         return r
-    i = min(man.top_or_end(O), man.top_or_end(Z))
-    z1, z0 = man.subset1(Z, i), man.subset0(Z, i)
-    o1, o0 = man.subset1(O, i), man.subset0(O, i)
+    i, (z1, z0), (o1, o0) = _split(man, Z, O)
     dom1 = man.union(z1, o1)
     dom0 = man.union(z0, o0)
     conflict = man.intersect(dom1, dom0)
@@ -235,14 +245,14 @@ def standard_monomials(P: PointSet) -> int:
 def _standard_monomials(man: ZddManager, P: int) -> int:
     if P <= ONE:
         return P
-    cache = man.cache("stdmon")
+    cache = man._stdmon
     r = cache.get(P)
     if r is not None:
         return r
-    p1 = man.then_branch(P)
-    p0 = man.else_branch(P)
+    p1 = man._then[P]
+    p0 = man._else[P]
     r = man.mk_node(
-        man.top(P),
+        man._var[P],
         _standard_monomials(man, man.intersect(p1, p0)),
         _standard_monomials(man, man.union(p1, p0)),
     )
@@ -254,15 +264,14 @@ def minimal_elements(man: ZddManager, S: int) -> int:
     """Members of S with no proper divisor in S (divisibility antichain)."""
     if S <= ONE:
         return S
-    cache = man.cache("minelts")
+    cache = man._minelts
     r = cache.get(S)
     if r is not None:
         return r
-    m1 = minimal_elements(man, man.then_branch(S))
-    m0 = minimal_elements(man, man.else_branch(S))
-    r = man.mk_node(
-        man.top(S), _non_superset(man, m1, man.else_branch(S)), m0
-    )
+    s0 = man._else[S]
+    m1 = minimal_elements(man, man._then[S])
+    m0 = minimal_elements(man, s0)
+    r = man.mk_node(man._var[S], _non_superset(man, m1, s0), m0)
     cache[S] = r
     return r
 
@@ -273,30 +282,27 @@ def _non_superset(man: ZddManager, A: int, B: int) -> int:
         return A
     if B == ONE:
         return ZERO
-    cache = man.cache("nonsup")
+    cache = man._nonsup
     key = (A, B)
     r = cache.get(key)
     if r is not None:
         return r
-    va = man.top_or_end(A)
-    vb = man.top_or_end(B)
+    var, then, els = man._var, man._then, man._else
+    va = var[A]
+    vb = var[B]
     if vb < va:
-        r = _non_superset(man, A, man.else_branch(B))
+        r = _non_superset(man, A, els[B])
     elif va < vb:
         r = man.mk_node(
             va,
-            _non_superset(man, man.then_branch(A), B),
-            _non_superset(man, man.else_branch(A), B),
+            _non_superset(man, then[A], B),
+            _non_superset(man, els[A], B),
         )
     else:
         r = man.mk_node(
             va,
-            _non_superset(
-                man,
-                man.then_branch(A),
-                man.union(man.then_branch(B), man.else_branch(B)),
-            ),
-            _non_superset(man, man.else_branch(A), man.else_branch(B)),
+            _non_superset(man, then[A], man.union(then[B], els[B])),
+            _non_superset(man, els[A], els[B]),
         )
     cache[key] = r
     return r

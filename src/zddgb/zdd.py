@@ -31,19 +31,21 @@ class ZddManager:
     All nodes and operation caches live until `reset()`.  A manager and
     every identifier derived from it are confined to a single logical
     thread; independent computations should use independent managers.
+
+    Each cached operation, here and in the polynomial and variety layers,
+    has its own memo dict bound as an attribute (`_union`, `_bmul`,
+    `_zeros`, ...), so a recursion step fetches it with one attribute
+    read.  The recursions read the arena lists `_var`, `_then` and
+    `_else` directly; `top`, `then_branch` and `else_branch` are the
+    checked accessors for everything else.  Terminals have `_var` equal to
+    `num_vars`, below every decision variable.
     """
 
     def __init__(self, num_vars: int):
         if num_vars < 0:
             raise ValueError("number of variables must be >= 0")
         self.num_vars = num_vars
-        # id -> (var, then, else); entries 0/1 are placeholders for terminals
-        self._var = [num_vars, num_vars]
-        self._then = [0, 0]
-        self._else = [0, 0]
-        self._unique: dict[tuple[int, int, int], int] = {}
-        # one memo dict per operation tag
-        self._caches: dict[str, dict] = {}
+        self.reset()
 
     def __len__(self) -> int:
         """Number of decision nodes created so far."""
@@ -51,17 +53,33 @@ class ZddManager:
 
     def reset(self) -> None:
         """Drop every node and cache; outstanding identifiers become invalid."""
+        # id -> (var, then, else); entries 0/1 are placeholders for terminals
         self._var = [self.num_vars, self.num_vars]
         self._then = [0, 0]
         self._else = [0, 0]
-        self._unique.clear()
-        self._caches.clear()
-
-    def cache(self, tag: str) -> dict:
-        c = self._caches.get(tag)
-        if c is None:
-            c = self._caches[tag] = {}
-        return c
+        self._unique: dict[tuple[int, int, int], int] = {}
+        # kernel operations
+        self._union: dict = {}
+        self._intersect: dict = {}
+        self._diff: dict = {}
+        self._xor: dict = {}
+        self._subset0: dict = {}
+        self._subset1: dict = {}
+        self._change: dict = {}
+        self._divwith: dict = {}
+        self._count: dict = {}
+        # boolpoly and boolgb
+        self._bmul: dict = {}
+        self._nfmon: dict = {}
+        self._deg: dict = {}
+        self._wlen: dict = {}
+        # interp
+        self._zeros: dict = {}
+        self._isimple: dict = {}
+        self._ilex: dict = {}
+        self._stdmon: dict = {}
+        self._minelts: dict = {}
+        self._nonsup: dict = {}
 
     # -- node structure ----------------------------------------------------
 
@@ -98,10 +116,6 @@ class ZddManager:
             raise ZddError("terminal node has no branches")
         return self._else[z]
 
-    def top_or_end(self, z: int) -> int:
-        """Root variable, or num_vars for terminals (handy in recursions)."""
-        return self._var[z]
-
     # -- construction helpers ----------------------------------------------
 
     def singleton(self, vs) -> int:
@@ -136,7 +150,7 @@ class ZddManager:
             return g
         if f > g:
             f, g = g, f
-        cache = self.cache("union")
+        cache = self._union
         key = (f, g)
         r = cache.get(key)
         if r is not None:
@@ -163,7 +177,7 @@ class ZddManager:
             return ZERO
         if f > g:
             f, g = g, f
-        cache = self.cache("intersect")
+        cache = self._intersect
         key = (f, g)
         r = cache.get(key)
         if r is not None:
@@ -188,7 +202,7 @@ class ZddManager:
             return ZERO
         if g == ZERO:
             return f
-        cache = self.cache("diff")
+        cache = self._diff
         key = (f, g)
         r = cache.get(key)
         if r is not None:
@@ -218,7 +232,7 @@ class ZddManager:
             return ZERO
         if f > g:
             f, g = g, f
-        cache = self.cache("xor")
+        cache = self._xor
         key = (f, g)
         r = cache.get(key)
         if r is not None:
@@ -247,7 +261,7 @@ class ZddManager:
             return ZERO
         if vz == v:
             return self._then[z]
-        cache = self.cache("subset1")
+        cache = self._subset1
         key = (z, v)
         r = cache.get(key)
         if r is not None:
@@ -265,7 +279,7 @@ class ZddManager:
             return z
         if vz == v:
             return self._else[z]
-        cache = self.cache("subset0")
+        cache = self._subset0
         key = (z, v)
         r = cache.get(key)
         if r is not None:
@@ -279,7 +293,7 @@ class ZddManager:
     def change(self, z: int, v: int) -> int:
         """Toggle membership of v in every set of z."""
         vz = self._var[z]
-        cache = self.cache("change")
+        cache = self._change
         key = (z, v)
         r = cache.get(key)
         if r is not None:
@@ -309,7 +323,7 @@ class ZddManager:
     def _div_within(self, s: int, m: int) -> int:
         if s <= ONE:
             return s
-        cache = self.cache("divwith")
+        cache = self._divwith
         key = (s, m)
         r = cache.get(key)
         if r is not None:
@@ -347,7 +361,7 @@ class ZddManager:
 
     def count_paths(self, z: int) -> int:
         """Number of root-to-1 paths (= number of member sets)."""
-        cache = self.cache("count")
+        cache = self._count
         stack = [z]
         while stack:
             n = stack.pop()

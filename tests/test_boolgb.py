@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import variety
 from zddgb.boolgb import (
@@ -346,6 +348,19 @@ def test_multiplying_gb_by_fresh_linear_lead_poly():
 def test_weighted_length():
     ring = BoolRing(["x", "y"], "lp")
     assert weighted_length(ring.parse("x*y + x + 1")) == 3 + 2 + 1
+    assert weighted_length(ring.zero) == 0
+    assert weighted_length(ring.one) == 1
+
+
+# one ring for every example, so later examples meet cached nodes
+_WL_RING = BoolRing.indexed(7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 6)), max_size=24))
+def test_weighted_length_counts_terms_and_degrees(terms):
+    f = _WL_RING.from_terms(terms)
+    assert weighted_length(f) == sum(1 + len(t) for t in f.terms())
 
 
 # -- sat ----------------------------------------------------------------------------------

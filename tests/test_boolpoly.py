@@ -156,6 +156,33 @@ def test_nf_monomial_set_matches_naive():
             assert any(m <= set(t) for m in mons)
 
 
+def test_nf_monomial_set_then_branch_holds_empty():
+    # G's then-branch holds the empty set exactly when a variable alone
+    # completes a member; the descent into it must drop those terms, at
+    # the root (G = {x0, x0*x1}), one level down (G = {x1*x2}) and deeper
+    ring = BoolRing.indexed(5)
+    man = ring.manager
+    everything = ring.poly(man.full_family())
+    cases = [
+        [{0}, {0, 1}],
+        [{1, 2}],
+        [{0, 2, 4}],
+        [{0, 3}, {1, 3}, {2, 3, 4}],
+        [{1}, {1, 2}, {2, 3}, {0, 4}],
+    ]
+    for mons in cases:
+        G = man.from_sets(mons)
+        for f in (everything, ring.parse("x0*x1*x3 + x0*x2*x4 + x1*x2 + x3 + 1")):
+            got = nf_monomial_set(f, G)
+            assert as_sets(got) == naive_nf_monomials(as_sets(f), mons)
+    G = man.from_sets([{0}, {0, 1}])
+    f = ring.parse("x0 + x0*x2 + x1 + 1")
+    assert nf_monomial_set(f, G) == ring.parse("x1 + 1")
+    G = man.from_sets([{1, 2}])
+    f = ring.parse("x1*x2*x3 + x1*x3 + x2 + 1")
+    assert nf_monomial_set(f, G) == ring.parse("x1*x3 + x2 + 1")
+
+
 # -- degrees ---------------------------------------------------------------------
 
 

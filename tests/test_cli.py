@@ -96,6 +96,16 @@ def test_sat_empty_system(tmp_path, capsys):
             code, out, _ = run(capsys, "sat", path, *extra)
             assert code == 10
             assert out.splitlines() == ["s SATISFIABLE", "v -1 -2 -3 0"]
+    # no variables either: the empty model, and one empty clause is UNSAT
+    none = write(tmp_path, "none.cnf", "p cnf 0 0\n")
+    falsum = write(tmp_path, "falsum.cnf", "p cnf 0 1\n0\n")
+    for extra in ((), ("--preprocess", "conjunction")):
+        code, out, _ = run(capsys, "sat", none, *extra)
+        assert code == 10
+        assert out.splitlines() == ["s SATISFIABLE", "v 0"]
+        code, out, _ = run(capsys, "sat", falsum, *extra)
+        assert code == 20
+        assert out.splitlines() == ["s UNSATISFIABLE"]
 
 
 def test_sat_order_applies_to_dimacs(tmp_path, capsys):
@@ -130,12 +140,15 @@ def test_parse_error_exit_2(tmp_path, capsys):
     badcnf = write(tmp_path, "bad.cnf", "p cnf 1 1\n7 0\n")
     code, _, err = run(capsys, "sat", badcnf)
     assert code == 2
-    for directive in ("mod 0", "mod", "mod x", "mod 1", "order"):
+    for directive in ("mod 0", "mod", "mod x", "mod 1", "order",
+                      "order bogus", "order block(dlex:x)",
+                      "order block(dlex:9)"):
         bad = write(tmp_path, "baddir.txt", f"vars x\nx\n{directive}\n")
         for extra in ((), ("--mod", "4")):
             code, _, err = run(capsys, "gb", bad, *extra)
             assert code == 2
             assert "line 3" in err and "Traceback" not in err
+            assert "invalid literal" not in err
     good = write(tmp_path, "good.txt", "vars x\nx\n")
     for value in ("0", "1", "x"):
         with pytest.raises(SystemExit) as exc:

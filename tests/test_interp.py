@@ -72,6 +72,24 @@ def test_zeros_partition_and_pointwise():
             assert (p in set(Z.points())) == (eval_poly(f, p) == 0)
 
 
+def test_zeros_polynomial_above_point_set():
+    # p's top variables lie above every variable S uses, so `zeros` walks
+    # p's else-chain first; compare with evaluation at each point
+    rnd = random.Random(37)
+    ring = BoolRing.indexed(6, "lp")
+    fixed = ["x0 + x0*x1", "x0*x2 + 1", "x0 + x1*x3 + x4", "x0*x1 + x1*x5 + x2 + 1"]
+    polys = [ring.parse(t) for t in fixed] + [rand_poly(ring, rnd) for _ in range(40)]
+    for i, f in enumerate(polys):
+        low = 2 + i % 3
+        pts = {
+            (0,) * low + tuple(rnd.randrange(2) for _ in range(6 - low))
+            for _ in range(rnd.randrange(1, 12))
+        }
+        S = PointSet.from_points(ring, pts)
+        want = {p for p in pts if eval_poly(f, p) == 0}
+        assert set(zeros(f, S).points()) == want
+
+
 # -- partial functions ----------------------------------------------------------------
 
 
