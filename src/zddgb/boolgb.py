@@ -276,10 +276,13 @@ def bgb_single(p: BoolPoly, cache: SymCache | None = None) -> list[BoolPoly]:
 
 
 class GBState:
-    """Mutable state of one Buchberger run.
+    """Mutable state of one Buchberger run, and its one pair manager.
 
-    Pairs are pruned when they are queued (Gebauer-Moeller), so the queue
-    and the lead sets are the only pair bookkeeping.
+    Every pair criterion is decided here, when a pair is made: generator
+    pairs by Gebauer-Moeller selection and the product criterion, field
+    pairs (g, x_v) by the product criterion (v in lead(g)) and the
+    linear-lead criterion, and queued pairs are pruned by each new lead.
+    The queue therefore holds only pairs that must be reduced.
     """
 
     def __init__(self, ring: BoolRing, strategy: Strategy):
@@ -316,6 +319,64 @@ class GBState:
             self.queue = keep
             heapq.heapify(self.queue)
 
+    def add_generator(self, h: BoolPoly, skip_field_pairs: bool) -> bool:
+        """Insert an NF-reduced nonzero h and queue its surviving pairs;
+        False once the basis hits {1}."""
+        if h.is_one():
+            self.gens = [h]
+            self.queue.clear()
+            return False
+        strategy = self.strategy
+        fsets = self.lead_fsets
+        idx = len(self.gens)
+        lm = lead_vars(h)
+        self.gens.append(h)
+        lm_set = frozenset(lm)
+        fsets.append(lm_set)
+        self.table.add(h, lm)
+        sugar_h = deg(h)
+
+        if strategy.chain_criterion:
+            self.prune_old_pairs(lm_set)
+        groups: dict[frozenset, list[int]] = {}
+        for j in range(idx):
+            groups.setdefault(lm_set | fsets[j], []).append(j)
+        kept_lcms: list[frozenset] = []
+
+        def coprime(j):
+            return not (lm_set & fsets[j])
+
+        # K < L implies len(K) < len(L); the heap key fixes the pop order
+        for L in sorted(groups, key=len):
+            members = groups[L]
+            if strategy.chain_criterion:
+                # Gebauer-Moeller: minimal lcms only, one pair per lcm,
+                # whole group dropped when one member is coprime
+                if any(K < L for K in kept_lcms):
+                    continue
+                kept_lcms.append(L)
+                if strategy.product_criterion and any(map(coprime, members)):
+                    continue
+                chosen = members[:1]
+            else:
+                chosen = [
+                    j for j in members
+                    if not (strategy.product_criterion and coprime(j))
+                ]
+            for j in chosen:
+                sugar = max(
+                    sugar_h + len(L) - len(lm),
+                    deg(self.gens[j]) + len(L) - len(fsets[j]),
+                )
+                self.push("pair", j, idx, L, sugar)
+        if not skip_field_pairs:
+            # product criterion: x_v coprime to lead(h) makes x_v * h redundant
+            for v in lm if strategy.product_criterion else h.vars_of():
+                if not (strategy.linear_lead_criterion
+                        and linear_lead_criterion(h, v)):
+                    self.push("field", idx, v, lm_set | {v}, sugar_h + 1)
+        return True
+
 
 # -- the main loop ------------------------------------------------------------------
 
@@ -337,58 +398,6 @@ def buchberger(gens, strategy: Strategy | None = None) -> list[BoolPoly]:
 
     state = GBState(ring, strategy)
 
-    def add_generator(h: BoolPoly, skip_field_pairs: bool) -> bool:
-        """Insert an NF-reduced nonzero h; False once the basis hits {1}."""
-        if h.is_one():
-            state.gens = [ring.one]
-            state.queue.clear()
-            return False
-        idx = len(state.gens)
-        lm = lead_vars(h)
-        state.gens.append(h)
-        lm_set = frozenset(lm)
-        state.lead_fsets.append(lm_set)
-        state.table.add(h, lm)
-        sugar_h = deg(h)
-
-        if strategy.chain_criterion:
-            state.prune_old_pairs(lm_set)
-        groups: dict[frozenset, list[int]] = {}
-        for j in range(idx):
-            groups.setdefault(lm_set | state.lead_fsets[j], []).append(j)
-        lcms = sorted(groups, key=lambda L: (len(L), tuple(sorted(L))))
-        kept_lcms: list[frozenset] = []
-
-        def coprime(j):
-            return not (lm_set & state.lead_fsets[j])
-
-        for L in lcms:
-            members = groups[L]
-            if strategy.chain_criterion:
-                # Gebauer-Moeller: minimal lcms only, one pair per lcm,
-                # whole group dropped when one member is coprime
-                if any(K < L for K in kept_lcms):
-                    continue
-                kept_lcms.append(L)
-                if strategy.product_criterion and any(map(coprime, members)):
-                    continue
-                chosen = members[:1]
-            else:
-                chosen = [
-                    j for j in members
-                    if not (strategy.product_criterion and coprime(j))
-                ]
-            for j in chosen:
-                sugar = max(
-                    sugar_h + len(L) - len(lm),
-                    deg(state.gens[j]) + len(L) - len(state.lead_fsets[j]),
-                )
-                state.push("pair", j, idx, L, sugar)
-        if not skip_field_pairs:
-            for v in h.vars_of():
-                state.push("field", idx, v, lm_set | {v}, sugar_h + 1)
-        return True
-
     def insert(h: BoolPoly) -> bool:
         """Reduce h and feed it (or its single-poly basis) into the state."""
         h = BoolPoly(ring, state.table.reduce(h.z))
@@ -398,15 +407,15 @@ def buchberger(gens, strategy: Strategy | None = None) -> list[BoolPoly]:
                 and _single_worthwhile(h, symcache)):
             basis = bgb_single(h, symcache)
             if len(basis) == 1 and basis[0] == h:
-                return add_generator(h, skip_field_pairs=True)
+                return state.add_generator(h, skip_field_pairs=True)
             for b in basis:
                 br = BoolPoly(ring, state.table.reduce(b.z))
                 if br.is_zero():
                     continue
-                if not add_generator(br, skip_field_pairs=(br == b)):
+                if not state.add_generator(br, skip_field_pairs=(br == b)):
                     return False
             return True
-        return add_generator(h, skip_field_pairs=False)
+        return state.add_generator(h, skip_field_pairs=False)
 
     alive = True
     for f in gens:
@@ -415,21 +424,17 @@ def buchberger(gens, strategy: Strategy | None = None) -> list[BoolPoly]:
             if not alive:
                 break
 
+    # every queued pair passed its criteria when it was made
     while alive and state.queue:
         _, (kind, a, b, lcm) = heapq.heappop(state.queue)
+        f = state.gens[a]
         if kind == "pair":
-            # coprime pairs were never queued (product criterion)
-            f, g = state.gens[a], state.gens[b]
+            g = state.gens[b]
             s = mul_monomial(
                 f, ring.monomial(lcm - state.lead_fsets[a])
             ) + mul_monomial(g, ring.monomial(lcm - state.lead_fsets[b]))
         else:
-            g, v = state.gens[a], b
-            if strategy.product_criterion and v not in state.lead_fsets[a]:
-                continue
-            if strategy.linear_lead_criterion and linear_lead_criterion(g, v):
-                continue
-            s = mul_monomial(g, ring.monomial((v,)))
+            s = mul_monomial(f, ring.monomial((b,)))
         if not s.is_zero():
             alive = insert(s)
 
@@ -450,14 +455,15 @@ def interreduce(basis):
     if any(g.is_one() for g in basis):
         return [ring.one]
     key = ring.ordering.sort_key
-    kept: list[BoolPoly] = []
-    for g in sorted(basis, key=lambda g: key(lead_vars(g))):
-        lg = set(lead_vars(g))
-        if not any(set(lead_vars(h)) <= lg for h in kept):
-            kept.append(g)
-    for i, g in enumerate(kept):
-        kept[i] = greedy_nf(g, kept[:i] + kept[i + 1:])
-    return sorted(kept, key=lambda g: key(lead_vars(g)), reverse=True)
+    kept: list[tuple[frozenset, BoolPoly]] = []
+    for lm, g in sorted(((lead_vars(g), g) for g in basis), key=lambda t: key(t[0])):
+        lg = frozenset(lm)
+        if not any(lh <= lg for lh, _ in kept):
+            kept.append((lg, g))
+    polys = [g for _, g in kept]
+    for i, g in enumerate(polys):
+        polys[i] = greedy_nf(g, polys[:i] + polys[i + 1:])
+    return polys[::-1]  # the leads are distinct and tail reduction keeps them
 
 
 # -- satisfiability -------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: gb, nf, sat, zeros, interp, encode, bench.  Exit codes: 0 on
-success, 2 on parse errors, 3 on internal invariant violations; `sat`
-follows the SAT-solver convention of 10 (satisfiable, model printed) and
-20 (unsatisfiable).
+success, 2 on parse errors, 3 on internal invariant violations, 4 when an
+input exceeds a resource limit (recursion depth or memory); `sat` follows
+the SAT-solver convention of 10 (satisfiable, model printed) and 20
+(unsatisfiable).
 """
 
 from __future__ import annotations
@@ -377,6 +378,11 @@ def main(argv=None) -> int:
     except (AssertionError, ZddError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except (RecursionError, MemoryError) as exc:
+        # the diagram recursions take one frame per variable level
+        print(f"error: resource limit reached ({str(exc) or type(exc).__name__})",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -481,11 +481,12 @@ def spoly_extended(f: ZmPoly) -> ZmPoly:
 
 def nf_ring(f: ZmPoly, G) -> ZmPoly:
     """Polynomial weak normal form: the result is 0 or has its leading term
-    outside the leading ideal of the (possibly extended) reducer set.
+    outside the leading ideal of the reducer set.
 
     Reducers solve the lead-coefficient equation with maximal ecart as small
-    as possible; a reducer set with positive maximal ecart appends the
-    current remainder to the working set, as the termination proof needs.
+    as possible.  The orderings are global, so the lead falls strictly at
+    every step; Mora's device of appending the remainder to the reducers
+    is not needed, since no later lead could be its multiple.
     """
     mod = f.ring.mod
     T = [g for g in G if not g.is_zero()]
@@ -518,8 +519,6 @@ def nf_ring(f: ZmPoly, G) -> ZmPoly:
                     break
             if chosen is None:
                 return f
-        if max(g.ecart() for g, _ in chosen) > 0:
-            T.append(f)
         for g, x in chosen:
             f = f - g.mul_term(_mon_div(mf, g.lm()), x)
     return f

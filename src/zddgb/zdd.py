@@ -344,19 +344,6 @@ class ZddManager:
         cache[key] = r
         return r
 
-    def contains(self, z: int, vs) -> bool:
-        """Membership test for one set of indices."""
-        want = sorted(set(vs))
-        i = 0
-        while z > ONE:
-            v = self._var[z]
-            if i < len(want) and want[i] == v:
-                z = self._then[z]
-                i += 1
-            else:
-                z = self._else[z]
-        return z == ONE and i == len(want)
-
     # -- path enumeration ------------------------------------------------------
 
     def count_paths(self, z: int) -> int:

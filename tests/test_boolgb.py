@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import variety
+from test_boolpoly import orderings
 from zddgb.boolgb import (
+    GBState,
     Strategy,
     SymCache,
     bgb_single,
@@ -302,6 +304,48 @@ def test_gb_soundness_completeness_and_conservativity():
         assert certificate_holds(G, ring)
         G2 = buchberger(gens, strategy=ALL_OFF)
         assert [g.z for g in G] == [g.z for g in G2]
+
+
+def test_queued_field_pairs_pass_their_criteria(monkeypatch):
+    """Field pairs are decided when they are made: every one queued is live."""
+    pushed = []
+    push = GBState.push
+
+    def recording_push(self, kind, a, b, lcm_vars, sugar):
+        if kind == "field":
+            pushed.append((self.strategy, self.gens[a], b))
+        return push(self, kind, a, b, lcm_vars, sugar)
+
+    monkeypatch.setattr(GBState, "push", recording_push)
+    rnd = random.Random(31)
+    for strategy in (Strategy(), Strategy(product_criterion=False)):
+        for _ in range(40):
+            n = rnd.randrange(2, 7)
+            kind = rnd.choice(["lp", "dlex", "dp_asc", f"block(dlex:{n})"])
+            ring = BoolRing.indexed(n, kind)
+            gens = [g for g in (rand_poly(ring, rnd) for _ in range(4)) if g]
+            buchberger(gens, strategy)
+    assert {st.product_criterion for st, _, _ in pushed} == {True, False}
+    for strategy, g, v in pushed:
+        if strategy.product_criterion:
+            assert v in lead(g).vars
+        if strategy.linear_lead_criterion:
+            assert not linear_lead_criterion(g, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orderings(), st.integers(0, 2**32))
+def test_criteria_keep_basis_and_variety(n_ordering, seed):
+    """Block orderings bypass the symmetry cache, so every field pair goes
+    through the queue; the criteria must not change the reduced basis."""
+    n, ordering = n_ordering
+    ring = BoolRing.indexed(n, ordering)
+    rnd = random.Random(seed)
+    gens = [g for g in (rand_poly(ring, rnd) for _ in range(4)) if g]
+    G = buchberger(gens)
+    assert G == buchberger(gens, ALL_OFF)
+    vin = variety([g.term_set() for g in gens], n)
+    assert variety([g.term_set() for g in G], n) == vin
 
 
 def test_gb_deterministic_byte_identical():

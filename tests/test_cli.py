@@ -157,6 +157,27 @@ def test_parse_error_exit_2(tmp_path, capsys):
         assert "--mod" in capsys.readouterr().err
 
 
+def test_resource_limits_exit_4(tmp_path, capsys, monkeypatch):
+    names = [f"x{i}" for i in range(1500)]
+    deep = write(tmp_path, "deep.txt",
+                 f"vars {' '.join(names)}\n{' + '.join(names)}\n")
+    code, out, err = run(capsys, "gb", deep)
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+    import zddgb.cli as cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_gb", exhausted)
+    small = write(tmp_path, "small.txt", "vars x\nx\n")
+    code, _, err = run(capsys, "gb", small)
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_directive_matched_by_first_token(tmp_path, capsys):
     path = write(tmp_path, "sys.txt", "vars varsity order1 x\nvarsity + x\norder1\n")
     code, out, _ = run(capsys, "gb", path)
