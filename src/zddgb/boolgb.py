@@ -85,30 +85,40 @@ class _ReductionTable:
         elif prev[0] > rank:
             self.by_lead[lead_vars] = (rank, g.z)
 
-    def reduce(self, fz: int) -> int:
-        """Reduced normal form of the polynomial with term set fz."""
-        man = self.ring.manager
-        if not self.by_lead:
+    def replace(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
+        """Make g the reductor of its lead, which is already in the table."""
+        self.by_lead[lead_vars] = ((weighted_length(g), g.z), g.z)
+
+    def reduce(self, fz: int, lead_set: int | None = None) -> int:
+        """Reduced normal form of the polynomial with term set fz, against
+        the reductors whose leads lie in lead_set (default: all)."""
+        if lead_set is None:
+            lead_set = self.lead_set
+        if lead_set == ZERO:
             return fz
+        man = self.ring.manager
         by_lead = self.by_lead
-        result = ZERO
-        lead_set = self.lead_set
+        ordering = self.ring.ordering
+        # dropping the terms a lead divides commutes with +, so f is split
+        # into irreducible and reducible terms once; after that only each
+        # step's product is split, never the whole of the growing fz
+        result = _nf_mon(man, fz, lead_set)
+        fz = man.symmetric_diff(fz, result)
         while fz != ZERO:
-            irreducible = _nf_mon(man, fz, lead_set)
-            if irreducible != ZERO:
-                result = man.symmetric_diff(result, irreducible)
-                fz = man.symmetric_diff(fz, irreducible)
-                if fz == ZERO:
-                    break
-            # every term of fz is now divisible by some lead
-            m = _lead_vars(man, fz, self.ring.ordering)
+            # invariant: every term of fz is divisible by some lead
+            m = _lead_vars(man, fz, ordering)
             hits = man.divisors_within(lead_set, man.singleton(m))
             g_lead = min(man.iter_paths(hits), key=by_lead.__getitem__)
             gz = by_lead[g_lead][1]
             q = fz
             for v in g_lead:
                 q = man.subset1(q, v)
-            fz = man.symmetric_diff(fz, _mul(man, q, gz))
+            p = _mul(man, q, gz)
+            irreducible = _nf_mon(man, p, lead_set)
+            if irreducible != ZERO:
+                result = man.symmetric_diff(result, irreducible)
+                p = man.symmetric_diff(p, irreducible)
+            fz = man.symmetric_diff(fz, p)
         return result
 
 
@@ -455,14 +465,24 @@ def interreduce(basis):
     if any(g.is_one() for g in basis):
         return [ring.one]
     key = ring.ordering.sort_key
-    kept: list[tuple[frozenset, BoolPoly]] = []
+    kept: list[tuple[frozenset, tuple[int, ...], BoolPoly]] = []
     for lm, g in sorted(((lead_vars(g), g) for g in basis), key=lambda t: key(t[0])):
         lg = frozenset(lm)
-        if not any(lh <= lg for lh, _ in kept):
-            kept.append((lg, g))
-    polys = [g for _, g in kept]
-    for i, g in enumerate(polys):
-        polys[i] = greedy_nf(g, polys[:i] + polys[i + 1:])
+        if not any(lh <= lg for lh, _, _ in kept):
+            kept.append((lg, lm, g))
+    # one table for the pass: each element is reduced against all leads
+    # but its own, and its reduced form then replaces it as a reductor
+    man = ring.manager
+    table = _ReductionTable(ring)
+    for _, lm, g in kept:
+        table.add(g, lm)
+    all_leads = table.lead_set
+    polys = []
+    for _, lm, g in kept:
+        others = man.diff(all_leads, man.singleton(lm))
+        h = BoolPoly(ring, table.reduce(g.z, others))
+        table.replace(h, lm)
+        polys.append(h)
     return polys[::-1]  # the leads are distinct and tail reduction keeps them
 
 

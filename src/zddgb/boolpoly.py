@@ -350,11 +350,15 @@ def _mul(man: ZddManager, f: int, g: int) -> int:
             vf = vg
         r = man.mk_node(vf, _mul(man, man._then[f], g), _mul(man, man._else[f], g))
     else:
+        # f = x*p1 + p0 and g = x*q1 + q0 with x*x = x give
+        # f*g = x*((p1 + p0)*q1 + p1*q0) + p0*q0: three products, not four.
+        # The halves added are f's, the lower node id, which is the older
+        # diagram; in a running product that is the small new factor, not
+        # the growing accumulator (adding its halves measured slower)
         p1, p0 = man._then[f], man._else[f]
         q1, q0 = man._then[g], man._else[g]
         tpart = man.symmetric_diff(
-            man.symmetric_diff(_mul(man, p0, q1), _mul(man, p1, q1)),
-            _mul(man, p1, q0),
+            _mul(man, man.symmetric_diff(p1, p0), q1), _mul(man, p1, q0)
         )
         r = man.mk_node(vf, tpart, _mul(man, p0, q0))
     cache[key] = r

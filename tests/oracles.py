@@ -49,6 +49,30 @@ def naive_nf_monomials(terms, monomials) -> frozenset:
     )
 
 
+def naive_normal_form(terms, basis, key) -> frozenset:
+    """Fully reduced normal form of a term set against polynomials given as
+    term sets, under the monomial ordering whose sort key is `key`.
+
+    The largest term t divisible by some lead lm is cancelled by adding
+    (t minus lm) * g; a monomial disjoint from lm multiplies every smaller
+    term of g to a term below t, so the terms handled fall strictly.
+    """
+    leads = [(max(g, key=key), g) for g in (frozenset(map(frozenset, g))
+                                            for g in basis) if g]
+    f = set(map(frozenset, terms))
+    out = set()
+    while f:
+        t = max(f, key=key)
+        hit = next(((lm, g) for lm, g in leads if lm <= t), None)
+        if hit is None:
+            out.add(t)
+            f.remove(t)
+        else:
+            lm, g = hit
+            f.symmetric_difference_update(naive_mul([t - lm], g))
+    return frozenset(out)
+
+
 def variety(polys_terms, n: int) -> set:
     """Common zeros in {0,1}^n of polynomials given as term sets."""
     return {

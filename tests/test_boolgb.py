@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import variety
+from oracles import naive_normal_form, variety
 from test_boolpoly import orderings
 from zddgb.boolgb import (
     GBState,
@@ -16,6 +16,7 @@ from zddgb.boolgb import (
     conjunction_generator,
     factor_linear_leads,
     greedy_nf,
+    interreduce,
     linear_lead_criterion,
     sat_check,
     suitable_shift,
@@ -26,10 +27,12 @@ from zddgb.boolpoly import (
     OrderingError,
     eval_poly,
     lead,
+    lead_vars,
     mul_monomial,
     parse_ordering,
     spoly,
 )
+from zddgb.encode import pigeonhole
 from zddgb.interp import PointSet, points_gb
 
 
@@ -82,6 +85,57 @@ def test_greedy_nf_reduced_and_in_ideal():
         for p in pts:
             if all(eval_poly(g, p) == 0 for g in G):
                 assert eval_poly(f, p) == eval_poly(r, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orderings(), st.integers(0, 2**32))
+def test_greedy_nf_against_reduced_basis_matches_term_list_oracle(
+        n_ordering, seed):
+    # the reduced normal form is unique, whatever reductor each step picks
+    n, ordering = n_ordering
+    ring = BoolRing.indexed(n, ordering)
+    rnd = random.Random(seed)
+    gens = [g for g in (rand_poly(ring, rnd) for _ in range(3)) if g]
+    if not gens:
+        return
+    G = buchberger(gens)
+    basis = [g.term_set() for g in G]
+
+    def key(t):
+        return ordering.sort_key(tuple(sorted(t)))
+
+    for _ in range(5):
+        f = rand_poly(ring, rnd, 8)
+        got = frozenset(map(frozenset, greedy_nf(f, G).terms()))
+        assert got == naive_normal_form(f.term_set(), basis, key)
+
+
+def interreduce_by_greedy_nf(basis):
+    """interreduce with one greedy_nf call per element (the reference)."""
+    basis = [g for g in basis if not g.is_zero()]
+    if not basis:
+        return []
+    if any(g.is_one() for g in basis):
+        return [basis[0].ring.one]
+    key = basis[0].ring.ordering.sort_key
+    kept = []
+    for g in sorted(basis, key=lambda g: key(lead_vars(g))):
+        if not any(set(lead_vars(h)) <= set(lead_vars(g)) for h in kept):
+            kept.append(g)
+    for i, g in enumerate(kept):
+        kept[i] = greedy_nf(g, kept[:i] + kept[i + 1:])
+    return kept[::-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(orderings(), st.integers(0, 2**32))
+def test_interreduce_matches_elementwise_greedy_nf(n_ordering, seed):
+    n, ordering = n_ordering
+    ring = BoolRing.indexed(n, ordering)
+    rnd = random.Random(seed)
+    gens = [rand_poly(ring, rnd, 6) for _ in range(rnd.randrange(1, 7))]
+    expected = interreduce_by_greedy_nf(gens)
+    assert [g.z for g in interreduce(gens)] == [g.z for g in expected]
 
 
 # -- criteria -----------------------------------------------------------------------
@@ -418,8 +472,6 @@ def test_sat_examples():
 
 
 def test_sat_pigeonhole_2():
-    from zddgb.encode import pigeonhole
-
     system = pigeonhole(2)
     assert sat_check(system.polys)[0] == "UNSAT"
     assert sat_check(system.polys, preprocess="conjunction")[0] == "UNSAT"
@@ -440,6 +492,15 @@ def test_sat_models_verified():
             assert model == min(vin)
         else:
             assert not vin
+
+
+def test_hole5_conjunction_node_budget():
+    # regression guard on the Boolean product: the count is deterministic,
+    # 60,073 with three recursive products per shared top variable and
+    # 72,759 with four
+    system = pigeonhole(5)
+    assert sat_check(system.polys, preprocess="conjunction")[0] == "UNSAT"
+    assert len(system.ring.manager) <= 65_000
 
 
 def test_conjunction_generator_is_unique_generator():

@@ -78,6 +78,55 @@ def test_mul_matches_naive_term_lists():
         assert as_sets(f + g) == naive_add(as_sets(f), as_sets(g))
 
 
+@st.composite
+def term_set_pairs(draw):
+    """(n, f, g): term sets on n <= 8 variables, drawn independently, with
+    the same top variable, equal, or with g a constant."""
+    n = draw(st.integers(1, 8))
+    term_sets = st.frozensets(
+        st.frozensets(st.integers(0, n - 1)), max_size=12)
+    kind = draw(st.sampled_from(("free", "same_top", "equal", "constant")))
+    f = draw(term_sets)
+    if kind == "equal":
+        return n, f, f
+    if kind == "constant":
+        return n, f, draw(st.sampled_from(
+            (frozenset(), frozenset({frozenset()}))))
+    g = draw(term_sets)
+    if kind == "same_top":
+        # x_v occurs in both and no smaller index does
+        v = draw(st.integers(0, n - 1))
+        f, g = (
+            frozenset({frozenset(u for u in t if u >= v) for t in h}
+                      | {frozenset({v})})
+            for h in (f, g)
+        )
+    return n, f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_set_pairs())
+def test_mul_and_add_match_naive_properties(pair):
+    n, f_terms, g_terms = pair
+    ring = BoolRing.indexed(n)
+    f, g = ring.from_terms(f_terms), ring.from_terms(g_terms)
+    assert as_sets(f * g) == naive_mul(f_terms, g_terms)
+    assert as_sets(g * f) == naive_mul(f_terms, g_terms)
+    assert as_sets(f + g) == naive_add(f_terms, g_terms)
+
+
+# one ring for every example, so later examples meet cached products
+_DIST_RING = BoolRing.indexed(8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.frozensets(st.integers(0, 7)), max_size=10),
+                min_size=3, max_size=3))
+def test_mul_distributes_over_add(term_sets):
+    f, g, h = map(_DIST_RING.from_terms, term_sets)
+    assert (f * (g + h)).z == (f * g + f * h).z
+
+
 def test_homomorphism_into_functions():
     rnd = random.Random(11)
     ring = BoolRing.indexed(5)

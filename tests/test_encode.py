@@ -293,6 +293,13 @@ def test_mult_verification_encodings_agree(n):
     assert sat_check(system.polys)[0] == "UNSAT"
 
 
+def test_mult_verification_7_node_budget():
+    # regression guard on the Boolean product behind the expanded golden
+    # side: 53,384 nodes with three recursive products, 103,660 with four
+    system = mult_verification(7)
+    assert len(system.ring.manager) <= 60_000
+
+
 def test_mult_verification_tampered_has_countermodel():
     system = mult_verification(2, tamper=True)
     verdict, model = sat_check(system.polys)
