@@ -113,6 +113,7 @@ def _modulus(text: str) -> int:
 
 def read_points(text: str, values: bool):
     pts, vals = [], []
+    seen: dict[str, tuple[int, int]] = {}  # bits -> (value, line)
     width = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -130,7 +131,12 @@ def read_points(text: str, values: bool):
         if values:
             if len(parts) != 2 or parts[1] not in ("0", "1"):
                 raise CliError(f"line {ln}: expected '<bits> <0|1>'")
-            vals.append(int(parts[1]))
+            value = int(parts[1])
+            prev = seen.setdefault(bits, (value, ln))
+            if prev[0] != value:
+                raise CliError(f"line {ln}: point {bits} already has value "
+                               f"{prev[0]} from line {prev[1]}")
+            vals.append(value)
         elif len(parts) != 1:
             raise CliError(f"line {ln}: expected a bare point")
     if width is None:

@@ -136,6 +136,58 @@ def lex_standard_monomials(points, n: int) -> set:
     return out
 
 
+# -- Boolean pair bookkeeping -----------------------------------------------------
+
+
+def gm_new_pairs(leads, degrees, chain: bool, product: bool) -> list:
+    """Generator pairs queued when the last of `leads` (frozensets) is
+    inserted, as [(j, lcm, sugar)] in push order.
+
+    Groups of earlier generators share an lcm with the new lead and are
+    visited by lcm size, ties in order of first appearance.  With the
+    chain criterion a group is skipped when another lcm of this insert
+    is a proper subset of its own, and otherwise yields one pair (its
+    first member) unless the product criterion drops it for having a
+    member coprime to the new lead.  Without the chain criterion every
+    member yields a pair unless the product criterion finds it coprime.
+    The sugar of (j, new) is max over both sides of deg + |lcm| - |lead|.
+    """
+    *old, new = leads
+    idx = len(old)
+    groups: dict[frozenset, list[int]] = {}
+    for j, lj in enumerate(old):
+        groups.setdefault(new | lj, []).append(j)
+
+    def sugar(j, lcm):
+        return max(degrees[idx] + len(lcm) - len(new),
+                   degrees[j] + len(lcm) - len(leads[j]))
+
+    out = []
+    for lcm in sorted(groups, key=len):
+        members = groups[lcm]
+        if chain:
+            if any(other < lcm for other in groups):
+                continue
+            if product and any(not (new & leads[j]) for j in members):
+                continue
+            chosen = members[:1]
+        else:
+            chosen = [j for j in members if not (product and not new & leads[j])]
+        out.extend((j, lcm, sugar(j, lcm)) for j in chosen)
+    return out
+
+
+def gm_pruned(queued, leads, new) -> list:
+    """The queued pairs, given as (kind, a, b, lcm) with frozenset leads and
+    lcms, that inserting the lead `new` drops: generator pairs whose lcm
+    `new` divides without being new | lead(a) or new | lead(b)."""
+    return [
+        (kind, a, b, lcm) for kind, a, b, lcm in queued
+        if kind == "pair" and new <= lcm
+        and new | leads[a] != lcm and new | leads[b] != lcm
+    ]
+
+
 # -- Z/m helpers -----------------------------------------------------------------
 
 

@@ -290,11 +290,11 @@ def test_block_ordering_lead_and_iter():
 
 
 @st.composite
-def orderings(draw):
-    """(n, ordering): lp, dlex, dp_asc or a block ordering with random cut
-    points and block kinds (a single block of either kind, dp_asc first,
-    ...)."""
-    n = draw(st.integers(1, 7))
+def orderings(draw, max_n=7):
+    """(n, ordering) with n <= max_n: lp, dlex, dp_asc or a block ordering
+    with random cut points and block kinds (a single block of either kind,
+    dp_asc first, ...)."""
+    n = draw(st.integers(1, max_n))
     kind = draw(st.sampled_from(("lp", "dlex", "dp_asc", "block")))
     if kind != "block":
         return n, Ordering(kind)

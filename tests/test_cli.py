@@ -211,6 +211,18 @@ def test_interp_and_basis(tmp_path, capsys):
     assert out.splitlines() == ["x0 + 1", "x1 + 1"]
 
 
+def test_interp_conflicting_values_exit_2(tmp_path, capsys):
+    pf = write(tmp_path, "pf.txt", "01 0\n01 1\n")
+    code, out, err = run(capsys, "interp", pf)
+    assert code == 2 and out == ""
+    assert "line 2: point 01 already has value 0 from line 1" in err
+    assert "Traceback" not in err
+    # a repeated point with the same value is consistent
+    pf = write(tmp_path, "pf.txt", "01 1\n00 0\n01 1\n")
+    code, out, _ = run(capsys, "interp", pf)
+    assert code == 0
+
+
 def test_interp_basis_deterministic(tmp_path, capsys):
     pts = write(tmp_path, "pts.txt", "000\n011\n101\n")
     code, out1, _ = run(capsys, "interp", pts, "--basis")
