@@ -2,11 +2,12 @@
 
 The field relations x*x = x are never materialized: every product is a
 Boolean product, and each generator g additionally spawns "field pairs"
-(g, v) whose s-polynomial reduces (mod the field ideal) to x_v * g.  A
-cache of single-polynomial bases exploits the symmetry of the orderings:
-a polynomial is stripped of its linear-lead factors, shifted onto the
-first variables and looked up; a hit skips whole families of critical
-pairs and often injects low-degree elements early.
+(g, v) whose s-polynomial reduces (mod the field ideal) to x_v * g.
+
+`bgb_single`, the basis of one polynomial from its linear-lead factors
+and its core shifted onto the first variables (reusable for every shift
+through a `SymCache`), is a library function.  The engine does not use
+it: on no measured family did the cache's hits pay for its lookups.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ from .zdd import ONE, ZERO, ZddManager
 
 @dataclass
 class Strategy:
-    """Criteria toggles and caching knobs for the Buchberger loop."""
+    """Pair-criteria and selection toggles for the Buchberger loop."""
 
     product_criterion: bool = True
     chain_criterion: bool = True
     linear_lead_criterion: bool = True
     sugar: bool = True
-    symmetry_cache: bool = True
 
 
 def weighted_length(f: BoolPoly) -> int:
@@ -229,7 +229,9 @@ class SymCache:
         return (str(core.ring.ordering), tuple(sorted(core.terms())))
 
 
-# cache misses above this core size are not worth a nested basis run
+# No caller is left for SYMCACHE_VAR_LIMIT and _single_worthwhile, but
+# perfbench/tracer.py wraps _single_worthwhile by name; both go with its
+# symcache layer.  Cache misses above this core size were not worth a run.
 SYMCACHE_VAR_LIMIT = 10
 
 
@@ -263,7 +265,7 @@ def bgb_single(p: BoolPoly, cache: SymCache | None = None) -> list[BoolPoly]:
         if stored is None:
             if cache is not None:
                 cache.misses += 1
-            sub = buchberger([shifted], Strategy(symmetry_cache=False))
+            sub = buchberger([shifted])
             stored = [sorted(g.terms()) for g in sub]
             if cache is not None:
                 cache.table[key] = stored
@@ -343,7 +345,7 @@ class GBState:
             self.queue = keep
             heapq.heapify(self.queue)
 
-    def add_generator(self, h: BoolPoly, skip_field_pairs: bool) -> bool:
+    def add_generator(self, h: BoolPoly) -> bool:
         """Insert an NF-reduced nonzero h and queue its surviving pairs;
         False once the basis hits {1}."""
         if h.is_one():
@@ -389,12 +391,11 @@ class GBState:
                 for j in members:
                     if not product or lm_mask & leads[j]:
                         self._push_pair(j, idx, L)
-        if not skip_field_pairs:
-            # product criterion: x_v coprime to lead(h) makes x_v * h redundant
-            for v in lm if product else h.vars_of():
-                if not (strategy.linear_lead_criterion
-                        and linear_lead_criterion(h, v)):
-                    self.push("field", idx, v, lm_mask | 1 << v, sugar_h + 1)
+        # product criterion: x_v coprime to lead(h) makes x_v * h redundant
+        for v in lm if product else h.vars_of():
+            if not (strategy.linear_lead_criterion
+                    and linear_lead_criterion(h, v)):
+                self.push("field", idx, v, lm_mask | 1 << v, sugar_h + 1)
         return True
 
     def _push_pair(self, j: int, idx: int, L: int) -> None:
@@ -419,30 +420,12 @@ def buchberger(gens, strategy: Strategy | None = None) -> list[BoolPoly]:
         return []
     ring = gens[0].ring
     strategy = strategy or Strategy()
-    symcache = None
-    if strategy.symmetry_cache and ring.ordering.is_symmetric:
-        symcache = SymCache()
-
     state = GBState(ring, strategy)
 
     def insert(h: BoolPoly) -> bool:
-        """Reduce h and feed it (or its single-poly basis) into the state."""
+        """Reduce h and feed it into the state; False once the basis is {1}."""
         h = BoolPoly(ring, state.table.reduce(h.z))
-        if h.is_zero():
-            return True
-        if (symcache is not None and not h.is_one()
-                and _single_worthwhile(h, symcache)):
-            basis = bgb_single(h, symcache)
-            if len(basis) == 1 and basis[0] == h:
-                return state.add_generator(h, skip_field_pairs=True)
-            for b in basis:
-                br = BoolPoly(ring, state.table.reduce(b.z))
-                if br.is_zero():
-                    continue
-                if not state.add_generator(br, skip_field_pairs=(br == b)):
-                    return False
-            return True
-        return state.add_generator(h, skip_field_pairs=False)
+        return h.is_zero() or state.add_generator(h)
 
     alive = True
     for f in gens:

@@ -18,7 +18,7 @@ from . import encode as enc
 from .boolgb import buchberger, greedy_nf, sat_check
 from .boolpoly import BoolRing, OrderingError, parse_ordering
 from .interp import PartialFn, PointSet, points_gb, zeros
-from .ringstd import RingOrdering, RingStrategy, ZmRing, rednf_ring, std_basis
+from .ringstd import RingOrdering, ZmRing, rednf_ring, std_basis
 from .zdd import ZddError
 
 
@@ -40,6 +40,7 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
     `order` and `modulus` take precedence over the file's lines.
     """
     names = None
+    vars_line = None
     file_order = None
     order_line = None
     file_mod = None
@@ -51,7 +52,13 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
         head, *rest = line.split(None, 1)
         arg = rest[0] if rest else ""
         if head == "vars":
-            names = arg.split()
+            if names is not None:
+                raise CliError(f"line {ln}: second 'vars' line "
+                               f"(first on line {vars_line})")
+            names, vars_line = arg.split(), ln
+            if len(set(names)) < len(names):
+                twice = next(x for i, x in enumerate(names) if x in names[:i])
+                raise CliError(f"line {ln}: variable {twice!r} is listed twice")
         elif head == "order":
             if not arg:
                 raise CliError(f"line {ln}: 'order' needs a value")
@@ -157,7 +164,7 @@ def cmd_gb(args) -> int:
     t0 = time.perf_counter()
     ring, polys = read_system(text, args.order, args.mod)
     if isinstance(ring, ZmRing):
-        basis = std_basis(polys, strategy=RingStrategy())
+        basis = std_basis(polys)
     else:
         basis = buchberger(polys)
     lines = [str(g) for g in basis]

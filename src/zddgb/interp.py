@@ -8,7 +8,7 @@ points is a ZDD over the same manager as the polynomials it meets.
 
 from __future__ import annotations
 
-from .boolpoly import BoolPoly, BoolRing
+from .boolpoly import BoolPoly, BoolRing, _nf_mon
 from .zdd import ONE, ZERO, ZddManager
 
 
@@ -271,40 +271,9 @@ def minimal_elements(man: ZddManager, S: int) -> int:
     s0 = man._else[S]
     m1 = minimal_elements(man, man._then[S])
     m0 = minimal_elements(man, s0)
-    r = man.mk_node(man._var[S], _non_superset(man, m1, s0), m0)
+    # x*a is minimal when a is minimal in then(S) and no member of s0 divides a
+    r = man.mk_node(man._var[S], _nf_mon(man, m1, s0), m0)
     cache[S] = r
-    return r
-
-
-def _non_superset(man: ZddManager, A: int, B: int) -> int:
-    """{a in A : no b in B with b ⊆ a}."""
-    if A == ZERO or B == ZERO:
-        return A
-    if B == ONE:
-        return ZERO
-    cache = man._nonsup
-    key = (A, B)
-    r = cache.get(key)
-    if r is not None:
-        return r
-    var, then, els = man._var, man._then, man._else
-    va = var[A]
-    vb = var[B]
-    if vb < va:
-        r = _non_superset(man, A, els[B])
-    elif va < vb:
-        r = man.mk_node(
-            va,
-            _non_superset(man, then[A], B),
-            _non_superset(man, els[A], B),
-        )
-    else:
-        r = man.mk_node(
-            va,
-            _non_superset(man, then[A], man.union(then[B], els[B])),
-            _non_superset(man, els[A], els[B]),
-        )
-    cache[key] = r
     return r
 
 

@@ -79,7 +79,6 @@ class ZddManager:
         self._ilex: dict = {}
         self._stdmon: dict = {}
         self._minelts: dict = {}
-        self._nonsup: dict = {}
 
     # -- node structure ----------------------------------------------------
 

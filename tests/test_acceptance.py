@@ -315,8 +315,8 @@ def test_criterion_9_linear_lead_criterion_soundness():
     """200 random systems containing products with linear-lead factors:
     reduced bases agree with the criterion enabled and disabled."""
     rnd = random.Random(109)
-    on = Strategy(linear_lead_criterion=True, symmetry_cache=False)
-    off = Strategy(linear_lead_criterion=False, symmetry_cache=False)
+    on = Strategy(linear_lead_criterion=True)
+    off = Strategy(linear_lead_criterion=False)
     for trial in range(200):
         n = rnd.randrange(3, 7)
         ring = BoolRing.indexed(n, rnd.choice(["lp", "dlex"]))

@@ -142,13 +142,19 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
     for directive in ("mod 0", "mod", "mod x", "mod 1", "order",
                       "order bogus", "order block(dlex:x)",
-                      "order block(dlex:9)"):
+                      "order block(dlex:9)", "vars y"):
         bad = write(tmp_path, "baddir.txt", f"vars x\nx\n{directive}\n")
         for extra in ((), ("--mod", "4")):
             code, _, err = run(capsys, "gb", bad, *extra)
             assert code == 2
             assert "line 3" in err and "Traceback" not in err
             assert "invalid literal" not in err
+    # the last file above is the one with a second vars line
+    assert "line 3: second 'vars' line (first on line 1)" in err
+    dup = write(tmp_path, "dup.txt", "vars x y x\nx*y\n")
+    code, _, err = run(capsys, "gb", dup)
+    assert code == 2
+    assert "line 1: variable 'x' is listed twice" in err
     good = write(tmp_path, "good.txt", "vars x\nx\n")
     for value in ("0", "1", "x"):
         with pytest.raises(SystemExit) as exc:

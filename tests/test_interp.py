@@ -271,6 +271,17 @@ def test_minimal_elements():
     anti = man.from_sets([[0], [1], [2]])
     assert minimal_elements(man, anti) == anti
     assert minimal_elements(man, 0) == 0
+    # random families, the empty set included, against brute force
+    rnd = random.Random(41)
+    man = BoolRing.indexed(6, "lp").manager
+    for _ in range(200):
+        family = {
+            frozenset(v for v in range(6) if rnd.random() < rnd.random())
+            for _ in range(rnd.randrange(12))
+        }
+        expected = {a for a in family if not any(b < a for b in family)}
+        got = minimal_elements(man, man.from_sets(family))
+        assert {frozenset(t) for t in man.iter_paths(got)} == expected
 
 
 def test_points_gb_examples():
