@@ -44,6 +44,7 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
     file_order = None
     order_line = None
     file_mod = None
+    mod_line = None
     polys_src: list[tuple[int, str]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -56,16 +57,22 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
                 raise CliError(f"line {ln}: second 'vars' line "
                                f"(first on line {vars_line})")
             names, vars_line = arg.split(), ln
-            if len(set(names)) < len(names):
-                twice = next(x for i, x in enumerate(names) if x in names[:i])
+            twice = _repeated(names)
+            if twice is not None:
                 raise CliError(f"line {ln}: variable {twice!r} is listed twice")
         elif head == "order":
+            if order_line is not None:
+                raise CliError(f"line {ln}: second 'order' line "
+                               f"(first on line {order_line})")
             if not arg:
                 raise CliError(f"line {ln}: 'order' needs a value")
             file_order, order_line = arg, ln
         elif head == "mod":
+            if mod_line is not None:
+                raise CliError(f"line {ln}: second 'mod' line "
+                               f"(first on line {mod_line})")
             try:
-                file_mod = _modulus(arg)
+                file_mod, mod_line = _modulus(arg), ln
             except argparse.ArgumentTypeError as exc:
                 raise CliError(f"line {ln}: {exc}") from None
         else:
@@ -90,6 +97,11 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
         except ValueError as exc:
             raise CliError(f"line {ln}: {exc}") from None
     return ring, polys
+
+
+def _repeated(names: list[str]) -> str | None:
+    """The first name that occurs earlier in the list, or None."""
+    return next((x for i, x in enumerate(names) if x in names[:i]), None)
 
 
 def _ordering(text: str, modulus: int | None, n: int, where: str = ""):
@@ -231,6 +243,9 @@ def cmd_zeros(args) -> int:
     names = args.vars.split(",") if args.vars else [f"x{i}" for i in range(width)]
     if len(names) != width:
         raise CliError("variable list does not match point width")
+    twice = _repeated(names)
+    if twice is not None:
+        raise CliError(f"--vars: variable {twice!r} is listed twice")
     ring = BoolRing(names, "lp")
     f = ring.parse(args.poly)
     P = PointSet.from_points(ring, pts)

@@ -8,7 +8,7 @@ points is a ZDD over the same manager as the polynomials it meets.
 
 from __future__ import annotations
 
-from .boolpoly import BoolPoly, BoolRing, _nf_mon
+from .boolpoly import BoolPoly, BoolRing
 from .zdd import ONE, ZERO, ZddManager
 
 
@@ -120,16 +120,16 @@ def _zeros(man: ZddManager, p: int, S: int) -> int:
             r = _zeros(man, p, S)
             cache[key] = r
             return r
-    # now S's top variable splits both diagrams; p may not depend on it
+    # now S's top variable x_i splits both diagrams; p may not depend on it
     s0, s1 = els[S], then[S]
     if var[p] == i:
-        p0, p1 = els[p], then[p]
+        # where x_i = 1, p = x_i*p1 + p0 takes the values of p0 + p1
+        z1 = _zeros(man, man.symmetric_diff(els[p], then[p]), s1)
+        z0 = _zeros(man, els[p], s0)
     else:
-        p0, p1 = p, ZERO
-    z00 = _zeros(man, p0, s0)
-    z01 = _zeros(man, p0, s1)
-    z11 = _zeros(man, p1, s1)
-    r = man.mk_node(i, man.diff(s1, man.symmetric_diff(z01, z11)), z00)
+        z1 = _zeros(man, p, s1)
+        z0 = _zeros(man, p, s0)
+    r = man.mk_node(i, z1, z0)
     cache[key] = r
     return r
 
@@ -260,38 +260,52 @@ def _standard_monomials(man: ZddManager, P: int) -> int:
     return r
 
 
-def minimal_elements(man: ZddManager, S: int) -> int:
-    """Members of S with no proper divisor in S (divisibility antichain)."""
-    if S <= ONE:
-        return S
-    cache = man._minelts
-    r = cache.get(S)
-    if r is not None:
-        return r
-    s0 = man._else[S]
-    m1 = minimal_elements(man, man._then[S])
-    m0 = minimal_elements(man, s0)
-    # x*a is minimal when a is minimal in then(S) and no member of s0 divides a
-    r = man.mk_node(man._var[S], _nf_mon(man, m1, s0), m0)
-    cache[S] = r
-    return r
-
-
-def leading_monomials_variety(P: PointSet) -> int:
-    """Minimal generators of the lex leading ideal of I(P) (Boolean part)."""
-    man = P.ring.manager
-    all_terms = man.full_family(P.ring.n)
-    rest = man.diff(all_terms, standard_monomials(P))
-    return minimal_elements(man, rest)
-
-
 def points_gb(P: PointSet) -> list[BoolPoly]:
-    """Reduced lex Boolean Groebner basis of the vanishing ideal of P."""
+    """Reduced lex Boolean Groebner basis of the vanishing ideal of P, in
+    descending lex order of the leads, by one recursion over the variables.
+
+    With S a point set over x_i ... x_{n-1} and S1, S0 its then/else
+    cofactors at x_i (S1 = 0 when x_i does not occur),
+
+        GB(S, i) = {x_i*g + b_g : g in GB(S0 ∩ S1, i+1), no lead of
+                    GB(S0 ∪ S1, i+1) divides lead(g)} ∪ GB(S0 ∪ S1, i+1),
+
+    where b_g, the lex-smallest interpolant of 0 on S0 and g on S1, makes
+    x_i*g + b_g vanish on S; GB(∅, i) = [1] and GB({∅}, n) = [].  This is
+    the Boolean case of Lederer, "The vanishing ideal of a finite set of
+    closed points in affine space", J. Pure Appl. Algebra 212 (2008); its
+    leads are the minimal non-standard monomials of the lex game.
+    """
     ring = P.ring
     man = ring.manager
-    leads = leading_monomials_variety(P)
-    out = []
-    for t in man.iter_paths(leads):
-        tp = BoolPoly(ring, man.singleton(t))
-        out.append(tp + nf_by_interpolate(tp, P))
-    return out
+    n = ring.n
+    var, then, els = man._var, man._then, man._else
+    memo: dict = {}
+
+    def gb(S: int, i: int) -> list[tuple[int, int]]:
+        # (lead as a bitmask of variable indices, polynomial node) pairs
+        if S == ZERO:
+            return [(0, ONE)]
+        if i == n:
+            return []
+        key = (S, i)
+        r = memo.get(key)
+        if r is not None:
+            return r
+        s1, s0 = (then[S], els[S]) if var[S] == i else (ZERO, S)
+        rest = gb(man.union(s0, s1), i + 1)
+        # I(S0 ∪ S1) lies in I(S0 ∩ S1), so a lead of the union that divides
+        # a (minimal) lead of the intersection equals it
+        taken = {lead for lead, _ in rest}
+        r = []
+        for m, g in gb(man.intersect(s0, s1), i + 1):
+            if m in taken:
+                continue
+            zg = _zeros(man, g, s1)
+            b = _interp_lex(man, man.union(s0, zg), man.diff(s1, zg))
+            r.append((m | 1 << i, man.mk_node(i, g, b)))
+        r.extend(rest)
+        memo[key] = r
+        return r
+
+    return [BoolPoly(ring, z) for _, z in gb(P.z, 0)]

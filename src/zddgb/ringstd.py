@@ -11,10 +11,8 @@ are sorted term lists with integer exponent vectors; orderings are global
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import operator
-import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -697,60 +695,3 @@ def _reduce_basis(G) -> list[ZmPoly]:
         reduced = ZmPoly(ring, (g.lt(),)) + rednf_ring(g.tail(), others)
         out.append(reduced)
     return sorted(out, key=lambda g: (sort_key(g.lm()), g.lc()), reverse=True)
-
-
-# -- verification helpers ----------------------------------------------------------------
-
-
-def verify_standard_rep(f: ZmPoly, G) -> bool:
-    """Does f have a representation sum h_i g_i with every partial product's
-    lead at most lead(f)?  Decides by repeated lead cancellation."""
-    mod = f.ring.mod
-    G = [g for g in G if not g.is_zero()]
-    while not f.is_zero():
-        mf, cf = f.lt()
-        cands = [g for g in G if _mon_divides(g.lm(), mf)]
-        sol = solve_lead(mod, cf, [g.lc() for g in cands]) if cands else None
-        if sol is None:
-            return False
-        for g, x in zip(cands, sol):
-            if x % mod.m:
-                f = f - g.mul_term(_mon_div(mf, g.lm()), x)
-    return True
-
-
-def is_strong_basis(G, samples: int = 50, seed: int = 0,
-                    max_deg: int = 2, gens=None) -> bool:
-    """Sampled check that some lt(g) divides lt(f) for ideal elements f.
-
-    Combinations are drawn from `gens` when given (so a truncated basis can
-    be tested against the full ideal), else from G itself.
-    """
-    G = [g for g in G if not g.is_zero()]
-    if not G:
-        return False
-    ring = G[0].ring
-    mod = ring.mod
-    rng = random.Random(seed)
-    source = [g for g in (gens if gens is not None else G) if not g.is_zero()]
-    exps = [
-        e
-        for e in itertools.product(range(max_deg + 1), repeat=ring.n)
-        if sum(e) <= max_deg
-    ]
-    for _ in range(samples):
-        f = ring.zero
-        for g in source:
-            h = ZmPoly(
-                ring,
-                [
-                    (rng.choice(exps), rng.randrange(ring.m))
-                    for _ in range(rng.randrange(3))
-                ],
-            )
-            f = f + h * g
-        if f.is_zero():
-            continue
-        if not any(_term_divides(mod, g.lt(), f.lt()) for g in G):
-            return False
-    return True

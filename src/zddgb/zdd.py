@@ -78,7 +78,6 @@ class ZddManager:
         self._isimple: dict = {}
         self._ilex: dict = {}
         self._stdmon: dict = {}
-        self._minelts: dict = {}
 
     # -- node structure ----------------------------------------------------
 

@@ -1,14 +1,29 @@
 """Brute-force reference implementations used as test oracles.
 
-Everything here works on explicit term lists (frozensets of variable
-indices) or on full truth tables, never touching the ZDD code paths it is
-meant to check.
+Almost everything here works on explicit term lists (frozensets of
+variable indices) or on full truth tables, never touching the ZDD code
+paths it is meant to check.  The last section holds checks written on the
+package's own types that no library code calls: the lead route to a
+vanishing ideal's basis (standard monomials, then the divisibility
+antichain of the rest) and sampled standard-basis checks over Z/m.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+
+from zddgb.boolpoly import _nf_mon
+from zddgb.interp import PointSet, standard_monomials
+from zddgb.ringstd import (
+    ZmPoly,
+    _mon_div,
+    _mon_divides,
+    _term_divides,
+    solve_lead,
+)
+from zddgb.zdd import ONE, ZddManager
 
 
 def eval_terms(terms, point) -> int:
@@ -262,3 +277,85 @@ def zm_div_exact(m: int, a: int, b: int) -> int:
     bump = math.prod(p for p, _ in zm_prime_powers(m) if n % p)
     u = (n + m // core * bump) % m
     return pow(u, -1, m) * a % m // core
+
+
+# -- checks on the package's own types -------------------------------------------
+
+
+def minimal_elements(man: ZddManager, S: int, cache=None) -> int:
+    """Members of S with no proper divisor in S (divisibility antichain)."""
+    if S <= ONE:
+        return S
+    cache = {} if cache is None else cache
+    r = cache.get(S)
+    if r is not None:
+        return r
+    s0 = man._else[S]
+    m1 = minimal_elements(man, man._then[S], cache)
+    m0 = minimal_elements(man, s0, cache)
+    # x*a is minimal when a is minimal in then(S) and no member of s0 divides a
+    r = man.mk_node(man._var[S], _nf_mon(man, m1, s0), m0)
+    cache[S] = r
+    return r
+
+
+def leading_monomials_variety(P: PointSet) -> int:
+    """Minimal generators of the lex leading ideal of I(P) (Boolean part)."""
+    man = P.ring.manager
+    all_terms = man.full_family(P.ring.n)
+    rest = man.diff(all_terms, standard_monomials(P))
+    return minimal_elements(man, rest)
+
+
+def verify_standard_rep(f: ZmPoly, G) -> bool:
+    """Does f have a representation sum h_i g_i with every partial product's
+    lead at most lead(f)?  Decides by repeated lead cancellation."""
+    mod = f.ring.mod
+    G = [g for g in G if not g.is_zero()]
+    while not f.is_zero():
+        mf, cf = f.lt()
+        cands = [g for g in G if _mon_divides(g.lm(), mf)]
+        sol = solve_lead(mod, cf, [g.lc() for g in cands]) if cands else None
+        if sol is None:
+            return False
+        for g, x in zip(cands, sol):
+            if x % mod.m:
+                f = f - g.mul_term(_mon_div(mf, g.lm()), x)
+    return True
+
+
+def is_strong_basis(G, samples: int = 50, seed: int = 0,
+                    max_deg: int = 2, gens=None) -> bool:
+    """Sampled check that some lt(g) divides lt(f) for ideal elements f.
+
+    Combinations are drawn from `gens` when given (so a truncated basis can
+    be tested against the full ideal), else from G itself.
+    """
+    G = [g for g in G if not g.is_zero()]
+    if not G:
+        return False
+    ring = G[0].ring
+    mod = ring.mod
+    rng = random.Random(seed)
+    source = [g for g in (gens if gens is not None else G) if not g.is_zero()]
+    exps = [
+        e
+        for e in itertools.product(range(max_deg + 1), repeat=ring.n)
+        if sum(e) <= max_deg
+    ]
+    for _ in range(samples):
+        f = ring.zero
+        for g in source:
+            h = ZmPoly(
+                ring,
+                [
+                    (rng.choice(exps), rng.randrange(ring.m))
+                    for _ in range(rng.randrange(3))
+                ],
+            )
+            f = f + h * g
+        if f.is_zero():
+            continue
+        if not any(_term_divides(mod, g.lt(), f.lt()) for g in G):
+            return False
+    return True

@@ -184,6 +184,23 @@ def test_resource_limits_exit_4(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_second_mod_or_order_line_exit_2(tmp_path, capsys):
+    for directive, first, second in (("mod", "4", "8"), ("order", "lp", "dp")):
+        path = write(tmp_path, "twice.txt",
+                     f"vars x y\n{directive} {first}\n"
+                     f"{directive} {second}\nx\n")
+        for cmd in (("gb", path), ("nf", path, "--poly", "x"),
+                    ("gb", path, "--mod", "4"), ("gb", path, "--order", "lp")):
+            code, out, err = run(capsys, *cmd)
+            assert code == 2 and out == ""
+            assert (f"line 3: second '{directive}' line (first on line 2)"
+                    in err)
+    path = write(tmp_path, "sat.txt", "vars x\norder lp\nx\norder lp\n")
+    code, _, err = run(capsys, "sat", path)
+    assert code == 2
+    assert "line 4: second 'order' line (first on line 2)" in err
+
+
 def test_directive_matched_by_first_token(tmp_path, capsys):
     path = write(tmp_path, "sys.txt", "vars varsity order1 x\nvarsity + x\norder1\n")
     code, out, _ = run(capsys, "gb", path)
@@ -205,6 +222,9 @@ def test_zeros(tmp_path, capsys):
     code, out, _ = run(capsys, "zeros", pts, "--poly", "x0 + 1")
     assert code == 0
     assert out.splitlines() == ["10", "11"]
+    code, out, err = run(capsys, "zeros", pts, "--poly", "x", "--vars", "x,x")
+    assert code == 2 and out == ""
+    assert "--vars: variable 'x' is listed twice" in err
 
 
 def test_interp_and_basis(tmp_path, capsys):

@@ -2,15 +2,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     all_polynomials,
     interpolates,
+    leading_monomials_variety,
     lex_poly_key,
     lex_standard_monomials,
+    minimal_elements,
 )
 from zddgb.boolgb import greedy_nf
-from zddgb.boolpoly import BoolRing, eval_poly
+from zddgb.boolpoly import BoolPoly, BoolRing, eval_poly
 from zddgb.interp import (
     InterpolationError,
     PartialFn,
@@ -18,8 +22,6 @@ from zddgb.interp import (
     add_partial,
     interpolate_simple,
     interpolate_smallest_lex,
-    leading_monomials_variety,
-    minimal_elements,
     nf_by_interpolate,
     ones,
     points_gb,
@@ -88,6 +90,36 @@ def test_zeros_polynomial_above_point_set():
         S = PointSet.from_points(ring, pts)
         want = {p for p in pts if eval_poly(f, p) == 0}
         assert set(zeros(f, S).points()) == want
+
+
+@st.composite
+def polys_and_point_sets(draw):
+    """(n, terms, points): S leaves its first `low` variables at 0, so p's
+    top variable may lie above S's; half the time p also skips S's top
+    variable, so `zeros` splits S alone."""
+    n = draw(st.integers(1, 6))
+    low = draw(st.integers(0, n))
+    pts = {
+        (0,) * low + p[low:]
+        for p in draw(st.sets(st.tuples(*[st.integers(0, 1)] * n),
+                              max_size=2 ** n))
+    }
+    terms = draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=6))
+    top = min((i for p in pts for i in range(n) if p[i]), default=None)
+    if top is not None and draw(st.booleans()):
+        terms = [t for t in terms if top not in t]
+    return n, terms, pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_and_point_sets())
+def test_zeros_matches_evaluation(case):
+    n, terms, pts = case
+    ring = BoolRing.indexed(n, "lp")
+    f = ring.from_terms(terms)
+    S = PointSet.from_points(ring, pts)
+    want = {p for p in pts if eval_poly(f, p) == 0}
+    assert set(zeros(f, S).points()) == want
 
 
 # -- partial functions ----------------------------------------------------------------
@@ -290,6 +322,40 @@ def test_points_gb_examples():
     assert points_gb(PointSet.full_cube(ring)) == []
     P = PointSet.from_points(ring, [(1, 1)])
     assert [str(g) for g in points_gb(P)] == ["x + 1", "y + 1"]
+
+
+def test_points_gb_matches_lead_route():
+    # the recursion against the route it replaced: the minimal non-standard
+    # monomials of the lex game as leads, then one normal form per lead
+    rnd = random.Random(43)
+    cases = []
+    for n in range(1, 8):
+        ring = BoolRing.indexed(n, "lp")
+        cases += [(ring, set()), (ring, set(itertools.product((0, 1), repeat=n)))]
+        for k in range(24):
+            pts = {
+                tuple(rnd.randrange(2) for _ in range(n))
+                for _ in range(rnd.randrange(1, 2 ** n + 1))
+            }
+            if k % 3 == 0:
+                # variable x_j never occurs: every point has x_j = 0
+                j = rnd.randrange(n)
+                pts = {p[:j] + (0,) + p[j + 1:] for p in pts}
+            cases.append((ring, pts))
+    for ring, pts in cases:
+        man = ring.manager
+        P = PointSet.from_points(ring, pts)
+        basis = points_gb(P)
+        leads = [
+            BoolPoly(ring, man.singleton(t))
+            for t in man.iter_paths(leading_monomials_variety(P))
+        ]
+        assert basis == [t + nf_by_interpolate(t, P) for t in leads]
+        for g in basis:
+            assert all(eval_poly(g, p) == 0 for p in pts)
+        for _ in range(3):
+            f = rand_poly(ring, rnd)
+            assert greedy_nf(f, basis) == nf_by_interpolate(f, P)
 
 
 def test_cross_algorithm_identity():

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    is_strong_basis,
+    verify_standard_rep,
     zm_annihilator_set,
     zm_div_exact,
     zm_divides,
@@ -22,14 +24,12 @@ from zddgb.ringstd import (
     RingStrategy,
     ZmPoly,
     ZmRing,
-    is_strong_basis,
     nf_ring,
     rednf_ring,
     solve_lead,
     spoly_extended,
     spoly_ring,
     std_basis,
-    verify_standard_rep,
 )
 
 MODULI = (4, 8, 12, 16, 36)
