@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: gb, nf, sat, zeros, interp, encode, bench.  Exit codes: 0 on
+Subcommands: gb, nf, sat, zeros, interp, encode.  Exit codes: 0 on
 success, 2 on parse errors, 3 on internal invariant violations, 4 when an
 input exceeds a resource limit (recursion depth or memory); `sat` follows
 the SAT-solver convention of 10 (satisfiable, model printed) and 20
@@ -289,41 +289,6 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
-    rows = []
-    for family in args.family.split(","):
-        family = family.strip()
-        if family == "hole":
-            ks = sizes or [4, 5, 6]
-            for k in ks:
-                system = enc.pigeonhole(k)
-                rows.append((f"hole{k}", system, "conjunction"))
-        elif family == "mult":
-            ns = sizes or [2, 3, 4]
-            for n in ns:
-                system = enc.mult_verification(n)
-                rows.append((f"mult{n}x{n}", system, None))
-        else:
-            raise CliError(f"unknown family {family!r}")
-    for name, system, preprocess in rows:
-        t0 = time.perf_counter()
-        verdict, _ = sat_check(system.polys, preprocess=preprocess)
-        seconds = time.perf_counter() - t0
-        basis_size = 1 if verdict == "UNSAT" else None
-        payload = {
-            "command": "bench", "instance": name, "vars": system.num_vars,
-            "eqs": system.num_eqs, "basis_size": basis_size,
-            "verdict": verdict, "seconds": round(seconds, 3),
-        }
-        if args.json:
-            print(json.dumps(payload))
-        else:
-            print(f"{name}: vars={system.num_vars} eqs={system.num_eqs} "
-                  f"{verdict} in {seconds:.2f}s")
-    return 0
-
-
 def _read(path: str) -> str:
     try:
         with open(path) as fh:
@@ -382,11 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["word", "bit"], default="bit")
     p.set_defaults(fn=cmd_encode)
 
-    p = sub.add_parser("bench", help="benchmark instance families with timings")
-    p.add_argument("--family", default="hole,mult")
-    p.add_argument("--sizes", help="comma-separated sizes")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_bench)
     return ap
 
 

@@ -266,9 +266,9 @@ def zm_lcm(m: int, a: int, b: int) -> int:
 
 
 def zm_div_exact(m: int, a: int, b: int) -> int:
-    """The quotient a / b that Modulus.div_exact picks, computed without
-    caches: b = u * core with core = gcd(b, m) and u a unit, then
-    (u^-1 * a mod m) / core."""
+    """The quotient a / b that Modulus.div_exact picks, computed through a
+    unit normalization: b = u * core with core = gcd(b, m) and u a unit,
+    then (u^-1 * a mod m) / core."""
     a, b = a % m, b % m
     core = math.gcd(b, m)
     if core == m:

@@ -279,23 +279,6 @@ def test_encode_bad_circuit(tmp_path, capsys):
     assert code == 2
 
 
-def test_bench_json(tmp_path, capsys):
-    code, out, _ = run(capsys, "bench", "--family", "mult", "--sizes", "2", "--json")
-    assert code == 0
-    payload = json.loads(out.strip())
-    assert payload["instance"] == "mult2x2"
-    assert payload["verdict"] == "UNSAT"
-    assert set(payload) == {
-        "command", "instance", "vars", "eqs", "basis_size", "verdict", "seconds"
-    }
-
-
-def test_bench_hole_text(tmp_path, capsys):
-    code, out, _ = run(capsys, "bench", "--family", "hole", "--sizes", "2")
-    assert code == 0
-    assert "hole2" in out and "UNSAT" in out
-
-
 def test_readme_cli_lines_parse():
     # every example in README's CLI block must still be accepted by the
     # argument parser (parsed only, not run)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    eval_zm_terms,
     is_strong_basis,
     verify_standard_rep,
     zm_annihilator_set,
@@ -30,6 +32,7 @@ from zddgb.ringstd import (
     spoly_extended,
     spoly_ring,
     std_basis,
+    zero_criterion,
 )
 
 MODULI = (4, 8, 12, 16, 36)
@@ -121,8 +124,7 @@ def test_ann_generator():
                 assert mod.ann_generator(a) == 0
 
 
-def test_memoized_arithmetic_matches_reference_exhaustive():
-    # each query twice: the first call fills the caches, the second reads them
+def test_modulus_arithmetic_matches_reference_exhaustive():
     for m in range(2, 65):
         mod = Modulus(m)
         ideals = [zm_ideal_generated(m, b) for b in range(m)]
@@ -131,16 +133,38 @@ def test_memoized_arithmetic_matches_reference_exhaustive():
         for a in range(m):
             for b in range(m):
                 lcm, divides = zm_lcm(m, a, b), a in ideals[b]
-                quotient = zm_div_exact(m, a, b) if divides else None
-                for _ in range(2):
-                    assert mod.lcm(a, b) == lcm, (m, a, b)
-                    assert mod.divides(b, a) == divides, (m, a, b)
-                    if divides:
-                        assert mod.div_exact(a, b) == quotient, (m, a, b)
-                        assert b * quotient % m == a
-                    else:
-                        with pytest.raises(ValueError):
-                            mod.div_exact(a, b)
+                assert mod.lcm(a, b) == lcm, (m, a, b)
+                assert mod.divides(b, a) == divides, (m, a, b)
+                if divides:
+                    quotient = zm_div_exact(m, a, b)
+                    assert mod.div_exact(a, b) == quotient, (m, a, b)
+                    assert b * quotient % m == a
+                else:
+                    with pytest.raises(ValueError):
+                        mod.div_exact(a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 400).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(-3 * m, 3 * m),
+                        st.integers(-3 * m, 3 * m))
+))
+def test_modulus_methods_match_oracles_unreduced(case):
+    # arguments outside [0, m), negative ones included, act as their residues
+    m, a, b = case
+    mod = Modulus(m)
+    assert mod.nu(a) == zm_nu(m, a)
+    assert mod.divides(b, a) == zm_divides(m, b, a)
+    assert mod.lcm(a, b) == zm_lcm(m, a, b)
+    assert zm_annihilator_set(m, a) == zm_ideal_generated(m, mod.ann_generator(a))
+    if zm_divides(m, b, a):
+        assert mod.div_exact(a, b) == zm_div_exact(m, a, b)
+    else:
+        with pytest.raises(ValueError):
+            mod.div_exact(a, b)
+    assert zero_criterion(mod, a, b) == zero_criterion(mod, b, a) == (
+        mod.lcm(a, b) == 0
+    )
 
 
 # -- s-polynomials ---------------------------------------------------------------------
@@ -294,12 +318,7 @@ def test_std_basis_variety_preservation_exhaustive():
 
 
 def test_criteria_helpers():
-    from zddgb.ringstd import (
-        _lcm_term,
-        _term_divides,
-        product_criterion_ring,
-        zero_criterion,
-    )
+    from zddgb.ringstd import _lcm_term, _term_divides, product_criterion_ring
 
     R4 = ZmRing(4, ["x", "y", "z"])
     assert product_criterion_ring(R4.parse("x"), R4.parse("y"))
@@ -336,6 +355,34 @@ def test_zero_criterion_counterexample_soundness():
     basis = std_basis(gens)
     target = R.parse("y")
     assert nf_ring(target, basis).is_zero()
+
+
+def test_solver_path_never_factorizes(monkeypatch, tmp_path, capsys):
+    # only nu, core and unit_normalize need the primes of m; with the
+    # factorization unavailable a prime modulus near 2^61 is as cheap as 12
+    from zddgb import cli, ringstd
+
+    def no_factorize(m):
+        raise AssertionError(f"factorize({m}) called")
+
+    monkeypatch.setattr(ringstd, "factorize", no_factorize)
+    for m in (12, 2**61 - 1):
+        R = ZmRing(m, ["x", "y"])
+        gens = [R.parse("2*x + 3*y"), R.parse("x*y + 5"), R.parse("6*y^2 + 4")]
+        basis = std_basis(gens)
+        basis_off = std_basis(gens, RingStrategy(False, False, False))
+        assert {(g.lm(), math.gcd(g.lc(), m)) for g in basis} == {
+            (g.lm(), math.gcd(g.lc(), m)) for g in basis_off
+        }
+        member = gens[0] * gens[1] - gens[2]
+        assert nf_ring(member, basis).is_zero()
+        assert rednf_ring(member, basis).is_zero()
+        f = R.parse("x^2*y + 7*x")
+        assert nf_ring(rednf_ring(f, basis) - f, basis).is_zero()
+    path = tmp_path / "sys.txt"
+    path.write_text("vars x y\nmod 2305843009213693951\n2*x + 3*y\nx*y + 5\n")
+    assert cli.main(["gb", str(path)]) == 0
+    assert capsys.readouterr().out
 
 
 def test_verify_standard_rep():
@@ -426,6 +473,58 @@ def test_mul_term_scale_tail_match_canonicalized_terms(case, data):
         assert_canonical(ring, h)
         assert h.ecart() == (max(map(sum, (e for e, _ in h.terms))) - sum(h.lm())
                              if h.terms else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_raw_terms(), st.data())
+def test_arithmetic_matches_eval(case, data):
+    ring, (s, t) = case
+    m = ring.m
+    f, g = ZmPoly(ring, s), ZmPoly(ring, t)
+    point = data.draw(st.tuples(*[st.integers(-m, 2 * m)] * ring.n))
+    fp, gp = f.eval(point), g.eval(point)
+    assert fp == eval_zm_terms(s, point, m)
+    assert (f * g).eval(point) == fp * gp % m
+    assert (f + g).eval(point) == (fp + gp) % m
+    assert (f - g).eval(point) == (fp - gp) % m
+
+
+# -- standard-basis membership ----------------------------------------------------------
+
+
+@st.composite
+def zm_ideal_and_multipliers(draw):
+    """Generators of an ideal over Z/m and, per combination, one multiplier
+    for each generator; small enough that the criteria-off run stays fast."""
+    m = draw(st.sampled_from((4, 8, 12, 36)))
+    n = draw(st.integers(1, 3))
+    ring = ZmRing(m, [f"x{i}" for i in range(n)], draw(st.sampled_from(("lp", "dlex"))))
+
+    def poly(max_terms):
+        term = st.tuples(st.tuples(*[st.integers(0, 2)] * n), st.integers(0, m - 1))
+        return ZmPoly(ring, draw(st.lists(term, min_size=1, max_size=max_terms)))
+
+    gens = [poly(3) for _ in range(draw(st.integers(1, 3)))]
+    combos = [[poly(2) for _ in gens] for _ in range(draw(st.integers(1, 4)))]
+    return ring, gens, combos
+
+
+@settings(max_examples=150, deadline=None)
+@given(zm_ideal_and_multipliers())
+def test_std_basis_membership_property(case):
+    ring, gens, combos = case
+    basis = std_basis(gens)
+    for hs in combos:
+        f = ring.zero
+        for h, g in zip(hs, gens):
+            f = f + h * g
+        assert nf_ring(f, basis).is_zero()
+    off = RingStrategy(
+        product_criterion=False, chain_criterion=False, zero_criterion=False
+    )
+    assert canonical_leads(ring.mod, basis) == canonical_leads(
+        ring.mod, std_basis(gens, strategy=off)
+    )
 
 
 # -- exact answers on the benchmark's Z/m pool -------------------------------------------
