@@ -28,7 +28,7 @@ from .boolpoly import (
     mul_monomial,
 )
 from .interp import PointSet, zeros
-from .zdd import ONE, ZERO, ZddManager
+from .zdd import ONE, ZERO
 
 
 @dataclass
@@ -41,53 +41,42 @@ class Strategy:
     sugar: bool = True
 
 
-def weighted_length(f: BoolPoly) -> int:
-    """Sum over terms of (1 + deg t); monotone in count and degree."""
-    count, degrees = _wlen(f.ring.manager, f.z)
-    return count + degrees
-
-
-def _wlen(man: ZddManager, z: int) -> tuple[int, int]:
-    """(number of terms, sum of term degrees) of z, cached per node."""
-    if z <= ONE:
-        return z, 0
-    cache = man._wlen
-    r = cache.get(z)
-    if r is None:
-        ct, dt = _wlen(man, man._then[z])
-        ce, de = _wlen(man, man._else[z])
-        # every term of the then-branch gains the node's variable
-        r = cache[z] = (ct + ce, dt + ct + de)
-    return r
-
-
 # -- normal form ---------------------------------------------------------------
 
 
 class _ReductionTable:
-    """Leads of a reductor set plus pick-the-cheapest bookkeeping."""
+    """Leads of a reductor set plus pick-the-cheapest bookkeeping.
+
+    A reductor g with lead of degree d ranks by (len(g) << d, lead): a
+    lead of degree d divides about a 2^-d share of the terms, and a step
+    costs about one reductor length per quotient term, so the key
+    estimates the work per removed term.  Ties go to the smaller lead
+    tuple, so the choice depends on the table alone, never on node ids
+    (which reflect the manager's history).
+    """
 
     __slots__ = ("ring", "lead_set", "by_lead")
 
     def __init__(self, ring: BoolRing):
         self.ring = ring
         self.lead_set = ZERO
-        # lead vars (ascending, as lead_vars returns them) -> (rank, poly zdd id)
+        # lead vars (ascending, as lead_vars returns them)
+        #   -> (len(g) << deg, lead vars, poly zdd id); leads are distinct,
+        # so comparing entries never reaches the zdd id
         self.by_lead: dict[tuple[int, ...], tuple] = {}
 
     def add(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
-        rank = (weighted_length(g), g.z)
         prev = self.by_lead.get(lead_vars)
         if prev is None:
-            self.by_lead[lead_vars] = (rank, g.z)
             man = self.ring.manager
             self.lead_set = man.union(self.lead_set, man.singleton(lead_vars))
-        elif prev[0] > rank:
-            self.by_lead[lead_vars] = (rank, g.z)
+        elif prev[0] <= len(g) << len(lead_vars):
+            return
+        self.replace(g, lead_vars)
 
     def replace(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
-        """Make g the reductor of its lead, which is already in the table."""
-        self.by_lead[lead_vars] = ((weighted_length(g), g.z), g.z)
+        """Make g the reductor of its lead, which lead_set already holds."""
+        self.by_lead[lead_vars] = (len(g) << len(lead_vars), lead_vars, g.z)
 
     def reduce(self, fz: int, lead_set: int | None = None) -> int:
         """Reduced normal form of the polynomial with term set fz, against
@@ -109,7 +98,7 @@ class _ReductionTable:
             m = _lead_vars(man, fz, ordering)
             hits = man.divisors_within(lead_set, man.singleton(m))
             g_lead = min(man.iter_paths(hits), key=by_lead.__getitem__)
-            gz = by_lead[g_lead][1]
+            gz = by_lead[g_lead][2]
             q = fz
             for v in g_lead:
                 q = man.subset1(q, v)
@@ -128,7 +117,9 @@ def greedy_nf(f: BoolPoly, G) -> BoolPoly:
     Each step cancels *every* term divisible by the chosen reductor's lead
     at once; irreducible terms move to the result in bulk.  The result
     contains no term divisible by any lead of G, and f minus the result
-    lies in the ideal of G plus the field ideal.
+    lies in the ideal of G plus the field ideal.  When G is a Groebner
+    basis the result is unique; otherwise it depends on which reductor
+    each step picks (see `_ReductionTable`).
     """
     ring = f.ring
     table = _ReductionTable(ring)

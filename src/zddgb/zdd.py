@@ -72,7 +72,6 @@ class ZddManager:
         self._bmul: dict = {}
         self._nfmon: dict = {}
         self._deg: dict = {}
-        self._wlen: dict = {}
         # interp
         self._zeros: dict = {}
         self._isimple: dict = {}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import gm_new_pairs, gm_pruned, naive_normal_form, variety
 from test_boolpoly import orderings
+from zddgb import boolgb
 from zddgb.boolgb import (
     GBState,
     Strategy,
@@ -21,7 +22,6 @@ from zddgb.boolgb import (
     linear_lead_criterion,
     sat_check,
     suitable_shift,
-    weighted_length,
 )
 from zddgb.boolpoly import (
     BoolRing,
@@ -35,7 +35,7 @@ from zddgb.boolpoly import (
     spoly,
 )
 from zddgb.encode import mult_verification, pigeonhole
-from zddgb.interp import PointSet, points_gb
+from zddgb.interp import PointSet, nf_by_interpolate, points_gb
 
 
 def rand_poly(ring, rnd, max_terms=5, density=0.4):
@@ -475,6 +475,51 @@ def test_gb_deterministic_byte_identical():
     assert a == b
 
 
+def reduction_trace(monkeypatch, ring, term_lists):
+    """Every `_ReductionTable.reduce` input (term set, lead set) and the
+    number of reduction steps (q*g products) of `buchberger` on the system."""
+    calls, steps = [], []
+    reduce, mul = boolgb._ReductionTable.reduce, boolgb._mul
+
+    def traced(self, fz, lead_set=None):
+        man = self.ring.manager
+        leads = self.lead_set if lead_set is None else lead_set
+        calls.append((frozenset(man.iter_paths(fz)),
+                      frozenset(man.iter_paths(leads))))
+        return reduce(self, fz, lead_set)
+
+    def counted(man, a, b):
+        steps.append(None)
+        return mul(man, a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(boolgb._ReductionTable, "reduce", traced)
+        m.setattr(boolgb, "_mul", counted)
+        buchberger([ring.from_terms(t) for t in term_lists])
+    return calls, len(steps)
+
+
+def test_reductor_choice_is_history_free(monkeypatch):
+    """The same system reduces the same way in a fresh ring and in one
+    whose manager already holds the nodes of an unrelated computation."""
+    for seed in range(11):
+        rnd = random.Random(seed)
+        n = rnd.randrange(6, 10)
+        ordering = rnd.choice(["lp", "dlex", "dp_asc"])
+
+        def draw():
+            return [frozenset(v for v in range(n) if rnd.random() < 0.4)
+                    for _ in range(rnd.randrange(1, 6))]
+
+        system = [draw() for _ in range(rnd.randrange(3, 7))]
+        other = [draw() for _ in range(5)]
+        fresh = reduction_trace(monkeypatch, BoolRing.indexed(n, ordering),
+                                system)
+        ring = BoolRing.indexed(n, ordering)
+        buchberger([ring.from_terms(t) for t in other], ALL_OFF)
+        assert reduction_trace(monkeypatch, ring, system) == fresh
+
+
 def test_multiplying_gb_by_fresh_linear_lead_poly():
     # a basis multiplied by a linear-lead polynomial on disjoint variables
     # stays a basis: check the certificate on random instances
@@ -505,24 +550,6 @@ def test_multiplying_gb_by_fresh_linear_lead_poly():
         )
         lifted = [g * l for g in G]
         assert certificate_holds(lifted, ring)
-
-
-def test_weighted_length():
-    ring = BoolRing(["x", "y"], "lp")
-    assert weighted_length(ring.parse("x*y + x + 1")) == 3 + 2 + 1
-    assert weighted_length(ring.zero) == 0
-    assert weighted_length(ring.one) == 1
-
-
-# one ring for every example, so later examples meet cached nodes
-_WL_RING = BoolRing.indexed(7)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.frozensets(st.integers(0, 6)), max_size=24))
-def test_weighted_length_counts_terms_and_degrees(terms):
-    f = _WL_RING.from_terms(terms)
-    assert weighted_length(f) == sum(1 + len(t) for t in f.terms())
 
 
 # -- sat ----------------------------------------------------------------------------------
@@ -590,7 +617,7 @@ def test_mult5_tampered_model_node_budget():
 
 
 def test_hole4_plain_node_budget():
-    # memory guard on the plain engine: the count is deterministic, 35,942
+    # memory guard on the plain engine: the count is deterministic, 33,360
     # nodes when every reduced polynomial enters the basis directly and
     # 47,031 when each went through the single-polynomial symmetry cache
     system = pigeonhole(4)
@@ -598,6 +625,27 @@ def test_hole4_plain_node_budget():
     before = len(man)
     assert sat_check(system.polys)[0] == "UNSAT"
     assert len(man) - before <= 40_000
+
+
+def test_greedy_nf_points_basis_node_budget():
+    # regression guard on the reductor rank: the count is deterministic,
+    # 49,121 nodes with the rank len(g) << deg(lead) and 113,065 with the
+    # weighted length (terms plus their degrees) it replaced
+    rnd = random.Random(0)
+    ring = BoolRing.indexed(12, "lp")
+    P = PointSet.from_points(ring, sorted(
+        {tuple(rnd.randrange(2) for _ in range(12)) for _ in range(500)}))
+    queries = [
+        ring.from_terms(frozenset(v for v in range(12) if rnd.random() < 0.3)
+                        for _ in range(16))
+        for _ in range(2)
+    ]
+    basis = points_gb(P)
+    man = ring.manager
+    before = len(man)
+    results = [greedy_nf(f, basis) for f in queries]
+    assert len(man) - before <= 60_000
+    assert results == [nf_by_interpolate(f, P) for f in queries]
 
 
 def test_hole5_conjunction_node_budget():

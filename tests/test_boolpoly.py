@@ -127,6 +127,33 @@ def test_mul_distributes_over_add(term_sets):
     assert (f * (g + h)).z == (f * g + f * h).z
 
 
+@st.composite
+def ordered_triples(draw):
+    """(n, ordering, three term lists) with n <= 6 and lp, dlex or dp_asc."""
+    n = draw(st.integers(1, 6))
+    ordering = draw(st.sampled_from(("lp", "dlex", "dp_asc")))
+    terms = st.lists(st.frozensets(st.integers(0, n - 1)), max_size=8)
+    return n, ordering, [draw(terms) for _ in range(3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_triples())
+def test_boolean_laws_match_eval_poly(case):
+    """Evaluation takes + to xor and * to and on every point of the cube;
+    * is idempotent, both operations associate and * distributes."""
+    n, ordering, term_lists = case
+    ring = BoolRing.indexed(n, ordering)
+    f, g, h = map(ring.from_terms, term_lists)
+    assert f * f == f
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    for p in itertools.product((0, 1), repeat=n):
+        a, b = eval_poly(f, p), eval_poly(g, p)
+        assert eval_poly(f + g, p) == a ^ b
+        assert eval_poly(f * g, p) == a & b
+
+
 def test_homomorphism_into_functions():
     rnd = random.Random(11)
     ring = BoolRing.indexed(5)

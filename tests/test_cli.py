@@ -1,10 +1,14 @@
+import itertools
 import json
+import random
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from zddgb.boolgb import buchberger
+from zddgb.boolpoly import BoolRing, eval_poly, lead_vars
 from zddgb.cli import build_parser, main
 
 
@@ -62,6 +66,40 @@ def test_nf(tmp_path, capsys):
     code, out, _ = run(capsys, "nf", path, "--poly", "x*y + x")
     assert code == 0
     assert out.strip() == "0"
+
+
+def test_nf_off_basis_agrees_on_variety(tmp_path, capsys):
+    # systems that are not Groebner bases: the printed form depends on the
+    # reductor choice, so check what any choice must give, not a string
+    rnd = random.Random(41)
+    names = ["a", "b", "c", "d", "e"]
+    points = list(itertools.product((0, 1), repeat=len(names)))
+    checked = 0
+    while checked < 12:
+        order = rnd.choice(["lp", "dlex", "dp_asc"])
+        ring = BoolRing(names, order)
+        gens = [ring.from_terms(
+                    frozenset(v for v in range(5) if rnd.random() < 0.4)
+                    for _ in range(rnd.randrange(1, 5)))
+                for _ in range(rnd.randrange(2, 4))]
+        gens = [g for g in gens if not g.is_zero() and not g.is_one()]
+        leads = [frozenset(lead_vars(g)) for g in gens]
+        # a basis's leads all lie in the lead ideal of the file
+        if not gens or all(any(l <= frozenset(lead_vars(h)) for l in leads)
+                           for h in buchberger(gens)):
+            continue
+        checked += 1
+        path = write(tmp_path, "sys.txt", f"vars {' '.join(names)}\n"
+                     f"order {order}\n" + "".join(f"{g}\n" for g in gens))
+        f = ring.from_terms(frozenset(v for v in range(5) if rnd.random() < 0.5)
+                            for _ in range(8))
+        code, out, _ = run(capsys, "nf", path, "--poly", str(f))
+        assert code == 0
+        r = ring.parse(out.strip())
+        assert not any(l <= frozenset(t) for t in r.terms() for l in leads)
+        for p in points:
+            if not any(eval_poly(g, p) for g in gens):
+                assert eval_poly(r, p) == eval_poly(f, p)
 
 
 def test_sat_exit_codes(tmp_path, capsys):
