@@ -168,7 +168,7 @@ class BoolRing:
 
     def parse(self, text: str) -> "BoolPoly":
         """Parse "a*b + c^2 + 1"; exponents reduce modulo the field relation."""
-        text = text.replace("-", "+").strip()
+        src, text = text, text.replace("-", "+").strip()
         text = text.lstrip("+").strip()
         if not text:
             raise ValueError("empty polynomial text")
@@ -177,7 +177,7 @@ class BoolRing:
         for chunk in text.split("+"):
             chunk = chunk.strip()
             if not chunk:
-                raise ValueError(f"dangling '+' in {text!r}")
+                raise ValueError(f"dangling '+' in {src!r}")
             if chunk == "0":
                 continue
             if chunk == "1":
@@ -185,14 +185,15 @@ class BoolRing:
                 continue
             vs = set()
             for factor in chunk.split("*"):
-                factor = factor.strip()
-                name, _, exp = factor.partition("^")
-                name = name.strip()
+                name, caret, exp = factor.partition("^")
+                name, exp = name.strip(), exp.strip()
+                if caret and not re.fullmatch(r"\d+", exp):
+                    raise ValueError(f"'^' needs an exponent >= 0 in {src!r}")
                 if name == "1":
                     continue
                 if name not in self._index:
                     raise ValueError(f"unknown variable {name!r}")
-                if exp and int(exp) == 0:
+                if caret and int(exp) == 0:
                     continue
                 vs.add(self._index[name])
             z = man.symmetric_diff(z, man.singleton(vs))

@@ -17,7 +17,8 @@ import time
 from . import encode as enc
 from .boolgb import buchberger, greedy_nf, sat_check
 from .boolpoly import BoolRing, OrderingError, parse_ordering
-from .interp import PartialFn, PointSet, points_gb, zeros
+from .interp import (PartialFn, PointSet, interpolate_smallest_lex, points_gb,
+                     zeros)
 from .ringstd import RingOrdering, ZmRing, rednf_ring, std_basis
 from .zdd import ZddError
 
@@ -267,8 +268,6 @@ def cmd_interp(args) -> int:
     ring = BoolRing([f"x{i}" for i in range(width)], "lp")
     zs = PointSet.from_points(ring, [p for p, v in zip(pts, vals) if v == 0])
     os_ = PointSet.from_points(ring, [p for p, v in zip(pts, vals) if v == 1])
-    from .interp import interpolate_smallest_lex
-
     print(interpolate_smallest_lex(PartialFn(zs, os_)))
     return 0
 

@@ -153,35 +153,28 @@ def add_partial(f: PartialFn, g: PartialFn) -> PartialFn:
     return PartialFn(PointSet(ring, z), PointSet(ring, o))
 
 
-def _split(man: ZddManager, Z: int, O: int):
-    """The higher top variable i of Z and O, with the (subset1, subset0)
-    cofactors of each by i."""
-    var = man._var
-    vz, vo = var[Z], var[O]
-    i = min(vz, vo)
-    zc = (man._then[Z], man._else[Z]) if vz == i else (ZERO, Z)
-    oc = (man._then[O], man._else[O]) if vo == i else (ZERO, O)
-    return i, zc, oc
-
-
 def interpolate_simple(b: PartialFn) -> BoolPoly:
     """Some Boolean polynomial agreeing with b on its domain."""
-    return BoolPoly(b.ring, _interp_simple(b.ring.manager, b.zeros.z, b.ones.z))
+    man = b.ring.manager
+    return BoolPoly(b.ring, _interp_simple(man, b.domain().z, b.ones.z))
 
 
-def _interp_simple(man: ZddManager, Z: int, O: int) -> int:
-    if Z == ZERO:
+def _interp_simple(man: ZddManager, D: int, O: int) -> int:
+    """Interpolant of the partial function with domain D and one-set
+    O ⊆ D, split at D's top variable; memo `_isimple` keyed by (D, O)."""
+    if O == D:
         return ONE
     if O == ZERO:
         return ZERO
     cache = man._isimple
-    key = (Z, O)
+    key = (D, O)
     r = cache.get(key)
     if r is not None:
         return r
-    i, (z1, z0), (o1, o0) = _split(man, Z, O)
-    he = _interp_simple(man, z0, o0)
-    ht = man.symmetric_diff(_interp_simple(man, z1, o1), he)
+    i = man._var[D]
+    o1, o0 = (man._then[O], man._else[O]) if man._var[O] == i else (ZERO, O)
+    he = _interp_simple(man, man._else[D], o0)
+    ht = man.symmetric_diff(_interp_simple(man, man._then[D], o1), he)
     r = man.symmetric_diff(man.mk_node(i, ht, ZERO), he)
     cache[key] = r
     return r
@@ -193,34 +186,41 @@ def interpolate_smallest_lex(b: PartialFn) -> BoolPoly:
     Minimality is under the lexicographic extension of the monomial order
     to polynomials (term by term, 0 smallest overall).
     """
-    return BoolPoly(b.ring, _interp_lex(b.ring.manager, b.zeros.z, b.ones.z))
+    man = b.ring.manager
+    return BoolPoly(b.ring, _interp_lex(man, b.domain().z, b.ones.z))
 
 
-def _interp_lex(man: ZddManager, Z: int, O: int) -> int:
+def _interp_lex(man: ZddManager, D: int, O: int) -> int:
+    """Lex-smallest interpolant of the partial function with domain D and
+    one-set O ⊆ D; memo `_ilex` keyed by (D, O).
+
+    With D1, D0 (O1, O0) the cofactors at D's top variable x_i, the
+    interpolant is x_i*h_t + h_e: h_t takes b1 + b0 on the conflict
+    points D1 ∩ D0, and h_e takes b0 on D0 and b1 + h_t on the rest of D1.
+    The domain terms depend on D alone, so calls sharing a domain share
+    them.
+    """
     # the O-check comes first so the fully unconstrained case yields 0,
     # which the minimality argument requires
     if O == ZERO:
         return ZERO
-    if Z == ZERO:
+    if O == D:
         return ONE
     cache = man._ilex
-    key = (Z, O)
+    key = (D, O)
     r = cache.get(key)
     if r is not None:
         return r
-    i, (z1, z0), (o1, o0) = _split(man, Z, O)
-    dom1 = man.union(z1, o1)
-    dom0 = man.union(z0, o0)
-    conflict = man.intersect(dom1, dom0)
-    # the then-branch is constrained by b1 + b0 on the conflict points
-    zt = man.union(man.intersect(z1, z0), man.intersect(o1, o0))
-    ot = man.intersect(man.symmetric_diff(o1, o0), conflict)
-    ht = _interp_lex(man, zt, ot)
-    free1 = man.diff(dom1, conflict)
+    i = man._var[D]
+    d1, d0 = man._then[D], man._else[D]
+    o1, o0 = (man._then[O], man._else[O]) if man._var[O] == i else (ZERO, O)
+    conflict = man.intersect(d1, d0)
+    ht = _interp_lex(man, conflict,
+                     man.intersect(man.symmetric_diff(o1, o0), conflict))
+    free1 = man.diff(d1, d0)
     flips = man.diff(free1, _zeros(man, ht, free1))
-    ze = man.union(man.symmetric_diff(man.diff(z1, conflict), flips), z0)
-    oe = man.union(man.symmetric_diff(man.diff(o1, conflict), flips), o0)
-    he = _interp_lex(man, ze, oe)
+    oe = man.union(man.symmetric_diff(man.diff(o1, d0), flips), o0)
+    he = _interp_lex(man, man.union(d1, d0), oe)
     r = man.symmetric_diff(man.mk_node(i, ht, ZERO), he)
     cache[key] = r
     return r
@@ -228,8 +228,8 @@ def _interp_lex(man: ZddManager, Z: int, O: int) -> int:
 
 def nf_by_interpolate(f: BoolPoly, P: PointSet) -> BoolPoly:
     """Reduced lex normal form of f modulo the vanishing ideal of P."""
-    Z = zeros(f, P)
-    return interpolate_smallest_lex(PartialFn(Z, P.diff(Z)))
+    man = P.ring.manager
+    return BoolPoly(f.ring, _interp_lex(man, P.z, man.diff(P.z, zeros(f, P).z)))
 
 
 def standard_monomials(P: PointSet) -> int:
@@ -293,7 +293,8 @@ def points_gb(P: PointSet) -> list[BoolPoly]:
         if r is not None:
             return r
         s1, s0 = (then[S], els[S]) if var[S] == i else (ZERO, S)
-        rest = gb(man.union(s0, s1), i + 1)
+        dom = man.union(s0, s1)
+        rest = gb(dom, i + 1)
         # I(S0 ∪ S1) lies in I(S0 ∩ S1), so a lead of the union that divides
         # a (minimal) lead of the intersection equals it
         taken = {lead for lead, _ in rest}
@@ -301,8 +302,7 @@ def points_gb(P: PointSet) -> list[BoolPoly]:
         for m, g in gb(man.intersect(s0, s1), i + 1):
             if m in taken:
                 continue
-            zg = _zeros(man, g, s1)
-            b = _interp_lex(man, man.union(s0, zg), man.diff(s1, zg))
+            b = _interp_lex(man, dom, man.diff(s1, _zeros(man, g, s1)))
             r.append((m | 1 << i, man.mk_node(i, g, b)))
         r.extend(rest)
         memo[key] = r

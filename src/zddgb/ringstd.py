@@ -215,28 +215,26 @@ class ZmRing:
 
     def parse(self, text: str) -> "ZmPoly":
         """Parse e.g. "2*x^2*y - 3 + x"; coefficients reduce mod m."""
-        text = text.replace("-", "+-").replace(" ", "")
-        if not text:
+        src = text.replace(" ", "")
+        if not src:
             raise ValueError("empty polynomial text")
         terms = []
-        for chunk in text.split("+"):
+        for sign, chunk in re.findall(r"([+-]|^)([^+-]*)", src):
             if not chunk:
-                continue
-            coef = 1
-            if chunk.startswith("-"):
-                coef = -1
-                chunk = chunk[1:]
-            if not chunk:
-                raise ValueError("dangling sign")
+                raise ValueError(f"dangling {sign!r} in {text!r}")
+            coef = -1 if sign == "-" else 1
             exps = [0] * self.n
             for factor in chunk.split("*"):
-                name, _, exp = factor.partition("^")
+                name, caret, exp = factor.partition("^")
+                if caret and not re.fullmatch(r"\d+", exp):
+                    raise ValueError(f"'^' needs an exponent >= 0 in {text!r}")
+                e = int(exp) if caret else 1
                 if re.fullmatch(r"\d+", name):
-                    coef *= int(name)
-                    continue
-                if name not in self._index:
+                    coef *= pow(int(name), e, self.m)
+                elif name in self._index:
+                    exps[self._index[name]] += e
+                else:
                     raise ValueError(f"unknown variable {name!r}")
-                exps[self._index[name]] += int(exp) if exp else 1
             terms.append((tuple(exps), coef))
         return ZmPoly(self, terms)
 

@@ -418,3 +418,11 @@ def test_parse_exponents_and_roundtrip(ring):
         for _ in range(40):
             f = rand_poly(r, rnd, 8)
             assert r.parse(str(f)) == f
+
+
+def test_parse_rejects_bad_exponent_and_dangling_plus(ring):
+    # "x^-1" once read as x + 1 and "a^" as a
+    for text in ("a^-1", "a^", "a^b", "a*b^ + c", "a +", "a - ", "a + -b"):
+        with pytest.raises(ValueError):
+            ring.parse(text)
+    assert ring.parse("a^ 2 - b") == ring.parse("a + b")

@@ -201,6 +201,15 @@ def test_parse_error_exit_2(tmp_path, capsys):
         assert "--mod" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("term", ["x^-1", "x^", "x +"])
+def test_bad_term_exit_2_names_line(tmp_path, capsys, term):
+    bad = write(tmp_path, "bad.txt", f"vars x y\nx*y + 1\n{term}\n")
+    for extra in ((), ("--mod", "4")):
+        code, out, err = run(capsys, "gb", bad, *extra)
+        assert code == 2 and out == ""
+        assert "line 3" in err and "Traceback" not in err
+
+
 def test_resource_limits_exit_4(tmp_path, capsys, monkeypatch):
     names = [f"x{i}" for i in range(1500)]
     deep = write(tmp_path, "deep.txt",

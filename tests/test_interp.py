@@ -176,6 +176,42 @@ def test_interpolate_smallest_lex_examples():
     assert interpolate_smallest_lex(PartialFn(Z, O)) == r2.parse("x + y")
 
 
+def seeded_partial_fn(seed):
+    rnd = random.Random(seed)
+    n = rnd.randrange(3, 7)
+    ring = BoolRing.indexed(n, "lp")
+    dom = {
+        tuple(rnd.randrange(2) for _ in range(n))
+        for _ in range(rnd.randrange(2, 2 ** n))
+    }
+    zs = [p for p in sorted(dom) if rnd.getrandbits(1)]
+    os_ = [p for p in sorted(dom) if p not in zs]
+    return PartialFn(PointSet.from_points(ring, zs),
+                     PointSet.from_points(ring, os_))
+
+
+# interpolate_simple is not canonical: its choice outside the domain is
+# whatever the cofactor recursion yields, pinned here as first recorded
+SIMPLE_OUTPUTS = {
+    1: "x0*x1*x2 + x0*x1*x3 + x0 + x1*x3",
+    2: "x0",
+    3: "x0*x1*x3 + x1*x3",
+    4: "0",
+    5: "x0*x1*x2*x3*x4 + x0*x1*x3 + x0 + x1*x2*x3*x4 + x1*x2*x3 + x2*x3 + 1",
+    6: "0",
+    7: "x0 + 1",
+    8: "x0*x1*x2*x3 + x0*x1 + x0*x2*x3 + x0",
+}
+
+
+def test_interpolate_simple_outputs_pinned():
+    for seed, want in SIMPLE_OUTPUTS.items():
+        assert str(interpolate_simple(seeded_partial_fn(seed))) == want
+    ring = BoolRing.indexed(2, "lp")
+    empty = PointSet(ring, 0)
+    assert interpolate_simple(PartialFn(empty, empty)).is_one()
+
+
 def test_both_interpolators_agree_on_domain():
     rnd = random.Random(32)
     for _ in range(60):
@@ -213,6 +249,36 @@ def test_lex_minimality_bruteforce_n3():
         best = min(feasible, key=lambda c: lex_poly_key(c, 3))
         got_terms = frozenset(frozenset(t) for t in got.terms())
         assert lex_poly_key(got_terms, 3) == lex_poly_key(best, 3)
+
+
+@st.composite
+def domain_and_two_one_sets(draw):
+    """(n, D, O1, O2) with O1, O2 ⊆ D ⊆ {0,1}^n."""
+    n = draw(st.integers(1, 6))
+    dom = sorted(draw(st.sets(st.tuples(*[st.integers(0, 1)] * n),
+                              max_size=2 ** n)))
+    picks = st.lists(st.booleans(), min_size=len(dom), max_size=len(dom))
+    o1 = {p for p, b in zip(dom, draw(picks)) if b}
+    o2 = {p for p, b in zip(dom, draw(picks)) if b}
+    return n, dom, o1, o2
+
+
+@settings(max_examples=200, deadline=None)
+@given(domain_and_two_one_sets())
+def test_interpolate_smallest_lex_is_linear_on_a_domain(case):
+    # on a fixed domain D the lex-smallest interpolant is the normal form
+    # modulo I(D) of any interpolant, so it is GF(2)-linear in the values
+    n, dom, o1, o2 = case
+    ring = BoolRing.indexed(n, "lp")
+
+    def lex(ones_):
+        zs = [p for p in dom if p not in ones_]
+        return interpolate_smallest_lex(PartialFn(
+            PointSet.from_points(ring, zs), PointSet.from_points(ring, ones_)))
+
+    assert lex(o1 ^ o2) == lex(o1) + lex(o2)
+    if dom:
+        assert lex(set(dom) - o1) == lex(o1) + ring.one
 
 
 # -- normal form against a variety ----------------------------------------------------------

@@ -420,6 +420,19 @@ def test_parse_print_roundtrip():
         assert R.parse(str(f)) == f
 
 
+def test_parse_rejects_bad_exponent_and_dangling_sign():
+    R = ZmRing(4, ["x", "y"])
+    # "x^-1" once read as x - 1 and "x^" as x; "x+" dropped its empty term
+    for text in ("x^-1", "x^", "x^y", "x+", "x + ", "x + -y", "-", "x*y^"):
+        with pytest.raises(ValueError):
+            R.parse(text)
+    assert R.parse("-x + y") == R.parse("3*x + y")
+    assert R.parse("+x - 1") == R.parse("x + 3")
+    assert R.parse("x^0*y^2") == R.parse("y^2")
+    # a power of a coefficient is a power, not its base
+    assert R.parse("3^2*x") == R.parse("x")
+
+
 # -- order-preserving term-list operations ---------------------------------------------
 
 
