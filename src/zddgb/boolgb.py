@@ -13,6 +13,7 @@ it: on no measured family did the cache's hits pay for its lookups.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
 
 from .boolpoly import (
@@ -45,7 +46,7 @@ class Strategy:
 
 
 class _ReductionTable:
-    """Leads of a reductor set plus pick-the-cheapest bookkeeping.
+    """Leads of a reductor set, indexed for pick-the-cheapest reduction.
 
     A reductor g with lead of degree d ranks by (len(g) << d, lead): a
     lead of degree d divides about a 2^-d share of the terms, and a step
@@ -53,17 +54,27 @@ class _ReductionTable:
     estimates the work per removed term.  Ties go to the smaller lead
     tuple, so the choice depends on the table alone, never on node ids
     (which reflect the manager's history).
+
+    The pick reads a bitmask index, not a diagram: each entry
+    (len(g) << d, lead vars, poly zdd id, lead bitmask) sits in the
+    bucket of its lead's highest variable (the constant lead in bucket
+    -1, which every pick scans), each bucket sorted by entry.  A lead
+    divides m only if its highest variable occurs in m, so the pick takes
+    the first entry whose mask lies in m's mask from each bucket of m's
+    variables, stopping a bucket early once its entries rank above the
+    best so far.  `lead_set`, the leads as a diagram, serves the bulk
+    split of each reduction into irreducible and reducible terms.
     """
 
-    __slots__ = ("ring", "lead_set", "by_lead")
+    __slots__ = ("ring", "lead_set", "by_lead", "buckets")
 
     def __init__(self, ring: BoolRing):
         self.ring = ring
         self.lead_set = ZERO
-        # lead vars (ascending, as lead_vars returns them)
-        #   -> (len(g) << deg, lead vars, poly zdd id); leads are distinct,
-        # so comparing entries never reaches the zdd id
+        # lead vars (ascending, as lead_vars returns them) -> entry; leads
+        # are distinct, so comparing entries never reaches the zdd id
         self.by_lead: dict[tuple[int, ...], tuple] = {}
+        self.buckets: dict[int, list[tuple]] = {}
 
     def add(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
         prev = self.by_lead.get(lead_vars)
@@ -76,18 +87,45 @@ class _ReductionTable:
 
     def replace(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
         """Make g the reductor of its lead, which lead_set already holds."""
-        self.by_lead[lead_vars] = (len(g) << len(lead_vars), lead_vars, g.z)
+        bucket = self.buckets.setdefault(
+            lead_vars[-1] if lead_vars else -1, [])
+        prev = self.by_lead.get(lead_vars)
+        if prev is not None:
+            bucket.remove(prev)
+        entry = (len(g) << len(lead_vars), lead_vars, g.z,
+                 sum(1 << v for v in lead_vars))
+        self.by_lead[lead_vars] = entry
+        insort(bucket, entry)
 
-    def reduce(self, fz: int, lead_set: int | None = None) -> int:
-        """Reduced normal form of the polynomial with term set fz, against
-        the reductors whose leads lie in lead_set (default: all)."""
-        if lead_set is None:
-            lead_set = self.lead_set
+    def pick(self, m: tuple[int, ...],
+             skip: tuple[int, ...] | None = None) -> tuple | None:
+        """The smallest entry whose lead divides the monomial m (ascending
+        variable tuple), leaving out the lead skip; None if there is none."""
+        mask = 0
+        for v in m:
+            mask |= 1 << v
+        best = None
+        buckets = self.buckets
+        for v in (-1, *m):
+            for e in buckets.get(v, ()):
+                if best is not None and e >= best:
+                    break
+                if e[3] & mask == e[3] and e[1] != skip:
+                    best = e
+                    break
+        return best
+
+    def reduce(self, fz: int, skip: tuple[int, ...] | None = None) -> int:
+        """Reduced normal form of the polynomial with term set fz against
+        the reductors, leaving out the one whose lead is skip."""
+        man = self.ring.manager
+        lead_set = self.lead_set
+        if skip is not None:
+            lead_set = man.diff(lead_set, man.singleton(skip))
         if lead_set == ZERO:
             return fz
-        man = self.ring.manager
-        by_lead = self.by_lead
         ordering = self.ring.ordering
+        pick = self.pick
         # dropping the terms a lead divides commutes with +, so f is split
         # into irreducible and reducible terms once; after that only each
         # step's product is split, never the whole of the growing fz
@@ -95,10 +133,7 @@ class _ReductionTable:
         fz = man.symmetric_diff(fz, result)
         while fz != ZERO:
             # invariant: every term of fz is divisible by some lead
-            m = _lead_vars(man, fz, ordering)
-            hits = man.divisors_within(lead_set, man.singleton(m))
-            g_lead = min(man.iter_paths(hits), key=by_lead.__getitem__)
-            gz = by_lead[g_lead][2]
+            _, g_lead, gz, _ = pick(_lead_vars(man, fz, ordering), skip)
             q = fz
             for v in g_lead:
                 q = man.subset1(q, v)
@@ -299,6 +334,12 @@ class GBState:
 
     Leads and lcms are int bitmasks with bit v set when x_v occurs, so an
     lcm is a | b and "a divides b" is a & b == a.
+
+    New generator pairs are made only with the `active` generators, those
+    whose lead no later lead divides (the Gebauer-Moeller update, on with
+    the chain criterion): a generator retires once a new lead divides its
+    own, after pairing with that new generator.  Its queued pairs stay,
+    and the reduction table keeps it.
     """
 
     def __init__(self, ring: BoolRing, strategy: Strategy):
@@ -307,6 +348,7 @@ class GBState:
         self.gens: list[BoolPoly] = []
         self.leads: list[int] = []
         self.sugars: list[int] = []  # deg(g), stored when g is inserted
+        self.active: list[int] = []  # generators no later lead divides
         self.table = _ReductionTable(ring)
         self.queue: list = []
         self.counter = 0
@@ -341,6 +383,7 @@ class GBState:
         False once the basis hits {1}."""
         if h.is_one():
             self.gens = [h]
+            self.active = [0]
             self.queue.clear()
             return False
         strategy = self.strategy
@@ -354,18 +397,23 @@ class GBState:
         self.sugars.append(sugar_h)
         self.table.add(h, lm)
 
-        if strategy.chain_criterion:
+        chain = strategy.chain_criterion
+        if chain:
             self.prune_old_pairs(lm_mask)
         groups: dict[int, list[int]] = {}
-        for j in range(idx):
+        for j in self.active:
             groups.setdefault(lm_mask | leads[j], []).append(j)
+        if chain:
+            self.active = [j for j in self.active
+                           if leads[j] & lm_mask != lm_mask]
+        self.active.append(idx)
         product = strategy.product_criterion
         kept_lcms: list[int] = []
         # the lcms of one insert are distinct, so K < L is K | L == L, and
         # it implies a smaller bit count; the heap key fixes the pop order
         for L in sorted(groups, key=int.bit_count):
             members = groups[L]
-            if strategy.chain_criterion:
+            if chain:
                 # Gebauer-Moeller: minimal lcms only, one pair per lcm,
                 # whole group dropped when one member is coprime
                 for K in kept_lcms:
@@ -440,7 +488,7 @@ def buchberger(gens, strategy: Strategy | None = None) -> list[BoolPoly]:
         if not s.is_zero():
             alive = insert(s)
 
-    return interreduce(state.gens)
+    return interreduce(state.gens[j] for j in state.active)
 
 
 def interreduce(basis):
@@ -464,15 +512,12 @@ def interreduce(basis):
             kept.append((lg, lm, g))
     # one table for the pass: each element is reduced against all leads
     # but its own, and its reduced form then replaces it as a reductor
-    man = ring.manager
     table = _ReductionTable(ring)
     for _, lm, g in kept:
         table.add(g, lm)
-    all_leads = table.lead_set
     polys = []
     for _, lm, g in kept:
-        others = man.diff(all_leads, man.singleton(lm))
-        h = BoolPoly(ring, table.reduce(g.z, others))
+        h = BoolPoly(ring, table.reduce(g.z, skip=lm))
         table.replace(h, lm)
         polys.append(h)
     return polys[::-1]  # the leads are distinct and tail reduction keeps them

@@ -154,24 +154,34 @@ def lex_standard_monomials(points, n: int) -> set:
 # -- Boolean pair bookkeeping -----------------------------------------------------
 
 
-def gm_new_pairs(leads, degrees, chain: bool, product: bool) -> list:
-    """Generator pairs queued when the last of `leads` (frozensets) is
-    inserted, as [(j, lcm, sugar)] in push order.
+def gm_partners(leads, chain: bool) -> list[int]:
+    """Indices of the generators with `leads` (frozensets, in insertion
+    order) that a next generator pairs with: with the chain criterion
+    those whose lead no later lead divides (the Gebauer-Moeller update),
+    without it all of them."""
+    return [j for j, lj in enumerate(leads)
+            if not chain or not any(lk <= lj for lk in leads[j + 1:])]
 
-    Groups of earlier generators share an lcm with the new lead and are
-    visited by lcm size, ties in order of first appearance.  With the
-    chain criterion a group is skipped when another lcm of this insert
-    is a proper subset of its own, and otherwise yields one pair (its
-    first member) unless the product criterion drops it for having a
-    member coprime to the new lead.  Without the chain criterion every
-    member yields a pair unless the product criterion finds it coprime.
-    The sugar of (j, new) is max over both sides of deg + |lcm| - |lead|.
+
+def gm_new_pairs(leads, degrees, partners, chain: bool, product: bool) -> list:
+    """Generator pairs queued when the last of `leads` (frozensets) is
+    inserted, given the indices `partners` of the earlier generators it
+    may pair with, as [(j, lcm, sugar)] in push order.
+
+    Groups of partners share an lcm with the new lead and are visited by
+    lcm size, ties in order of first appearance.  With the chain
+    criterion a group is skipped when another lcm of this insert is a
+    proper subset of its own, and otherwise yields one pair (its first
+    member) unless the product criterion drops it for having a member
+    coprime to the new lead.  Without the chain criterion every member
+    yields a pair unless the product criterion finds it coprime.  The
+    sugar of (j, new) is max over both sides of deg + |lcm| - |lead|.
     """
-    *old, new = leads
-    idx = len(old)
+    new = leads[-1]
+    idx = len(leads) - 1
     groups: dict[frozenset, list[int]] = {}
-    for j, lj in enumerate(old):
-        groups.setdefault(new | lj, []).append(j)
+    for j in partners:
+        groups.setdefault(new | leads[j], []).append(j)
 
     def sugar(j, lcm):
         return max(degrees[idx] + len(lcm) - len(new),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gm_new_pairs, gm_pruned, naive_normal_form, variety
+from oracles import gm_new_pairs, gm_partners, gm_pruned, naive_normal_form, variety
 from test_boolpoly import orderings
 from zddgb import boolgb
 from zddgb.boolgb import (
@@ -110,6 +110,53 @@ def test_greedy_nf_against_reduced_basis_matches_term_list_oracle(
         f = rand_poly(ring, rnd, 8)
         got = frozenset(map(frozenset, greedy_nf(f, G).terms()))
         assert got == naive_normal_form(f.term_set(), basis, key)
+
+
+@pytest.mark.parametrize("kind", ["lp", "dlex", "dp_asc", "block(dp_asc:2,dlex:4)"])
+def test_reductor_set_holding_one(kind):
+    """1 divides every term: its lead is the constant, which the reductor
+    index keeps apart from the buckets of the variables."""
+    ring = BoolRing.indexed(4, kind)
+    rnd = random.Random(kind)
+    for _ in range(10):
+        f = rand_poly(ring, rnd, 6)
+        G = [g for g in (rand_poly(ring, rnd) for _ in range(3)) if g]
+        assert greedy_nf(f, G + [ring.one]).is_zero()
+        assert greedy_nf(f, [ring.one] + G).is_zero()
+        for strategy in TOGGLES:
+            assert buchberger(G + [ring.one], strategy) == [ring.one]
+            assert buchberger([ring.one] + G, strategy) == [ring.one]
+
+
+@settings(max_examples=200, deadline=None)
+@given(orderings(max_n=10), st.integers(0, 2**32))
+def test_index_pick_matches_divisor_diagram_pick(n_ordering, seed):
+    """The bitmask index picks the lead the diagram walk picked: the
+    smallest entry among the leads in divisors_within(lead_set, m),
+    with and without a skipped lead."""
+    n, ordering = n_ordering
+    ring = BoolRing.indexed(n, ordering)
+    man = ring.manager
+    rnd = random.Random(seed)
+    table = boolgb._ReductionTable(ring)
+    for _ in range(rnd.randrange(1, 12)):
+        g = rand_poly(ring, rnd, 5, rnd.choice([0.2, 0.4, 0.7]))
+        if g:
+            table.add(g, lead_vars(g))
+    if rnd.random() < 0.2:
+        table.add(ring.one, ())
+    leads = list(table.by_lead)
+    for _ in range(20):
+        m = tuple(v for v in range(n) if rnd.random() < 0.6)
+        skip = rnd.choice(leads + [None])
+        hits = [d for d in man.iter_paths(man.divisors_within(table.lead_set, m))
+                if d != skip]
+        want = min(hits, key=table.by_lead.__getitem__) if hits else None
+        got = table.pick(m, skip)
+        if want is None:
+            assert got is None
+        else:
+            assert got == table.by_lead[want]
 
 
 def interreduce_by_greedy_nf(basis):
@@ -406,8 +453,9 @@ TOGGLES = [Strategy()] + [
 
 def test_pair_bookkeeping_matches_frozenset_oracle(monkeypatch):
     """Each insert queues exactly the generator pairs of the Gebauer-Moeller
-    and product rules, with their sugar, and prunes exactly the queued
-    pairs the new lead mediates, under every strategy toggle."""
+    and product rules over its partner set, with their sugar, and prunes
+    exactly the queued pairs the new lead mediates, under every strategy
+    toggle."""
     pushes = []
     push, add_generator = GBState.push, GBState.add_generator
 
@@ -425,7 +473,8 @@ def test_pair_bookkeeping_matches_frozenset_oracle(monkeypatch):
         flags = self.strategy
         leads = [frozenset(lead(g).vars) for g in self.gens]
         new, idx = leads[-1], len(leads) - 1
-        expected = gm_new_pairs(leads, [deg(g) for g in self.gens],
+        partners = gm_partners(leads[:-1], flags.chain_criterion)
+        expected = gm_new_pairs(leads, [deg(g) for g in self.gens], partners,
                                 flags.chain_criterion, flags.product_criterion)
         assert [(j, l, s) for k, j, b, l, s in pushes if k == "pair"] == expected
         assert all(b == idx for k, _, b, _, _ in pushes if k == "pair")
@@ -436,6 +485,7 @@ def test_pair_bookkeeping_matches_frozenset_oracle(monkeypatch):
         assert queued(self) == after
         seen["pushed"] += len(expected)
         seen["pruned"] += len(pruned)
+        seen["retired"] += idx - len(partners)
         return True
 
     monkeypatch.setattr(GBState, "push", recording_push)
@@ -448,7 +498,50 @@ def test_pair_bookkeeping_matches_frozenset_oracle(monkeypatch):
             ring = BoolRing.indexed(n, kind)
             gens = [g for g in (rand_poly(ring, rnd, 6) for _ in range(4)) if g]
             buchberger(gens, strategy)
-    assert seen["pushed"] > 0 and seen["pruned"] > 0
+    assert seen["pushed"] > 0 and seen["pruned"] > 0 and seen["retired"] > 0
+
+
+def test_retired_generators_get_no_new_pairs(monkeypatch):
+    """With the chain criterion a new generator is never paired with one
+    whose lead a later generator's lead divides; under ALL_OFF it is
+    paired with every earlier generator."""
+    partners = []
+    push, add_generator = GBState.push, GBState.add_generator
+
+    def recording_push(self, kind, a, b, lcm, sugar):
+        if kind == "pair":
+            partners.append(a)
+        return push(self, kind, a, b, lcm, sugar)
+
+    seen = Counter()
+
+    def checked_add_generator(self, h):
+        partners.clear()
+        if not add_generator(self, h):
+            return False
+        leads = [frozenset(lead(g).vars) for g in self.gens]
+        idx = len(leads) - 1
+        retired = {j for j in range(idx)
+                   if any(leads[k] <= leads[j] for k in range(j + 1, idx))}
+        if self.strategy.chain_criterion:
+            assert not retired.intersection(partners)
+            seen["retired"] += len(retired)
+        else:
+            assert sorted(partners) == list(range(idx))
+            seen["paired"] += idx
+        return True
+
+    monkeypatch.setattr(GBState, "push", recording_push)
+    monkeypatch.setattr(GBState, "add_generator", checked_add_generator)
+    rnd = random.Random(33)
+    for strategy in (Strategy(), ALL_OFF):
+        for _ in range(30):
+            n = rnd.randrange(2, 8)
+            kind = rnd.choice(["lp", "dlex", "dp_asc", f"block(dlex:{n})"])
+            ring = BoolRing.indexed(n, kind)
+            gens = [g for g in (rand_poly(ring, rnd, 6) for _ in range(4)) if g]
+            buchberger(gens, strategy)
+    assert seen["retired"] > 0 and seen["paired"] > 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -481,12 +574,11 @@ def reduction_trace(monkeypatch, ring, term_lists):
     calls, steps = [], []
     reduce, mul = boolgb._ReductionTable.reduce, boolgb._mul
 
-    def traced(self, fz, lead_set=None):
+    def traced(self, fz, skip=None):
         man = self.ring.manager
-        leads = self.lead_set if lead_set is None else lead_set
         calls.append((frozenset(man.iter_paths(fz)),
-                      frozenset(man.iter_paths(leads))))
-        return reduce(self, fz, lead_set)
+                      frozenset(self.by_lead) - {skip}))
+        return reduce(self, fz, skip)
 
     def counted(man, a, b):
         steps.append(None)
