@@ -20,7 +20,6 @@ from .boolpoly import (
 from .interp import (
     PartialFn,
     PointSet,
-    interpolate_simple,
     interpolate_smallest_lex,
     nf_by_interpolate,
     points_gb,
@@ -49,7 +48,6 @@ __all__ = [
     "buchberger",
     "factor_linear_leads",
     "greedy_nf",
-    "interpolate_simple",
     "interpolate_smallest_lex",
     "nf_by_interpolate",
     "parse_ordering",

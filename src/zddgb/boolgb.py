@@ -48,15 +48,15 @@ class Strategy:
 class _ReductionTable:
     """Leads of a reductor set, indexed for pick-the-cheapest reduction.
 
-    A reductor g with lead of degree d ranks by (len(g) << d, lead): a
-    lead of degree d divides about a 2^-d share of the terms, and a step
+    A reductor g of t terms with lead of degree d ranks by (t << d, lead):
+    a lead of degree d divides about a 2^-d share of the terms, and a step
     costs about one reductor length per quotient term, so the key
     estimates the work per removed term.  Ties go to the smaller lead
     tuple, so the choice depends on the table alone, never on node ids
     (which reflect the manager's history).
 
     The pick reads a bitmask index, not a diagram: each entry
-    (len(g) << d, lead vars, poly zdd id, lead bitmask) sits in the
+    (t << d, lead vars, poly zdd id, lead bitmask) sits in the
     bucket of its lead's highest variable (the constant lead in bucket
     -1, which every pick scans), each bucket sorted by entry.  A lead
     divides m only if its highest variable occurs in m, so the pick takes
@@ -78,10 +78,10 @@ class _ReductionTable:
 
     def add(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
         prev = self.by_lead.get(lead_vars)
+        man = self.ring.manager
         if prev is None:
-            man = self.ring.manager
             self.lead_set = man.union(self.lead_set, man.singleton(lead_vars))
-        elif prev[0] <= len(g) << len(lead_vars):
+        elif prev[0] <= man.count_paths(g.z) << len(lead_vars):
             return
         self.replace(g, lead_vars)
 
@@ -92,7 +92,9 @@ class _ReductionTable:
         prev = self.by_lead.get(lead_vars)
         if prev is not None:
             bucket.remove(prev)
-        entry = (len(g) << len(lead_vars), lead_vars, g.z,
+        # t is read from the diagram: len(g) is capped at 2^63 - 1
+        entry = (self.ring.manager.count_paths(g.z) << len(lead_vars),
+                 lead_vars, g.z,
                  sum(1 << v for v in lead_vars))
         self.by_lead[lead_vars] = entry
         insort(bucket, entry)
@@ -534,8 +536,9 @@ def conjunction_generator(gens) -> BoolPoly:
     """
     gens = list(gens)
     ring = gens[0].ring
-    queue = sorted((len(g + ring.one), i, g + ring.one) for i, g in enumerate(gens))
-    factors = [g for _, _, g in queue]
+    count = ring.manager.count_paths
+    factors = [g + ring.one for g in gens]
+    factors.sort(key=lambda g: count(g.z))
     c = ring.one
     for g in factors:
         c = c * g
@@ -544,8 +547,7 @@ def conjunction_generator(gens) -> BoolPoly:
     return ring.one + c
 
 
-def sat_check(gens, strategy: Strategy | None = None,
-              preprocess: str | None = None):
+def sat_check(gens, preprocess: str | None = None):
     """Decide solvability of {g = 0 : g in gens} over {0,1}^n.
 
     Returns ("UNSAT", None) when the basis collapses to {1}; otherwise
@@ -572,7 +574,7 @@ def sat_check(gens, strategy: Strategy | None = None,
         work = gens
     else:
         raise ValueError(f"unknown preprocess mode {preprocess!r}")
-    basis = buchberger(work, strategy)
+    basis = buchberger(work)
     if basis and basis[0].is_one():
         return "UNSAT", None
     variety = PointSet.full_cube(ring)

@@ -134,52 +134,6 @@ def _zeros(man: ZddManager, p: int, S: int) -> int:
     return r
 
 
-def ones(p: BoolPoly, S: PointSet) -> PointSet:
-    """Complement of zeros(p, S) within S."""
-    return S.diff(zeros(p, S))
-
-
-def add_partial(f: PartialFn, g: PartialFn) -> PartialFn:
-    """Pointwise sum on the common domain."""
-    man = f.ring.manager
-    dom = man.intersect(
-        man.union(f.zeros.z, f.ones.z), man.union(g.zeros.z, g.ones.z)
-    )
-    z = man.union(
-        man.intersect(f.zeros.z, g.zeros.z), man.intersect(f.ones.z, g.ones.z)
-    )
-    o = man.intersect(man.symmetric_diff(f.ones.z, g.ones.z), dom)
-    ring = f.ring
-    return PartialFn(PointSet(ring, z), PointSet(ring, o))
-
-
-def interpolate_simple(b: PartialFn) -> BoolPoly:
-    """Some Boolean polynomial agreeing with b on its domain."""
-    man = b.ring.manager
-    return BoolPoly(b.ring, _interp_simple(man, b.domain().z, b.ones.z))
-
-
-def _interp_simple(man: ZddManager, D: int, O: int) -> int:
-    """Interpolant of the partial function with domain D and one-set
-    O ⊆ D, split at D's top variable; memo `_isimple` keyed by (D, O)."""
-    if O == D:
-        return ONE
-    if O == ZERO:
-        return ZERO
-    cache = man._isimple
-    key = (D, O)
-    r = cache.get(key)
-    if r is not None:
-        return r
-    i = man._var[D]
-    o1, o0 = (man._then[O], man._else[O]) if man._var[O] == i else (ZERO, O)
-    he = _interp_simple(man, man._else[D], o0)
-    ht = man.symmetric_diff(_interp_simple(man, man._then[D], o1), he)
-    r = man.symmetric_diff(man.mk_node(i, ht, ZERO), he)
-    cache[key] = r
-    return r
-
-
 def interpolate_smallest_lex(b: PartialFn) -> BoolPoly:
     """Lex-smallest Boolean polynomial agreeing with b on its domain.
 

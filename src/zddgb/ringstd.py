@@ -127,8 +127,10 @@ class Modulus:
 def solve_lead(mod: Modulus, c: int, coeffs) -> list[int] | None:
     """Coefficients x_i with sum x_i * coeffs[i] = c mod m, or None.
 
-    Prefers a single divisor when one exists; otherwise an extended-gcd
-    combination.  Solvable iff gcd(coeffs, m) divides c.
+    The first single divisor wins: one nonzero x_i.  Otherwise one
+    extended-gcd pass over coeffs stops at the shortest prefix whose gcd
+    divides c, and the x_i past it are 0.  Solvable iff gcd(coeffs, m)
+    divides c.
     """
     coeffs = list(coeffs)
     for i, a in enumerate(coeffs):
@@ -136,16 +138,16 @@ def solve_lead(mod: Modulus, c: int, coeffs) -> list[int] | None:
             out = [0] * len(coeffs)
             out[i] = mod.div_exact(c, a)
             return out
-    g = mod.m
+    m = mod.m
+    g = m
     us: list[int] = []
     for a in coeffs:
-        g2, u, v = _ext_gcd(g, a)
-        us = [x * u % mod.m for x in us] + [v % mod.m]
-        g = g2
-    if c % g != 0:
-        return None
-    scale = (c // g) % mod.m
-    return [x * scale % mod.m for x in us]
+        g, u, v = _ext_gcd(g, a)
+        us = [x * u % m for x in us] + [v % m]
+        if c % g == 0:
+            scale = c // g % m
+            return [x * scale % m for x in us] + [0] * (len(coeffs) - len(us))
+    return None
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -444,57 +446,39 @@ def nf_ring(f: ZmPoly, G) -> ZmPoly:
     """Polynomial weak normal form: the result is 0 or has its leading term
     outside the leading ideal of the reducer set.
 
-    Reducers solve the lead-coefficient equation with maximal ecart as small
-    as possible.  The orderings are global, so the lead falls strictly at
-    every step; Mora's device of appending the remainder to the reducers
-    is not needed, since no later lead could be its multiple.
+    The reducers are ordered once by ecart, ties by position in G.  Each
+    step hands the lead coefficients of the reducers whose lead divides
+    lm(f), in that order, to one `solve_lead` call: a single divisor of
+    least ecart when there is one, else a combination over the shortest
+    ecart prefix that solves.  The orderings are global, so the lead falls
+    strictly at every step; Mora's device of appending the remainder to
+    the reducers is not needed, since no later lead could be its multiple.
     """
     mod = f.ring.mod
-    T = [g for g in G if not g.is_zero()]
+    T = sorted((g for g in G if not g.is_zero()), key=ZmPoly.ecart)
     while not f.is_zero():
         mf, cf = f.lt()
-        cands = [
-            (g.ecart(), pos, g)
-            for pos, g in enumerate(T)
-            if _mon_divides(g.terms[0][0], mf)  # T holds nonzero polys only
-        ]
+        cands = [g for g in T if _mon_divides(g.terms[0][0], mf)]
         if not cands:
             return f
-        cands.sort(key=lambda t: t[:2])
-        chosen: list[tuple[ZmPoly, int]] | None = None
-        # single divisor first, by minimal ecart then age
-        for _, _, g in cands:
-            if mod.divides(g.lc(), cf):
-                chosen = [(g, mod.div_exact(cf, g.lc()))]
-                break
-        if chosen is None:
-            # smallest ecart-prefix whose coefficient gcd divides lc(f)
-            for k in range(1, len(cands) + 1):
-                sol = solve_lead(mod, cf, [g.lc() for _, _, g in cands[:k]])
-                if sol is not None:
-                    chosen = [
-                        (g, x)
-                        for (_, _, g), x in zip(cands, sol)
-                        if x % mod.m
-                    ]
-                    break
-            if chosen is None:
-                return f
-        for g, x in chosen:
-            f = f - g.mul_term(_mon_div(mf, g.lm()), x)
+        sol = solve_lead(mod, cf, [g.lc() for g in cands])
+        if sol is None:
+            return f
+        for g, x in zip(cands, sol):
+            if x:
+                f = f - g.mul_term(_mon_div(mf, g.lm()), x)
     return f
 
 
 def rednf_ring(f: ZmPoly, G) -> ZmPoly:
     """Tail-reduced normal form: weak NF applied to every remaining term."""
-    out = f.ring.zero
-    while not f.is_zero():
+    kept = []
+    while True:
         f = nf_ring(f, G)
         if f.is_zero():
-            break
-        out = out + ZmPoly(f.ring, (f.lt(),))
+            return ZmPoly._canonical(f.ring, tuple(kept))
+        kept.append(f.lt())
         f = f.tail()
-    return out
 
 
 # -- criteria -----------------------------------------------------------------------
@@ -562,24 +546,18 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
     queued_lcm: dict[tuple[int, int], tuple] = {}
     counter = 0
 
-    def push(kind: str, a: int, b: int):
-        nonlocal counter
-        counter += 1
-        if kind == "pair":
-            mon, coef = _lcm_term(mod, G[a].lt(), G[b].lt())
-            queued_lcm[(min(a, b), max(a, b))] = (mon, coef)
-        else:
-            mon, coef = G[a].lm(), 0
-        heapq.heappush(
-            queue, ((sort_key(mon), coef, counter), (kind, a, b))
-        )
-
     def add(h: ZmPoly):
+        # queue entries (key, a, b): the pair (a, b) with a < b, or the
+        # annihilator s-polynomial of G[a] when b is None
+        nonlocal counter
         idx = len(G)
         G.append(h)
         for j in range(idx):
-            push("pair", j, idx)
-        push("ext", idx, idx)
+            mon, coef = queued_lcm[(j, idx)] = _lcm_term(mod, G[j].lt(), h.lt())
+            counter += 1
+            heapq.heappush(queue, ((sort_key(mon), coef, counter), j, idx))
+        counter += 1
+        heapq.heappush(queue, ((sort_key(h.lm()), 0, counter), idx, None))
 
     for f in gens:
         h = nf_ring(f, G)
@@ -587,13 +565,14 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
             add(h)
 
     while queue:
-        _, (kind, a, b) = heapq.heappop(queue)
-        if kind == "pair":
-            key = (min(a, b), max(a, b))
-            queued_lcm.pop(key, None)
+        _, a, b = heapq.heappop(queue)
+        if b is None:
+            s = spoly_extended(G[a])
+        else:
+            queued_lcm.pop((a, b), None)
             f, g = G[a], G[b]
             if strategy.product_criterion and product_criterion_ring(f, g):
-                done.add(key)
+                done.add((a, b))
                 continue
             if strategy.zero_criterion and zero_criterion(mod, f.lc(), g.lc()):
                 continue
@@ -602,9 +581,7 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
             ):
                 continue
             s = spoly_ring(f, g)
-            done.add(key)
-        else:
-            s = spoly_extended(G[a])
+            done.add((a, b))
         if s.is_zero():
             continue
         h = nf_ring(s, G)

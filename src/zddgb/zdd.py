@@ -35,11 +35,11 @@ class ZddManager:
     Each cached operation, here and in the polynomial and variety layers,
     has its own memo dict bound as an attribute (`_union`, `_bmul`,
     `_zeros`, ...), so a recursion step fetches it with one attribute
-    read.  The interpolation memos `_isimple` and `_ilex` are keyed by
-    (domain, ones).  The recursions read the arena lists `_var`, `_then` and
-    `_else` directly; `top`, `then_branch` and `else_branch` are the
-    checked accessors for everything else.  Terminals have `_var` equal to
-    `num_vars`, below every decision variable.
+    read.  The interpolation memo `_ilex` is keyed by (domain, ones).  The
+    recursions read the arena lists `_var`, `_then` and `_else` directly;
+    `top`, `then_branch` and `else_branch` are the checked accessors for
+    everything else.  Terminals have `_var` equal to `num_vars`, below
+    every decision variable.
     """
 
     def __init__(self, num_vars: int):
@@ -75,7 +75,6 @@ class ZddManager:
         self._deg: dict = {}
         # interp
         self._zeros: dict = {}
-        self._isimple: dict = {}
         self._ilex: dict = {}
         self._stdmon: dict = {}
 

@@ -146,6 +146,17 @@ def test_sat_empty_system(tmp_path, capsys):
         assert out.splitlines() == ["s UNSATISFIABLE"]
 
 
+@pytest.mark.parametrize("preprocess", ["none", "conjunction"])
+def test_sat_clause_with_more_terms_than_len_holds(tmp_path, capsys, preprocess):
+    # a 70-literal clause polynomial has 2^70 terms, past len()'s 2^63 - 1
+    clause = " ".join(str(v) for v in range(1, 71))
+    path = write(tmp_path, "wide.cnf", f"p cnf 70 2\n{clause} 0\n1 0\n")
+    code, out, _ = run(capsys, "sat", path, "--preprocess", preprocess)
+    assert code == 10
+    model = " ".join(f"-{v}" for v in range(2, 71))
+    assert out.splitlines() == ["s SATISFIABLE", f"v 1 {model} 0"]
+
+
 def test_sat_order_applies_to_dimacs(tmp_path, capsys):
     # --order builds the CNF's ring as it does a system file's
     path = write(tmp_path, "f.cnf", "p cnf 3 2\n1 -2 0\n2 3 0\n")

@@ -564,3 +564,66 @@ def test_benchmark_pool_bases_unchanged(monkeypatch):
             assert checks.zm_lead_digest(basis) == ref[f"zm:{m}:{i}"]["leads"], (m, i)
             h.update(repr([g.terms for g in basis]).encode())
     assert h.hexdigest()[:16] == ZM_POOL_HEAD_DIGEST
+
+
+# sha256 over the term lists of std_basis(gens), nf_ring(f, basis),
+# nf_ring(f, gens) and rednf_ring(f, gens), in that order, for the first 32
+# pool-shaped ideals of each modulus with one seeded f each; recorded before
+# the reduction step was rewritten to solve each lead once
+ZM_MULTI_PRIME_DIGEST = "546309a0c6b93ad6"
+
+
+def test_multi_prime_reductions_unchanged(monkeypatch):
+    """Over Z/4 and Z/8 the gcd of several coefficients is always one of
+    them, so only moduli with two or more primes reach the extended-gcd
+    combination of several reducers; this pins that branch."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import zm_instance
+
+    from zddgb import ringstd
+
+    combos = 0
+    solve = ringstd.solve_lead
+
+    def counting_solve(mod, c, coeffs):
+        nonlocal combos
+        sol = solve(mod, c, coeffs)
+        combos += sol is not None and sum(1 for x in sol if x) > 1
+        return sol
+
+    monkeypatch.setattr(ringstd, "solve_lead", counting_solve)
+    h = hashlib.sha256()
+    for m in (6, 12, 30, 36):
+        for i in range(32):
+            names, order, gen_terms = zm_instance(m, i)
+            ring = ZmRing(m, names, order)
+            gens = [ring.poly(t) for t in gen_terms]
+            rnd = random.Random(f"zm-multi:{m}:{i}")
+            f = ring.poly([
+                (tuple(rnd.randint(0, 3) for _ in names), rnd.randrange(1, m))
+                for _ in range(6)
+            ])
+            basis = std_basis(gens)
+            for out in (basis, [nf_ring(f, basis)], [nf_ring(f, gens)],
+                        [rednf_ring(f, gens)]):
+                h.update(repr([g.terms for g in out]).encode())
+    assert combos > 0
+    assert h.hexdigest()[:16] == ZM_MULTI_PRIME_DIGEST
+
+
+def test_permuted_generators_give_bases_of_one_ideal(monkeypatch):
+    """Over moduli with two or more primes the printed basis is not
+    canonical: its tails, and even its leads, can follow the generators'
+    order (README, `nf`).  Whatever the order, each basis reduces the
+    other's elements to 0, so both generate the same ideal."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import zm_instance
+
+    for m in (12, 36):
+        for i in range(16):
+            names, order, gen_terms = zm_instance(m, i)
+            ring = ZmRing(m, names, order)
+            gens = [ring.poly(t) for t in gen_terms]
+            one, other = std_basis(gens), std_basis(gens[::-1])
+            assert all(nf_ring(g, other).is_zero() for g in one), (m, i)
+            assert all(nf_ring(g, one).is_zero() for g in other), (m, i)
