@@ -11,7 +11,6 @@ from .boolgb import (
     sat_check,
 )
 from .boolpoly import (
-    BoolMonomial,
     BoolPoly,
     BoolRing,
     Ordering,
@@ -30,7 +29,6 @@ from .ringstd import Modulus, RingOrdering, RingStrategy, ZmPoly, ZmRing, std_ba
 from .zdd import ZddManager
 
 __all__ = [
-    "BoolMonomial",
     "BoolPoly",
     "BoolRing",
     "Modulus",

@@ -34,12 +34,12 @@ from .zdd import ONE, ZERO
 
 @dataclass
 class Strategy:
-    """Pair-criteria and selection toggles for the Buchberger loop."""
+    """Pair-criterion toggles for the Buchberger loop; pairs are always
+    taken lowest sugar first."""
 
     product_criterion: bool = True
     chain_criterion: bool = True
     linear_lead_criterion: bool = True
-    sugar: bool = True
 
 
 # -- normal form ---------------------------------------------------------------
@@ -356,11 +356,10 @@ class GBState:
         self.counter = 0
 
     def push(self, kind: str, a: int, b: int, lcm: int, sugar: int):
-        primary = sugar if self.strategy.sugar else 0
         self.counter += 1
         heapq.heappush(
             self.queue,
-            ((primary, self.sort_key(_mask_vars(lcm)), self.counter),
+            ((sugar, self.sort_key(_mask_vars(lcm)), self.counter),
              kind, a, b, lcm),
         )
 
@@ -507,10 +506,10 @@ def interreduce(basis):
     if any(g.is_one() for g in basis):
         return [ring.one]
     key = ring.ordering.sort_key
-    kept: list[tuple[frozenset, tuple[int, ...], BoolPoly]] = []
+    kept: list[tuple[int, tuple[int, ...], BoolPoly]] = []
     for lm, g in sorted(((lead_vars(g), g) for g in basis), key=lambda t: key(t[0])):
-        lg = frozenset(lm)
-        if not any(lh <= lg for lh, _, _ in kept):
+        lg = sum(1 << v for v in lm)
+        if not any(lh & lg == lh for lh, _, _ in kept):
             kept.append((lg, lm, g))
     # one table for the pass: each element is reduced against all leads
     # but its own, and its reduced form then replaces it as a reductor

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .zdd import ONE, ZERO, ZddError, ZddManager
+from .zdd import ONE, ZERO, ZddManager
 
 LEX = "lp"
 DLEX = "dlex"
@@ -155,8 +155,9 @@ class BoolRing:
             v = self._index[v]
         return BoolPoly(self, self.manager.mk_node(v, ONE, ZERO))
 
-    def monomial(self, vs) -> "BoolMonomial":
-        return BoolMonomial(self, self.manager.singleton(vs))
+    def monomial(self, vs) -> "BoolPoly":
+        """The one-term polynomial of the variable indices vs."""
+        return BoolPoly(self, self.manager.singleton(vs))
 
     def from_terms(self, terms) -> "BoolPoly":
         """Polynomial from an iterable of terms, each a set of indices."""
@@ -270,54 +271,6 @@ class BoolPoly:
         return f"BoolPoly({self})"
 
 
-class BoolMonomial:
-    """Single-path diagram plus its cached degree; equality is id equality."""
-
-    __slots__ = ("ring", "z", "vars")
-
-    def __init__(self, ring: BoolRing, z: int):
-        man = ring.manager
-        vars_ = []
-        node = z
-        while node > ONE:
-            vars_.append(man.top(node))
-            t = man.then_branch(node)
-            if man.else_branch(node) != ZERO:
-                raise ZddError("monomial diagram must have a single path")
-            node = t
-        if node != ONE:
-            raise ZddError("monomial diagram must reach the 1-terminal")
-        self.ring = ring
-        self.z = z
-        self.vars = tuple(vars_)
-
-    @property
-    def degree(self) -> int:
-        return len(self.vars)
-
-    def poly(self) -> BoolPoly:
-        return BoolPoly(self.ring, self.z)
-
-    def divides(self, other: "BoolMonomial") -> bool:
-        return set(self.vars) <= set(other.vars)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BoolMonomial)
-            and self.ring is other.ring
-            and self.z == other.z
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.ring), self.z))
-
-    def __str__(self) -> str:
-        return self.ring.mon_str(self.vars)
-
-    def __repr__(self) -> str:
-        return f"BoolMonomial({self})"
-
-
 # -- arithmetic ---------------------------------------------------------------
 
 
@@ -366,21 +319,10 @@ def _mul(man: ZddManager, f: int, g: int) -> int:
     return r
 
 
-def mul_monomial(f: BoolPoly, m: BoolMonomial) -> BoolPoly:
-    """Boolean multiplication specialized to a monomial factor."""
-    _same_ring(f, m.poly())
+def mul_monomial(f: BoolPoly, m: BoolPoly) -> BoolPoly:
+    """Boolean multiplication by a one-term polynomial m."""
+    _same_ring(f, m)
     return BoolPoly(f.ring, _mul(f.ring.manager, f.z, m.z))
-
-
-def quotient_by_monomial(f: BoolPoly, m: BoolMonomial) -> BoolPoly:
-    """Sum of t/m over the terms t of f divisible by m."""
-    z = f.z
-    man = f.ring.manager
-    for v in m.vars:
-        z = man.subset1(z, v)
-        if z == ZERO:
-            break
-    return BoolPoly(f.ring, z)
 
 
 def nf_monomial_set(f: BoolPoly, G: int) -> BoolPoly:
@@ -503,13 +445,14 @@ def _lead_vars(man: ZddManager, z: int, ordering: Ordering) -> tuple[int, ...]:
     return tuple(out)
 
 
-def lead(f: BoolPoly) -> BoolMonomial:
-    """Largest term of f under the ring's ordering."""
+def lead(f: BoolPoly) -> BoolPoly:
+    """Largest term of f under the ring's ordering, as a one-term
+    polynomial."""
     return f.ring.monomial(lead_vars(f))
 
 
 def terms_iter(f: BoolPoly):
-    """Terms of f in strictly decreasing order; first yield equals lead(f)."""
+    """Terms of f in strictly decreasing order; the first is lead_vars(f)."""
     ordering = f.ring.ordering
     paths = f.ring.manager.iter_paths(f.z)
     if ordering.kind == LEX:
@@ -550,9 +493,8 @@ def spoly(f: BoolPoly, g: BoolPoly) -> BoolPoly:
     if f.z == ZERO or g.z == ZERO:
         raise ValueError("s-polynomial needs nonzero inputs")
     _same_ring(f, g)
-    lf = lead(f).vars
-    lg = lead(g).vars
-    lcm = set(lf) | set(lg)
-    mf = f.ring.monomial(lcm - set(lf))
-    mg = f.ring.monomial(lcm - set(lg))
+    lf = set(lead_vars(f))
+    lg = set(lead_vars(g))
+    mf = f.ring.monomial(lg - lf)
+    mg = f.ring.monomial(lf - lg)
     return mul_monomial(f, mf) + mul_monomial(g, mg)

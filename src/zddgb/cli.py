@@ -41,11 +41,9 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
     `order` and `modulus` take precedence over the file's lines.
     """
     names = None
-    vars_line = None
     file_order = None
-    order_line = None
     file_mod = None
-    mod_line = None
+    first: dict[str, int] = {}  # directive -> line of its first occurrence
     polys_src: list[tuple[int, str]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -53,31 +51,27 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
             continue
         head, *rest = line.split(None, 1)
         arg = rest[0] if rest else ""
+        if head not in ("vars", "order", "mod"):
+            polys_src.append((ln, line))
+            continue
+        if head in first:
+            raise CliError(f"line {ln}: second {head!r} line "
+                           f"(first on line {first[head]})")
+        first[head] = ln
         if head == "vars":
-            if names is not None:
-                raise CliError(f"line {ln}: second 'vars' line "
-                               f"(first on line {vars_line})")
-            names, vars_line = arg.split(), ln
+            names = arg.split()
             twice = _repeated(names)
             if twice is not None:
                 raise CliError(f"line {ln}: variable {twice!r} is listed twice")
         elif head == "order":
-            if order_line is not None:
-                raise CliError(f"line {ln}: second 'order' line "
-                               f"(first on line {order_line})")
             if not arg:
                 raise CliError(f"line {ln}: 'order' needs a value")
-            file_order, order_line = arg, ln
-        elif head == "mod":
-            if mod_line is not None:
-                raise CliError(f"line {ln}: second 'mod' line "
-                               f"(first on line {mod_line})")
+            file_order = arg
+        else:
             try:
-                file_mod, mod_line = _modulus(arg), ln
+                file_mod = _modulus(arg)
             except argparse.ArgumentTypeError as exc:
                 raise CliError(f"line {ln}: {exc}") from None
-        else:
-            polys_src.append((ln, line))
     if names is None:
         raise CliError("missing 'vars' line in system file")
     if modulus is None:
@@ -85,7 +79,7 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
     where = ""
     if order is None and file_order is not None:
         # the ring kind is known only now; errors still name the line
-        order, where = file_order, f"line {order_line}: "
+        order, where = file_order, f"line {first['order']}: "
     ordering = _ordering(order or "lp", modulus, len(names), where)
     if modulus is None:
         ring = BoolRing(names, ordering)

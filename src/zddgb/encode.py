@@ -50,32 +50,41 @@ class Circuit:
                 out.append(dest)
         return out
 
-    def validate(self) -> None:
-        seen = set(self.signals)
-        for dest, op, x, y in self.assigns + self.asserts:
-            for s in (dest, x, y):
-                if isinstance(s, str) and s not in seen:
-                    raise EncodeError(f"signal {s!r} not declared")
-        if self.disequality:
-            for s in self.disequality:
-                if s not in seen:
-                    raise EncodeError(f"signal {s!r} not declared")
-
 
 def parse_circuit(text: str) -> Circuit:
-    """Line-oriented format: wordlen, signal, assign, assert, disequal."""
+    """Line-oriented format: wordlen, signal, assign, assert, disequal.
+
+    A signal may be declared after its first use; errors name the line.
+    """
     c = Circuit(wordlen=0)
+    declared: dict[str, int] = {}      # signal -> line of its declaration
+    uses: list[tuple[str, int]] = []   # (signal, line) in reading order
+    first: dict[str, int] = {}         # wordlen/disequal -> its line
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         kw = parts[0]
+        if kw in ("wordlen", "disequal"):
+            if kw in first:
+                raise EncodeError(f"second {kw!r} line (first on line "
+                                  f"{first[kw]})", ln)
+            first[kw] = ln
         try:
             if kw == "wordlen":
                 c.wordlen = int(parts[1])
+                if c.wordlen <= 0:
+                    raise EncodeError("wordlen must be >= 1", ln)
             elif kw == "signal":
-                c.signals.extend(parts[1:])
+                for s in parts[1:]:
+                    if declared.get(s) == ln:
+                        raise EncodeError(f"signal {s!r} is listed twice", ln)
+                    if s in declared:
+                        raise EncodeError(f"signal {s!r} already declared "
+                                          f"on line {declared[s]}", ln)
+                    declared[s] = ln
+                    c.signals.append(s)
             elif kw in ("assign", "assert"):
                 # assign z = x op y   |   assign z = x   |   assign z = 3
                 if parts[2] != "=":
@@ -95,15 +104,22 @@ def parse_circuit(text: str) -> Circuit:
                 else:
                     raise EncodeError(f"cannot parse rhs {' '.join(rhs)!r}", ln)
                 (c.assigns if kw == "assign" else c.asserts).append(stmt)
+                uses.extend((s, ln) for s in (dest, *stmt[2:])
+                            if isinstance(s, str))
             elif kw == "disequal":
+                if len(parts) != 3:
+                    raise EncodeError("'disequal' needs two signals", ln)
                 c.disequality = (parts[1], parts[2])
+                uses.extend((s, ln) for s in c.disequality)
             else:
                 raise EncodeError(f"unknown keyword {kw!r}", ln)
         except (IndexError, ValueError) as exc:
             raise EncodeError(f"cannot parse {line!r} ({exc})", ln) from None
-    if c.wordlen <= 0:
-        raise EncodeError("missing or invalid wordlen")
-    c.validate()
+    if "wordlen" not in first:
+        raise EncodeError("missing 'wordlen' line")
+    for s, ln in uses:
+        if s not in declared:
+            raise EncodeError(f"signal {s!r} not declared", ln)
     return c
 
 
@@ -117,18 +133,15 @@ class WordSystem:
     wordlen: int
     ring: ZmRing
     polys: list[ZmPoly]
-    equations: list[ZmPoly]          # without the gadget
     disequality: tuple[str, str] | None
     s_name: str | None
     outputs: list[str] = field(default_factory=list)
     statements: list[tuple] = field(default_factory=list)
 
 
-def word_level_encode(c: Circuit, require_disequality: bool = False) -> WordSystem:
+def word_level_encode(c: Circuit) -> WordSystem:
     """One generator per assignment/property; a disequality pair (f, e)
     contributes s*(f-e) - 2^(n-1) with a fresh variable s."""
-    if require_disequality and c.disequality is None:
-        raise EncodeError("refutation system requested but no disequality pair")
     names = list(c.signals)
     s_name = None
     if c.disequality is not None:
@@ -146,10 +159,8 @@ def word_level_encode(c: Circuit, require_disequality: bool = False) -> WordSyst
         xv, yv = ring.var(x), ring.var(y)
         return xv + yv if op == "add" else xv * yv
 
-    equations = []
-    for dest, op, x, y in c.assigns + c.asserts:
-        equations.append(rhs_poly(op, x, y) - ring.var(dest))
-    polys = list(equations)
+    polys = [rhs_poly(op, x, y) - ring.var(dest)
+             for dest, op, x, y in c.assigns + c.asserts]
     if c.disequality is not None:
         f, e = c.disequality
         gadget = ring.var(s_name) * (ring.var(f) - ring.var(e)) - ring.const(
@@ -157,7 +168,7 @@ def word_level_encode(c: Circuit, require_disequality: bool = False) -> WordSyst
         )
         polys.append(gadget)
     return WordSystem(
-        c.wordlen, ring, polys, equations, c.disequality, s_name,
+        c.wordlen, ring, polys, c.disequality, s_name,
         c.targets(), list(c.assigns + c.asserts),
     )
 
@@ -172,15 +183,6 @@ class BitSystem:
     ring: BoolRing
     polys: list[BoolPoly]
     bit_names: dict[str, list[int]] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def num_vars(self) -> int:
-        return self.ring.n
-
-    @property
-    def num_eqs(self) -> int:
-        return len(self.polys)
 
 
 def bit_add(a_bits, b_bits, fresh=None):
@@ -273,7 +275,7 @@ def blast(ws: WordSystem) -> BitSystem:
         for i in range(n):
             prod = prod * (ring.one + fb[i] + eb[i])
         polys.append(prod)
-    return BitSystem(ring, polys, bit_names, {"wordlen": n})
+    return BitSystem(ring, polys, bit_names)
 
 
 # -- CNF ---------------------------------------------------------------------------
@@ -342,12 +344,7 @@ def cnf_to_polys(source, ring: BoolRing | None = None) -> BitSystem:
             x = ring.var(abs(lit) - 1)
             p = p * (x + ring.one) if lit > 0 else p * x
         polys.append(p)
-    return BitSystem(
-        ring,
-        polys,
-        {"v": list(range(nvars))},
-        {"nvars": nvars, "nclauses": len(clauses)},
-    )
+    return BitSystem(ring, polys, {"v": list(range(nvars))})
 
 
 # -- benchmark families ----------------------------------------------------------------
@@ -371,9 +368,7 @@ def pigeonhole_cnf(k: int) -> tuple[int, list[list[int]]]:
 
 
 def pigeonhole(k: int) -> BitSystem:
-    sys = cnf_to_polys(pigeonhole_cnf(k))
-    sys.meta["family"] = f"hole{k}"
-    return sys
+    return cnf_to_polys(pigeonhole_cnf(k))
 
 
 def mult_verification(n: int, tamper: bool = False) -> BitSystem:
@@ -435,5 +430,4 @@ def mult_verification(n: int, tamper: bool = False) -> BitSystem:
         "a": [ring.index(f"a{i}") for i in range(n)],
         "b": [ring.index(f"b{i}") for i in range(n)],
     }
-    sysname = f"mult{n}x{n}" + ("_tampered" if tamper else "")
-    return BitSystem(ring, polys, bit_names, {"family": sysname, "n": n})
+    return BitSystem(ring, polys, bit_names)

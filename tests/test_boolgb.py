@@ -28,7 +28,6 @@ from zddgb.boolpoly import (
     OrderingError,
     deg,
     eval_poly,
-    lead,
     lead_vars,
     mul_monomial,
     parse_ordering,
@@ -80,7 +79,7 @@ def test_greedy_nf_reduced_and_in_ideal():
         f = rand_poly(ring, rnd)
         G = [g for g in (rand_poly(ring, rnd) for _ in range(3)) if g]
         r = greedy_nf(f, G)
-        leads = [set(lead(g).vars) for g in G]
+        leads = [set(lead_vars(g)) for g in G]
         for t in r.terms():
             assert not any(lm <= set(t) for lm in leads)
         # f - r vanishes on the common zeros of G
@@ -206,7 +205,7 @@ def all_factorizations(ring, f, v):
             )
         )
     for l in polys:
-        if l.is_zero() or lead(l).vars != (v,):
+        if l.is_zero() or lead_vars(l) != (v,):
             continue
         for g in polys:
             if not g.is_zero() and l * g == f:
@@ -383,7 +382,6 @@ ALL_OFF = Strategy(
     product_criterion=False,
     chain_criterion=False,
     linear_lead_criterion=False,
-    sugar=False,
 )
 
 
@@ -430,7 +428,7 @@ def test_queued_field_pairs_pass_their_criteria(monkeypatch):
     assert {st.product_criterion for st, _, _ in pushed} == {True, False}
     for strategy, g, v in pushed:
         if strategy.product_criterion:
-            assert v in lead(g).vars
+            assert v in lead_vars(g)
         if strategy.linear_lead_criterion:
             assert not linear_lead_criterion(g, v)
 
@@ -447,7 +445,7 @@ def queued(state) -> Counter:
 TOGGLES = [Strategy()] + [
     Strategy(**{name: False})
     for name in ("product_criterion", "chain_criterion",
-                 "linear_lead_criterion", "sugar")
+                 "linear_lead_criterion")
 ]
 
 
@@ -471,7 +469,7 @@ def test_pair_bookkeeping_matches_frozenset_oracle(monkeypatch):
         if not add_generator(self, h):
             return False
         flags = self.strategy
-        leads = [frozenset(lead(g).vars) for g in self.gens]
+        leads = [frozenset(lead_vars(g)) for g in self.gens]
         new, idx = leads[-1], len(leads) - 1
         partners = gm_partners(leads[:-1], flags.chain_criterion)
         expected = gm_new_pairs(leads, [deg(g) for g in self.gens], partners,
@@ -519,7 +517,7 @@ def test_retired_generators_get_no_new_pairs(monkeypatch):
         partners.clear()
         if not add_generator(self, h):
             return False
-        leads = [frozenset(lead(g).vars) for g in self.gens]
+        leads = [frozenset(lead_vars(g)) for g in self.gens]
         idx = len(leads) - 1
         retired = {j for j in range(idx)
                    if any(leads[k] <= leads[j] for k in range(j + 1, idx))}

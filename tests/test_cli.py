@@ -337,6 +337,55 @@ def test_encode_bad_circuit(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("wordlen 2\nsignal a a\n", "line 2: signal 'a' is listed twice"),
+    ("wordlen 2\nsignal a\nsignal b a\n",
+     "line 3: signal 'a' already declared on line 2"),
+    ("wordlen 2\nsignal a\nassign a = a add q\n",
+     "line 3: signal 'q' not declared"),
+    ("wordlen 2\nsignal a b\n\ndisequal a q\n",
+     "line 4: signal 'q' not declared"),
+    ("wordlen 2\nsignal a\nwordlen 3\n",
+     "line 3: second 'wordlen' line (first on line 1)"),
+    ("wordlen 2\nsignal a b\ndisequal a b\ndisequal b a\n",
+     "line 4: second 'disequal' line (first on line 3)"),
+    ("wordlen 2\nsignal a b c\ndisequal a b c\n",
+     "line 3: 'disequal' needs two signals"),
+    ("signal a\nwordlen 0\n", "line 2: wordlen must be >= 1"),
+], ids=["signal-twice", "signal-redeclared", "assign-undeclared",
+        "disequal-undeclared", "second-wordlen", "second-disequal",
+        "disequal-three", "wordlen-zero"])
+def test_encode_circuit_errors_name_the_line(tmp_path, capsys, text, message):
+    bad = write(tmp_path, "bad.txt", text)
+    code, out, err = run(capsys, "encode", bad)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_encode_signal_declared_after_use(tmp_path, capsys):
+    late = write(tmp_path, "late.txt",
+                 "wordlen 2\nassign c = a mul b\nsignal c a b\n")
+    code, out, _ = run(capsys, "encode", late, "--mode", "word")
+    assert code == 0
+    assert out.splitlines() == ["mod 4", "vars c a b", "3*c + a*b"]
+
+
+def test_readme_quick_start_prints_its_comments():
+    # README's "Library quick start" block runs, and each print shows what
+    # the comment beside it says
+    import zddgb
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quick start\n+```python\n(.*?)```",
+                      readme, re.S).group(1)
+    expected = [ln.rsplit("# ", 1)[1] for ln in block.splitlines()
+                if ln.startswith("print(")]
+    printed = []
+    exec(block, {"print": lambda *a: printed.append(" ".join(map(str, a)))})
+    assert expected and printed == expected
+    assert all(hasattr(zddgb, name) for name in zddgb.__all__)
+
+
 def test_readme_cli_lines_parse():
     # every example in README's CLI block must still be accepted by the
     # argument parser (parsed only, not run)

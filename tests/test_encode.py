@@ -54,8 +54,6 @@ def test_word_level_const_and_no_disequality():
     assert len(ws.polys) == 1
     assert ws.polys[0] == ws.ring.parse("3 - x")
     assert ws.s_name is None
-    with pytest.raises(EncodeError):
-        word_level_encode(c, require_disequality=True)
 
 
 def test_circuit_errors():
@@ -179,7 +177,7 @@ def test_blast_soundness_exhaustive():
             if z == 2:
                 word_solutions.add((x, y, z))
     bit_solutions = set()
-    for pt in itertools.product((0, 1), repeat=bs.num_vars):
+    for pt in itertools.product((0, 1), repeat=bs.ring.n):
         if all(eval_poly(p, pt) == 0 for p in bs.polys):
             vals = {}
             for nm in ("x", "y", "z"):
