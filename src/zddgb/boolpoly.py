@@ -133,8 +133,8 @@ class BoolRing:
         self._index = {nm: i for i, nm in enumerate(names)}
 
     @classmethod
-    def indexed(cls, n: int, ordering: Ordering | str = LEX, prefix: str = "x"):
-        return cls([f"{prefix}{i}" for i in range(n)], ordering)
+    def indexed(cls, n: int, ordering: Ordering | str = LEX):
+        return cls([f"x{i}" for i in range(n)], ordering)
 
     def poly(self, z: int) -> "BoolPoly":
         return BoolPoly(self, z)
@@ -170,7 +170,7 @@ class BoolRing:
     def parse(self, text: str) -> "BoolPoly":
         """Parse "a*b + c^2 + 1"; exponents reduce modulo the field relation."""
         src, text = text, text.replace("-", "+").strip()
-        text = text.lstrip("+").strip()
+        text = text.removeprefix("+").strip()
         if not text:
             raise ValueError("empty polynomial text")
         z = ZERO

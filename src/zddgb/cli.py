@@ -23,12 +23,6 @@ from .ringstd import RingOrdering, ZmRing, rednf_ring, std_basis
 from .zdd import ZddError
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
-
-
 # -- system files ------------------------------------------------------------------
 
 
@@ -55,25 +49,25 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
             polys_src.append((ln, line))
             continue
         if head in first:
-            raise CliError(f"line {ln}: second {head!r} line "
-                           f"(first on line {first[head]})")
+            raise ValueError(f"line {ln}: second {head!r} line "
+                             f"(first on line {first[head]})")
         first[head] = ln
         if head == "vars":
             names = arg.split()
             twice = _repeated(names)
             if twice is not None:
-                raise CliError(f"line {ln}: variable {twice!r} is listed twice")
+                raise ValueError(f"line {ln}: variable {twice!r} is listed twice")
         elif head == "order":
             if not arg:
-                raise CliError(f"line {ln}: 'order' needs a value")
+                raise ValueError(f"line {ln}: 'order' needs a value")
             file_order = arg
         else:
             try:
                 file_mod = _modulus(arg)
             except argparse.ArgumentTypeError as exc:
-                raise CliError(f"line {ln}: {exc}") from None
+                raise ValueError(f"line {ln}: {exc}") from None
     if names is None:
-        raise CliError("missing 'vars' line in system file")
+        raise ValueError("missing 'vars' line in system file")
     if modulus is None:
         modulus = file_mod
     where = ""
@@ -90,7 +84,7 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
         try:
             polys.append(ring.parse(src))
         except ValueError as exc:
-            raise CliError(f"line {ln}: {exc}") from None
+            raise ValueError(f"line {ln}: {exc}") from None
     return ring, polys
 
 
@@ -109,7 +103,7 @@ def _ordering(text: str, modulus: int | None, n: int, where: str = ""):
         ordering.validate(n)
         return ordering
     except (OrderingError, ValueError) as exc:
-        raise CliError(f"{where}{exc}") from None
+        raise ValueError(f"{where}{exc}") from None
 
 
 def _modulus(text: str) -> int:
@@ -136,25 +130,25 @@ def read_points(text: str, values: bool):
         parts = line.split()
         bits = parts[0]
         if not set(bits) <= {"0", "1"}:
-            raise CliError(f"line {ln}: point must be a 0/1 string")
+            raise ValueError(f"line {ln}: point must be a 0/1 string")
         if width is None:
             width = len(bits)
         elif len(bits) != width:
-            raise CliError(f"line {ln}: point width differs")
+            raise ValueError(f"line {ln}: point width differs")
         pts.append(tuple(int(b) for b in bits))
         if values:
             if len(parts) != 2 or parts[1] not in ("0", "1"):
-                raise CliError(f"line {ln}: expected '<bits> <0|1>'")
+                raise ValueError(f"line {ln}: expected '<bits> <0|1>'")
             value = int(parts[1])
             prev = seen.setdefault(bits, (value, ln))
             if prev[0] != value:
-                raise CliError(f"line {ln}: point {bits} already has value "
-                               f"{prev[0]} from line {prev[1]}")
+                raise ValueError(f"line {ln}: point {bits} already has value "
+                                 f"{prev[0]} from line {prev[1]}")
             vals.append(value)
         elif len(parts) != 1:
-            raise CliError(f"line {ln}: expected a bare point")
+            raise ValueError(f"line {ln}: expected a bare point")
     if width is None:
-        raise CliError("empty point file")
+        raise ValueError("empty point file")
     return width, pts, vals
 
 
@@ -206,7 +200,7 @@ def cmd_sat(args) -> int:
     else:
         ring, polys = read_system(text, args.order)
         if isinstance(ring, ZmRing):
-            raise CliError("sat needs a Boolean system; the file sets a modulus")
+            raise ValueError("sat needs a Boolean system; the file sets a modulus")
     t0 = time.perf_counter()
     preprocess = None if args.preprocess == "none" else args.preprocess
     if polys:
@@ -237,10 +231,10 @@ def cmd_zeros(args) -> int:
     width, pts, _ = read_points(_read(args.file), values=False)
     names = args.vars.split(",") if args.vars else [f"x{i}" for i in range(width)]
     if len(names) != width:
-        raise CliError("variable list does not match point width")
+        raise ValueError("variable list does not match point width")
     twice = _repeated(names)
     if twice is not None:
-        raise CliError(f"--vars: variable {twice!r} is listed twice")
+        raise ValueError(f"--vars: variable {twice!r} is listed twice")
     ring = BoolRing(names, "lp")
     f = ring.parse(args.poly)
     P = PointSet.from_points(ring, pts)
@@ -268,17 +262,14 @@ def cmd_interp(args) -> int:
 
 def cmd_encode(args) -> int:
     circuit = enc.parse_circuit(_read(args.file))
-    ws = enc.word_level_encode(circuit)
     if args.mode == "word":
-        print(f"mod {2 ** circuit.wordlen}")
-        print("vars " + " ".join(ws.ring.names))
-        for p in ws.polys:
-            print(p)
+        system = enc.word_level_encode(circuit)
+        print(f"mod {system.ring.m}")
     else:
-        bs = enc.blast(ws)
-        print("vars " + " ".join(bs.ring.names))
-        for p in bs.polys:
-            print(p)
+        system = enc.blast(circuit)
+    print("vars " + " ".join(system.ring.names))
+    for p in system.polys:
+        print(p)
     return 0
 
 
@@ -287,7 +278,7 @@ def _read(path: str) -> str:
         with open(path) as fh:
             return fh.read()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,13 +338,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except enc.EncodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (enc.EncodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, ZddError) as exc:

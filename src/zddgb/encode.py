@@ -1,8 +1,8 @@
 """Translate verification problems into polynomial systems.
 
 Word-level: circuits over Z/2^n become ideals with the disequality gadget
-s*(f-e) = 2^(n-1).  Bit-level: word equations blast into n Boolean
-polynomials each, with the gadget replaced by prod(1 + f_i + e_i);
+s*(f-e) = 2^(n-1).  Bit-level: each circuit statement blasts into n Boolean
+polynomials, with the gadget replaced by prod(1 + f_i + e_i);
 arithmetic is ripple-carry addition and schoolbook multiplication with
 fully expanded carries (fresh carry variables are opt-in).  A DIMACS
 reader maps CNF clauses to products of literal polynomials, and the
@@ -20,10 +20,8 @@ from .ringstd import ZmPoly, ZmRing
 class EncodeError(Exception):
     """Malformed circuit or CNF input."""
 
-    def __init__(self, message: str, line: int | None = None,
-                 column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.column = column
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -42,13 +40,6 @@ class Circuit:
     assigns: list[tuple] = field(default_factory=list)   # (dest, op, x, y)
     asserts: list[tuple] = field(default_factory=list)
     disequality: tuple[str, str] | None = None
-
-    def targets(self) -> list[str]:
-        out = []
-        for dest, _, _, _ in self.assigns + self.asserts:
-            if dest not in out:
-                out.append(dest)
-        return out
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -128,15 +119,11 @@ def parse_circuit(text: str) -> Circuit:
 
 @dataclass
 class WordSystem:
-    """Polynomial model over Z/2^n, disequality gadget included."""
+    """Polynomial model over Z/2^n: the ring has the circuit's signals, then
+    the gadget variable when there is a disequality pair."""
 
-    wordlen: int
     ring: ZmRing
     polys: list[ZmPoly]
-    disequality: tuple[str, str] | None
-    s_name: str | None
-    outputs: list[str] = field(default_factory=list)
-    statements: list[tuple] = field(default_factory=list)
 
 
 def word_level_encode(c: Circuit) -> WordSystem:
@@ -167,10 +154,7 @@ def word_level_encode(c: Circuit) -> WordSystem:
             2 ** (c.wordlen - 1)
         )
         polys.append(gadget)
-    return WordSystem(
-        c.wordlen, ring, polys, c.disequality, s_name,
-        c.targets(), list(c.assigns + c.asserts),
-    )
+    return WordSystem(ring, polys)
 
 
 # -- bit level --------------------------------------------------------------------
@@ -234,14 +218,18 @@ def const_bits(ring: BoolRing, n: int, value: int):
     return [ring.one if (value >> i) & 1 else ring.zero for i in range(n)]
 
 
-def blast(ws: WordSystem) -> BitSystem:
-    """n Boolean polynomials per word equation; the disequality pair adds
-    prod(1 + f_i + e_i) instead of the s-gadget."""
-    n = ws.wordlen
-    signals = [nm for nm in ws.ring.names if nm != ws.s_name]
-    # outputs first, then inputs, most significant bit first
-    ordered = [nm for nm in ws.outputs if nm in signals]
-    ordered += [nm for nm in signals if nm not in ordered]
+def blast(c: Circuit) -> BitSystem:
+    """Bit-level model of a circuit: n Boolean polynomials per statement
+    (assigns, then asserts), and for the disequality pair (f, e) the
+    product prod(1 + f_i + e_i) in place of the word-level s-gadget.
+
+    Statement targets take the largest variables, in order of first
+    appearance, then the other signals; each signal's bits run from the
+    most significant down.
+    """
+    n = c.wordlen
+    statements = c.assigns + c.asserts
+    ordered = dict.fromkeys([st[0] for st in statements] + c.signals)
     names: list[str] = []
     bit_names: dict[str, list[int]] = {}
     for nm in ordered:
@@ -264,12 +252,12 @@ def blast(ws: WordSystem) -> BitSystem:
         return (bit_add if op == "add" else bit_mul)(xb, yb)[0]
 
     polys = []
-    for dest, op, x, y in ws.statements:
+    for dest, op, x, y in statements:
         db = signal_bits(dest)
         rb = rhs_bits(op, x, y)
         polys.extend(rb[i] + db[i] for i in range(n))
-    if ws.disequality is not None:
-        f, e = ws.disequality
+    if c.disequality is not None:
+        f, e = c.disequality
         fb, eb = signal_bits(f), signal_bits(e)
         prod = ring.one
         for i in range(n):
@@ -302,17 +290,17 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
             continue
         if nvars is None:
             raise EncodeError("clause before header", ln)
-        for col, tok in enumerate(line.split()):
+        for tok in line.split():
             try:
                 lit = int(tok)
             except ValueError:
-                raise EncodeError(f"bad literal {tok!r}", ln, col) from None
+                raise EncodeError(f"bad literal {tok!r}", ln) from None
             if lit == 0:
                 clauses.append(current)
                 current = []
             else:
                 if abs(lit) > nvars:
-                    raise EncodeError(f"literal {lit} out of range", ln, col)
+                    raise EncodeError(f"literal {lit} out of range", ln)
                 current.append(lit)
     if current:
         clauses.append(current)

@@ -208,12 +208,12 @@ class ZmRing:
     def const(self, c: int) -> "ZmPoly":
         return ZmPoly(self, (((0,) * self.n, c),))
 
-    def var(self, v, exp: int = 1, coef: int = 1) -> "ZmPoly":
+    def var(self, v) -> "ZmPoly":
         if isinstance(v, str):
             v = self._index[v]
         e = [0] * self.n
-        e[v] = exp
-        return ZmPoly(self, ((tuple(e), coef),))
+        e[v] = 1
+        return ZmPoly(self, ((tuple(e), 1),))
 
     def parse(self, text: str) -> "ZmPoly":
         """Parse e.g. "2*x^2*y - 3 + x"; coefficients reduce mod m."""

@@ -129,12 +129,10 @@ class ZddManager:
             out = self.union(out, self.singleton(s))
         return out
 
-    def full_family(self, k: int | None = None) -> int:
-        """All subsets of {0,..,k-1}; k variables cost exactly k nodes."""
-        if k is None:
-            k = self.num_vars
+    def full_family(self) -> int:
+        """The family of all variable subsets, one node per variable."""
         n = ONE
-        for v in range(k - 1, -1, -1):
+        for v in range(self.num_vars - 1, -1, -1):
             n = self.mk_node(v, n, n)
         return n
 

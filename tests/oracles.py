@@ -312,7 +312,7 @@ def minimal_elements(man: ZddManager, S: int, cache=None) -> int:
 def leading_monomials_variety(P: PointSet) -> int:
     """Minimal generators of the lex leading ideal of I(P) (Boolean part)."""
     man = P.ring.manager
-    all_terms = man.full_family(P.ring.n)
+    all_terms = man.full_family()
     rest = man.diff(all_terms, standard_monomials(P))
     return minimal_elements(man, rest)
 

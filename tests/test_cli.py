@@ -9,7 +9,7 @@ import pytest
 
 from zddgb.boolgb import buchberger
 from zddgb.boolpoly import BoolRing, eval_poly, lead_vars
-from zddgb.cli import build_parser, main
+from zddgb.cli import main
 
 
 def run(capsys, *argv):
@@ -179,6 +179,19 @@ def test_sat_conjunction_preprocess(tmp_path, capsys):
     path = write(tmp_path, "hole2.cnf", text)
     code, out, _ = run(capsys, "sat", path, "--preprocess", "conjunction")
     assert code == 20
+
+
+@pytest.mark.parametrize("poly", ["--a + b", "+-a + b", "++a + b"])
+def test_at_most_one_leading_sign(tmp_path, capsys, poly):
+    # both readers take one leading sign and reject a run of them
+    bad = write(tmp_path, "signs.txt", f"vars a b\n{poly}\n")
+    for extra in ((), ("--mod", "2")):
+        code, out, err = run(capsys, "gb", bad, *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: dangling")
+    one = write(tmp_path, "sign.txt", "vars a b\n-a + b\n")
+    for extra in ((), ("--mod", "2")):
+        assert run(capsys, "gb", one, *extra) == (0, "a + b\n", "")
 
 
 def test_parse_error_exit_2(tmp_path, capsys):
@@ -386,16 +399,82 @@ def test_readme_quick_start_prints_its_comments():
     assert all(hasattr(zddgb, name) for name in zddgb.__all__)
 
 
-def test_readme_cli_lines_parse():
-    # every example in README's CLI block must still be accepted by the
-    # argument parser (parsed only, not run)
+# `encode` output for README's circuit in each mode; a change of variable
+# order or of any printed polynomial shows here
+README_CIRCUIT_WORD = (
+    "mod 16\n"
+    "vars a b c d e f s\n"
+    "b + c + 15*d\n"
+    "a*d + 15*e\n"
+    "15*b\n"
+    "a*c + 15*f\n"
+    "15*e*s + f*s + 8\n"
+)
+README_CIRCUIT_BIT = (
+    "vars d3 d2 d1 d0 e3 e2 e1 e0 b3 b2 b1 b0 f3 f2 f1 f0 a3 a2 a1 a0 c3 "
+    "c2 c1 c0\n"
+    "d0 + b0 + c0\n"
+    "d1 + b1 + b0*c0 + c1\n"
+    "d2 + b2 + b1*b0*c0 + b1*c1 + b0*c1*c0 + c2\n"
+    "d3 + b3 + b2*b1*b0*c0 + b2*b1*c1 + b2*b0*c1*c0 + b2*c2 + "
+    "b1*b0*c2*c0 + b1*c2*c1 + b0*c2*c1*c0 + c3\n"
+    "d0*a0 + e0\n"
+    "d1*a0 + d0*a1 + e1\n"
+    "d2*a0 + d1*d0*a1*a0 + d1*a1 + d0*a2 + e2\n"
+    "d3*a0 + d2*d1*d0*a1*a0 + d2*d1*a1*a0 + d2*d0*a2*a0 + d2*a1 + "
+    "d1*d0*a2*a1*a0 + d1*d0*a2*a1 + d1*d0*a1*a0 + d1*a2 + d0*a3 + e3\n"
+    "b0\n"
+    "b1\n"
+    "b2\n"
+    "b3\n"
+    "f0 + a0*c0\n"
+    "f1 + a1*c0 + a0*c1\n"
+    "f2 + a2*c0 + a1*a0*c1*c0 + a1*c1 + a0*c2\n"
+    "f3 + a3*c0 + a2*a1*a0*c1*c0 + a2*a1*c1*c0 + a2*a0*c2*c0 + a2*c1 + "
+    "a1*a0*c2*c1*c0 + a1*a0*c2*c1 + a1*a0*c1*c0 + a1*c2 + a0*c3\n"
+    "e3*e2*e1*e0 + e3*e2*e1*f0 + e3*e2*e1 + e3*e2*e0*f1 + e3*e2*e0 + "
+    "e3*e2*f1*f0 + e3*e2*f1 + e3*e2*f0 + e3*e2 + e3*e1*e0*f2 + "
+    "e3*e1*e0 + e3*e1*f2*f0 + e3*e1*f2 + e3*e1*f0 + e3*e1 + "
+    "e3*e0*f2*f1 + e3*e0*f2 + e3*e0*f1 + e3*e0 + e3*f2*f1*f0 + "
+    "e3*f2*f1 + e3*f2*f0 + e3*f2 + e3*f1*f0 + e3*f1 + e3*f0 + e3 + "
+    "e2*e1*e0*f3 + e2*e1*e0 + e2*e1*f3*f0 + e2*e1*f3 + e2*e1*f0 + "
+    "e2*e1 + e2*e0*f3*f1 + e2*e0*f3 + e2*e0*f1 + e2*e0 + e2*f3*f1*f0 + "
+    "e2*f3*f1 + e2*f3*f0 + e2*f3 + e2*f1*f0 + e2*f1 + e2*f0 + e2 + "
+    "e1*e0*f3*f2 + e1*e0*f3 + e1*e0*f2 + e1*e0 + e1*f3*f2*f0 + "
+    "e1*f3*f2 + e1*f3*f0 + e1*f3 + e1*f2*f0 + e1*f2 + e1*f0 + e1 + "
+    "e0*f3*f2*f1 + e0*f3*f2 + e0*f3*f1 + e0*f3 + e0*f2*f1 + e0*f2 + "
+    "e0*f1 + e0 + f3*f2*f1*f0 + f3*f2*f1 + f3*f2*f0 + f3*f2 + f3*f1*f0 + "
+    "f3*f1 + f3*f0 + f3 + f2*f1*f0 + f2*f1 + f2*f0 + f2 + f1*f0 + f1 + "
+    "f0 + 1\n"
+)
+
+
+def test_readme_cli_lines_run(tmp_path, capsys, monkeypatch):
+    # every example in README's CLI block runs on small fixtures and exits
+    # as documented, and `encode` prints the recorded systems for README's
+    # circuit
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## CLI.*?```sh\n(.*?)```", readme, re.S).group(1)
+    circuit = re.search(r"Circuit files:\n+```\n(.*?)```", readme,
+                        re.S).group(1)
+    for name, text in [("system.txt", "vars x y z\nx*y + z\ny*z + x\n"),
+                       ("formula.cnf", "p cnf 3 2\n1 -2 0\n2 3 0\n"),
+                       ("points.txt", "000\n011\n101\n"),
+                       ("values.txt", "000 0\n011 1\n101 1\n"),
+                       ("circuit.txt", circuit)]:
+        write(tmp_path, name, text)
+    monkeypatch.chdir(tmp_path)
     lines = [ln for ln in block.splitlines() if ln.startswith("zddgb ")]
     assert lines
-    parser = build_parser()
     for line in lines:
-        parser.parse_args(shlex.split(line, comments=True)[1:])
+        argv = shlex.split(line, comments=True)[1:]
+        code, out, err = run(capsys, *argv)
+        assert code in ((10, 20) if argv[0] == "sat" else (0,)), (line, err)
+        assert out and err == "", line
+    for mode, expected in (("word", README_CIRCUIT_WORD),
+                           ("bit", README_CIRCUIT_BIT)):
+        assert run(capsys, "encode", "circuit.txt", "--mode", mode) == (
+            0, expected, "")
 
 
 def test_readme_library_quick_start(capsys):

@@ -53,7 +53,7 @@ def test_word_level_const_and_no_disequality():
     ws = word_level_encode(c)
     assert len(ws.polys) == 1
     assert ws.polys[0] == ws.ring.parse("3 - x")
-    assert ws.s_name is None
+    assert ws.ring.names == ["x"]     # no gadget variable
 
 
 def test_circuit_errors():
@@ -139,22 +139,19 @@ def test_bit_add_fresh_carries():
 
 
 def test_blast_equation_x_eq_zero():
-    ws = word_level_encode(parse_circuit("wordlen 2\nsignal x\nassign x = 0\n"))
-    bs = blast(ws)
+    bs = blast(parse_circuit("wordlen 2\nsignal x\nassign x = 0\n"))
     assert {str(p) for p in bs.polys} == {"x0", "x1"}
 
 
 def test_blast_disequality_width1():
     src = "wordlen 1\nsignal f e\ndisequal f e\n"
-    ws = word_level_encode(parse_circuit(src))
-    bs = blast(ws)
+    bs = blast(parse_circuit(src))
     assert [str(p) for p in bs.polys] == ["f0 + e0 + 1"]
 
 
 def test_blast_product_constraints_n4():
     src = "wordlen 4\nsignal p a b\nassign p = a mul b\n"
-    ws = word_level_encode(parse_circuit(src))
-    bs = blast(ws)
+    bs = blast(parse_circuit(src))
     assert len(bs.polys) == 4
     ring = bs.ring
     a = [ring.var(f"a{i}") for i in range(4)]
@@ -167,8 +164,7 @@ def test_blast_product_constraints_n4():
 def test_blast_soundness_exhaustive():
     # word solutions correspond exactly to bit solutions under base-2
     src = "wordlen 2\nsignal x y z\nassign z = x mul y\nassert z = 2\n"
-    ws = word_level_encode(parse_circuit(src))
-    bs = blast(ws)
+    bs = blast(parse_circuit(src))
     m = 4
     word_solutions = set()
     for x in range(m):
