@@ -25,7 +25,7 @@ from .interp import (
     standard_monomials,
     zeros,
 )
-from .ringstd import Modulus, RingOrdering, RingStrategy, ZmPoly, ZmRing, std_basis
+from .ringstd import Modulus, RingStrategy, ZmPoly, ZmRing, std_basis
 from .zdd import ZddManager
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "Ordering",
     "PartialFn",
     "PointSet",
-    "RingOrdering",
     "RingStrategy",
     "Strategy",
     "SymCache",

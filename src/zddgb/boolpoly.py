@@ -24,7 +24,7 @@ class RingMismatchError(Exception):
     """Operands belong to different rings."""
 
 
-class OrderingError(Exception):
+class OrderingError(ValueError):
     """Ordering is malformed or unsupported for the requested operation."""
 
 
@@ -58,10 +58,6 @@ class Ordering:
     def is_symmetric(self) -> bool:
         """Order-preserving variable shifts keep comparisons intact."""
         return self.kind != "block"
-
-    def validate(self, n: int) -> None:
-        if self.kind == "block" and self.blocks[-1][1] != n:
-            raise OrderingError("blocks must partition the variable range")
 
     def sort_key(self, mon: tuple[int, ...]):
         """Key with key(m1) < key(m2) iff m1 < m2 in this ordering."""
@@ -125,7 +121,8 @@ class BoolRing:
             raise ValueError("variable names must be unique")
         if isinstance(ordering, str):
             ordering = parse_ordering(ordering)
-        ordering.validate(len(names))
+        if ordering.kind == "block" and ordering.blocks[-1][1] != len(names):
+            raise OrderingError("blocks must partition the variable range")
         self.names = names
         self.n = len(names)
         self.ordering = ordering
@@ -193,6 +190,10 @@ class BoolRing:
                 if name == "1":
                     continue
                 if name not in self._index:
+                    if re.fullmatch(r"\d+", name):
+                        raise ValueError(
+                            f"coefficient {name!r} in {src!r}: a Boolean term "
+                            "takes no coefficient but 1 (use --mod for Z/m)")
                     raise ValueError(f"unknown variable {name!r}")
                 if caret and int(exp) == 0:
                     continue

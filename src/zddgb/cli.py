@@ -16,10 +16,10 @@ import time
 
 from . import encode as enc
 from .boolgb import buchberger, greedy_nf, sat_check
-from .boolpoly import BoolRing, OrderingError, parse_ordering
+from .boolpoly import BoolRing
 from .interp import (PartialFn, PointSet, interpolate_smallest_lex, points_gb,
                      zeros)
-from .ringstd import RingOrdering, ZmRing, rednf_ring, std_basis
+from .ringstd import ZmRing, rednf_ring, std_basis
 from .zdd import ZddError
 
 
@@ -74,11 +74,13 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
     if order is None and file_order is not None:
         # the ring kind is known only now; errors still name the line
         order, where = file_order, f"line {first['order']}: "
-    ordering = _ordering(order or "lp", modulus, len(names), where)
-    if modulus is None:
-        ring = BoolRing(names, ordering)
-    else:
-        ring = ZmRing(modulus, names, ordering)
+    try:  # names and modulus are checked above, so only the ordering fails
+        if modulus is None:
+            ring = BoolRing(names, order or "lp")
+        else:
+            ring = ZmRing(modulus, names, order or "lp")
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
     polys = []
     for ln, src in polys_src:
         try:
@@ -91,19 +93,6 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
 def _repeated(names: list[str]) -> str | None:
     """The first name that occurs earlier in the list, or None."""
     return next((x for i, x in enumerate(names) if x in names[:i]), None)
-
-
-def _ordering(text: str, modulus: int | None, n: int, where: str = ""):
-    """The ordering `text` names, for a BoolRing on n variables or, given a
-    modulus, a ZmRing; `where` prefixes the error message."""
-    try:
-        if modulus is not None:
-            return RingOrdering(text)
-        ordering = parse_ordering(text)
-        ordering.validate(n)
-        return ordering
-    except (OrderingError, ValueError) as exc:
-        raise ValueError(f"{where}{exc}") from None
 
 
 def _modulus(text: str) -> int:
@@ -153,7 +142,7 @@ def read_points(text: str, values: bool):
 
 
 def _report(args, payload: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         sys.stdout.write(json.dumps(payload) + "\n")
 
 
@@ -195,7 +184,7 @@ def cmd_sat(args) -> int:
     if any(line.split()[:2] == ["p", "cnf"] for line in text.splitlines()):
         nvars, clauses = enc.parse_dimacs(text)
         names = [f"v{i}" for i in range(1, nvars + 1)]
-        ring = BoolRing(names, _ordering(args.order or "lp", None, nvars))
+        ring = BoolRing(names, args.order or "lp")
         polys = enc.cnf_to_polys((nvars, clauses), ring).polys
     else:
         ring, polys = read_system(text, args.order)
@@ -289,21 +278,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, mod=True):
+    def common(p, mod=True, report=True):
         p.add_argument("file")
         p.add_argument("--order", help="lp, dlex, dp_asc or block(kind:end,...)")
         if mod:
             p.add_argument("--mod", type=_modulus,
                            help="coefficient modulus m >= 2 (ring mode)")
-        p.add_argument("--json", action="store_true",
-                       help="emit a json-lines report")
+        if report:
+            p.add_argument("--json", action="store_true",
+                           help="emit a json-lines report")
 
     p = sub.add_parser("gb", help="reduced Groebner/standard basis")
     common(p)
     p.set_defaults(fn=cmd_gb)
 
     p = sub.add_parser("nf", help="normal form of --poly against the file")
-    common(p)
+    common(p, report=False)
     p.add_argument("--poly", required=True)
     p.set_defaults(fn=cmd_nf)
 

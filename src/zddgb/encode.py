@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .boolpoly import BoolPoly, BoolRing, Ordering
+from .boolpoly import BoolPoly, BoolRing
 from .ringstd import ZmPoly, ZmRing
 
 
@@ -238,7 +238,7 @@ def blast(c: Circuit) -> BitSystem:
             idxs.append(len(names))
             names.append(f"{nm}{i}")
         bit_names[nm] = idxs[::-1]      # position i = bit of weight 2^i
-    ring = BoolRing(names, Ordering("lp"))
+    ring = BoolRing(names)
 
     def signal_bits(nm: str):
         return [ring.var(v) for v in bit_names[nm]]
@@ -314,15 +314,13 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
 
 
 def cnf_to_polys(source, ring: BoolRing | None = None) -> BitSystem:
-    """One polynomial per clause: positive literal v maps to (x_v + 1),
+    """One polynomial per clause of source = (nvars, clauses), as
+    `parse_dimacs` returns it: positive literal v maps to (x_v + 1),
     negative to x_v; the product vanishes exactly on satisfying
     assignments (truth value 1 means x = 1)."""
-    if isinstance(source, str):
-        nvars, clauses = parse_dimacs(source)
-    else:
-        nvars, clauses = source
+    nvars, clauses = source
     if ring is None:
-        ring = BoolRing([f"v{i}" for i in range(1, nvars + 1)], Ordering("lp"))
+        ring = BoolRing([f"v{i}" for i in range(1, nvars + 1)])
     elif ring.n < nvars:
         raise EncodeError("ring too small for the clause set")
     polys = []
@@ -376,7 +374,7 @@ def mult_verification(n: int, tamper: bool = False) -> BitSystem:
     names += [f"t{j}" for j in range(pp_cells + carry_cells)]
     names += [f"a{i}" for i in range(n - 1, -1, -1)]
     names += [f"b{i}" for i in range(n - 1, -1, -1)]
-    ring = BoolRing(names, Ordering("lp"))
+    ring = BoolRing(names)
 
     aux_used = 0
 

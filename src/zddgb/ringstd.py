@@ -160,38 +160,23 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 # -- orderings and polynomials ------------------------------------------------
 
 
-RLEX = "lp"
-RDLEX = "dlex"
-
-
-@dataclass(frozen=True)
-class RingOrdering:
-    """Global monomial ordering on exponent vectors: lex or degree-lex."""
-
-    kind: str = RLEX
-
-    def __post_init__(self):
-        if self.kind not in (RLEX, RDLEX):
-            raise ValueError(f"unsupported ring ordering {self.kind!r}")
-
-    def sort_key(self, exps: tuple[int, ...]):
-        if self.kind == RLEX:
-            return exps
-        return (sum(exps), exps)
+# exponent-vector sort keys of the global orderings, variable 0 the largest
+_SORT_KEYS = {"lp": tuple, "dlex": lambda exps: (sum(exps), exps)}
 
 
 class ZmRing:
-    """Z/m[x_1..x_n] with a global ordering."""
+    """Z/m[x_1..x_n] with a global ordering, "lp" (lex) or "dlex"."""
 
-    def __init__(self, m: int, names, ordering: RingOrdering | str = RLEX):
-        if isinstance(ordering, str):
-            ordering = RingOrdering(ordering)
+    def __init__(self, m: int, names, ordering: str = "lp"):
+        try:
+            self.sort_key = _SORT_KEYS[ordering]
+        except KeyError:
+            raise ValueError(f"unsupported ring ordering {ordering!r}") from None
         self.mod = Modulus(m)
         self.names = list(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
         self.n = len(self.names)
-        self.ordering = ordering
         self._index = {nm: i for i, nm in enumerate(self.names)}
 
     @property
@@ -288,7 +273,7 @@ class ZmPoly:
                 acc[exps] = c
             else:
                 acc.pop(exps, None)
-        key = ring.ordering.sort_key
+        key = ring.sort_key
         self.ring = ring
         self.terms = tuple(
             (e, acc[e]) for e in sorted(acc, key=key, reverse=True)
@@ -355,7 +340,7 @@ class ZmPoly:
         """self + sign * other by merging the two sorted term lists."""
         ring = self.ring
         m = ring.m
-        key = ring.ordering.sort_key
+        key = ring.sort_key
         s, t = self.terms, other.terms
         out = []
         i = j = 0
@@ -536,7 +521,7 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
     if not gens:
         return []
     ring = gens[0].ring
-    sort_key = ring.ordering.sort_key
+    sort_key = ring.sort_key
     strategy = strategy or RingStrategy()
     mod = ring.mod
 
@@ -616,7 +601,7 @@ def _reduce_basis(G) -> list[ZmPoly]:
     if not G:
         return []
     ring = G[0].ring
-    sort_key = ring.ordering.sort_key
+    sort_key = ring.sort_key
     mod = ring.mod
     # scanning by (monomial, gcd(lc, m)) puts divisor terms first: a proper
     # divisor's gcd is a proper divisor of the other's, associates tie

@@ -225,6 +225,56 @@ def test_parse_error_exit_2(tmp_path, capsys):
         assert "--mod" in capsys.readouterr().err
 
 
+
+def test_ordering_errors_pinned(tmp_path, capsys):
+    # each ring reports a bad ordering itself, as a ValueError; the CLI
+    # prints that message, prefixed by the line of a file's `order` line
+    from zddgb import ZmRing
+
+    for build, message in (
+            (lambda: ZmRing(4, ["x"], "dp_asc"),
+             "unsupported ring ordering 'dp_asc'"),
+            (lambda: BoolRing(["x"], "bogus"), "unknown ordering kind 'bogus'")):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+    cnf = write(tmp_path, "f.cnf", "p cnf 1 1\n1 0\n")
+    one = write(tmp_path, "one.txt", "vars x\nx\n")
+    ring_file = write(tmp_path, "ring.txt", "mod 4\norder dp_asc\nvars x\nx\n")
+    for argv, err in (
+            (("sat", cnf, "--order", "bogus"),
+             "error: unknown ordering kind 'bogus'\n"),
+            (("gb", one, "--mod", "4", "--order", "dp_asc"),
+             "error: unsupported ring ordering 'dp_asc'\n"),
+            (("gb", ring_file),
+             "error: line 2: unsupported ring ordering 'dp_asc'\n")):
+        assert run(capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("poly", ["3*x + y", "x + y + 2", "0*x + y"])
+def test_boolean_coefficient_points_to_mod(tmp_path, capsys, poly):
+    # a number other than 0 or 1 standing alone is a coefficient, which
+    # only the Z/m reader takes
+    path = write(tmp_path, "coef.txt", f"vars x y\n{poly}\n")
+    code, out, err = run(capsys, "gb", path)
+    assert (code, out) == (2, "")
+    coef = re.search(r"\d", poly).group()
+    assert err == (f"error: line 2: coefficient {coef!r} in {poly!r}: a Boolean "
+                   "term takes no coefficient but 1 (use --mod for Z/m)\n")
+    assert run(capsys, "gb", path, "--mod", "4")[0] == 0
+
+
+def test_json_only_on_gb_and_sat(tmp_path, capsys):
+    # nf prints no report, so it takes no --json
+    path = write(tmp_path, "sys.txt", "vars x y\nx + y\n")
+    for command in ("gb", "sat"):
+        code, out, _ = run(capsys, command, path, "--json")
+        assert json.loads(out.splitlines()[-1])["command"] == command
+    with pytest.raises(SystemExit) as exc:
+        main(["nf", path, "--poly", "x", "--json"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err
+
 @pytest.mark.parametrize("term", ["x^-1", "x^", "x +"])
 def test_bad_term_exit_2_names_line(tmp_path, capsys, term):
     bad = write(tmp_path, "bad.txt", f"vars x y\nx*y + 1\n{term}\n")
@@ -383,19 +433,20 @@ def test_encode_signal_declared_after_use(tmp_path, capsys):
     assert out.splitlines() == ["mod 4", "vars c a b", "3*c + a*b"]
 
 
-def test_readme_quick_start_prints_its_comments():
-    # README's "Library quick start" block runs, and each print shows what
-    # the comment beside it says
+def test_readme_quick_start_prints_its_comments(capsys):
+    # README's "Library quick start" block runs, each print shows what the
+    # comment beside it says, and every name in zddgb.__all__ resolves
     import zddgb
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"## Library quick start\n+```python\n(.*?)```",
-                      readme, re.S).group(1)
-    expected = [ln.rsplit("# ", 1)[1] for ln in block.splitlines()
-                if ln.startswith("print(")]
-    printed = []
-    exec(block, {"print": lambda *a: printed.append(" ".join(map(str, a)))})
-    assert expected and printed == expected
+    block = re.search(
+        r"## Library quick start\n+```python\n(.*?)```", readme, re.S
+    ).group(1)
+    prints = [ln for ln in block.splitlines() if ln.startswith("print(")]
+    assert prints and all("  # " in ln for ln in prints)
+    expected = [ln.split("  # ", 1)[1] for ln in prints]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
     assert all(hasattr(zddgb, name) for name in zddgb.__all__)
 
 
@@ -476,15 +527,3 @@ def test_readme_cli_lines_run(tmp_path, capsys, monkeypatch):
         assert run(capsys, "encode", "circuit.txt", "--mode", mode) == (
             0, expected, "")
 
-
-def test_readme_library_quick_start(capsys):
-    # README's Python block runs and prints what its comments say
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(
-        r"## Library quick start.*?```python\n(.*?)```", readme, re.S
-    ).group(1)
-    prints = [ln for ln in block.splitlines() if ln.startswith("print(")]
-    assert prints and all("  # " in ln for ln in prints)
-    expected = [ln.split("  # ", 1)[1] for ln in prints]
-    exec(compile(block, "README.md", "exec"), {})
-    assert capsys.readouterr().out.splitlines() == expected

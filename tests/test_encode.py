@@ -215,9 +215,9 @@ def test_parse_dimacs_and_errors():
 
 
 def test_cnf_to_polys_examples():
-    system = cnf_to_polys("p cnf 2 1\n1 0\n")
+    system = cnf_to_polys(parse_dimacs("p cnf 2 1\n1 0\n"))
     assert [str(p) for p in system.polys] == ["v1 + 1"]
-    system = cnf_to_polys("p cnf 2 1\n1 -2 0\n")
+    system = cnf_to_polys(parse_dimacs("p cnf 2 1\n1 -2 0\n"))
     ring = system.ring
     # product of literal polynomials: (v1 + 1) * v2
     assert system.polys[0] == ring.parse("v1*v2 + v2")
