@@ -433,20 +433,34 @@ def test_encode_signal_declared_after_use(tmp_path, capsys):
     assert out.splitlines() == ["mod 4", "vars c a b", "3*c + a*b"]
 
 
-def test_readme_quick_start_prints_its_comments(capsys):
-    # README's "Library quick start" block runs, each print shows what the
-    # comment beside it says, and every name in zddgb.__all__ resolves
-    import zddgb
-
+def readme_quick_start():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(
+    return re.search(
         r"## Library quick start\n+```python\n(.*?)```", readme, re.S
     ).group(1)
+
+
+def test_readme_quick_start_prints_its_comments(capsys):
+    # README's "Library quick start" block runs, and each print shows what
+    # the comment beside it says
+    block = readme_quick_start()
     prints = [ln for ln in block.splitlines() if ln.startswith("print(")]
     assert prints and all("  # " in ln for ln in prints)
     expected = [ln.split("  # ", 1)[1] for ln in prints]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_library_quick_start():
+    # every name README's quick start imports is public, and every name in
+    # zddgb.__all__ resolves
+    import zddgb
+
+    imported = {name.strip()
+                for line in re.findall(r"^from zddgb import (.*)$",
+                                       readme_quick_start(), re.M)
+                for name in line.split(",")}
+    assert imported and imported <= set(zddgb.__all__)
     assert all(hasattr(zddgb, name) for name in zddgb.__all__)
 
 
