@@ -175,7 +175,10 @@ class BoolRing:
         for chunk in text.split("+"):
             chunk = chunk.strip()
             if not chunk:
-                raise ValueError(f"dangling '+' in {src!r}")
+                # name the sign as written: the first one that another sign
+                # or the end of the text follows
+                sign = re.search(r"[+-](?=[+-]|$)", "".join(src.split()))
+                raise ValueError(f"dangling {sign.group()!r} in {src!r}")
             if chunk == "0":
                 continue
             if chunk == "1":

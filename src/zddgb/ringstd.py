@@ -237,10 +237,6 @@ class ZmRing:
         return "*".join(parts)
 
 
-def _mon_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(operator.add, a, b))
-
-
 def _mon_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(map(operator.le, a, b))
 
@@ -337,10 +333,12 @@ class ZmPoly:
         return self._merge(other, -1)
 
     def _merge(self, other: "ZmPoly", sign: int) -> "ZmPoly":
-        """self + sign * other by merging the two sorted term lists."""
+        """self + sign * other by merging the two sorted term lists.  Under
+        lp the sort key is the exponent tuple itself, compared directly."""
         ring = self.ring
         m = ring.m
         key = ring.sort_key
+        lex = key is tuple
         s, t = self.terms, other.terms
         out = []
         i = j = 0
@@ -352,7 +350,7 @@ class ZmPoly:
                     out.append((e, c))
                 i += 1
                 j += 1
-            elif key(e) > key(f):
+            elif e > f if lex else key(e) > key(f):
                 out.append(s[i])
                 i += 1
             else:
@@ -364,18 +362,20 @@ class ZmPoly:
 
     def mul_term(self, exps: tuple[int, ...], coef: int) -> "ZmPoly":
         m = self.ring.m
+        add = operator.add
         out = []
         for e, c in self.terms:
             c = c * coef % m
             if c:
-                out.append((_mon_mul(e, exps), c))
+                out.append((tuple(map(add, e, exps)), c))
         return ZmPoly._canonical(self.ring, tuple(out))
 
     def __mul__(self, other: "ZmPoly") -> "ZmPoly":
+        add = operator.add
         out = []
         for e, c in self.terms:
             for e2, c2 in other.terms:
-                out.append((_mon_mul(e, e2), c * c2))
+                out.append((tuple(map(add, e, e2)), c * c2))
         return ZmPoly(self.ring, out)
 
     def scale(self, c: int) -> "ZmPoly":
@@ -431,7 +431,8 @@ def nf_ring(f: ZmPoly, G) -> ZmPoly:
     """Polynomial weak normal form: the result is 0 or has its leading term
     outside the leading ideal of the reducer set.
 
-    The reducers are ordered once by ecart, ties by position in G.  Each
+    The reducers are ordered once by ecart, ties by position in G, and
+    each one's lead monomial and coefficient are read once per call.  Each
     step hands the lead coefficients of the reducers whose lead divides
     lm(f), in that order, to one `solve_lead` call: a single divisor of
     least ecart when there is one, else a combination over the shortest
@@ -440,18 +441,21 @@ def nf_ring(f: ZmPoly, G) -> ZmPoly:
     the reducers is not needed, since no later lead could be its multiple.
     """
     mod = f.ring.mod
-    T = sorted((g for g in G if not g.is_zero()), key=ZmPoly.ecart)
-    while not f.is_zero():
-        mf, cf = f.lt()
-        cands = [g for g in T if _mon_divides(g.terms[0][0], mf)]
+    le, sub = operator.le, operator.sub
+    # (lead monomial, lead coefficient, reducer), nonzero reducers by ecart
+    T = [(*g.terms[0], g)
+         for g in sorted((g for g in G if g.terms), key=ZmPoly.ecart)]
+    while f.terms:
+        mf, cf = f.terms[0]
+        cands = [t for t in T if all(map(le, t[0], mf))]
         if not cands:
             return f
-        sol = solve_lead(mod, cf, [g.lc() for g in cands])
+        sol = solve_lead(mod, cf, [c for _, c, _ in cands])
         if sol is None:
             return f
-        for g, x in zip(cands, sol):
+        for (mg, _, g), x in zip(cands, sol):
             if x:
-                f = f - g.mul_term(_mon_div(mf, g.lm()), x)
+                f = f - g.mul_term(tuple(map(sub, mf, mg)), x)
     return f
 
 
@@ -472,9 +476,10 @@ def rednf_ring(f: ZmPoly, G) -> ZmPoly:
 def product_criterion_ring(f: ZmPoly, g: ZmPoly) -> bool:
     """Coprime lead monomials and both lead coefficients units."""
     mod = f.ring.mod
-    if not (mod.is_unit(f.lc()) and mod.is_unit(g.lc())):
+    (mf, cf), (mg, cg) = f.terms[0], g.terms[0]
+    if not (mod.is_unit(cf) and mod.is_unit(cg)):
         return False
-    return all(a == 0 or b == 0 for a, b in zip(f.lm(), g.lm()))
+    return all(a == 0 or b == 0 for a, b in zip(mf, mg))
 
 
 def _term_divides(mod: Modulus, t1: tuple, t2: tuple) -> bool:
@@ -515,7 +520,10 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
     """Standard basis of the ideal of gens over Z/m.
 
     Every s-polynomial, including the extended annihilator multiples,
-    reduces to zero against the result.  Deterministic.
+    reduces to zero against the result.  Deterministic.  The loop stops as
+    soon as a remainder is a unit constant u: the ideal is then the whole
+    ring, u divides every lead, every later remainder would reduce to 0,
+    and the reduced basis is [u].
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -531,23 +539,29 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
     queued_lcm: dict[tuple[int, int], tuple] = {}
     counter = 0
 
-    def add(h: ZmPoly):
+    def add(h: ZmPoly) -> bool:
+        """Append h to G and queue its pairs; True, with nothing queued,
+        when h is a unit constant."""
         # queue entries (key, a, b): the pair (a, b) with a < b, or the
         # annihilator s-polynomial of G[a] when b is None
         nonlocal counter
         idx = len(G)
         G.append(h)
+        lt = h.terms[0]
+        if not any(lt[0]) and mod.is_unit(lt[1]):
+            return True
         for j in range(idx):
-            mon, coef = queued_lcm[(j, idx)] = _lcm_term(mod, G[j].lt(), h.lt())
+            mon, coef = queued_lcm[(j, idx)] = _lcm_term(mod, G[j].terms[0], lt)
             counter += 1
             heapq.heappush(queue, ((sort_key(mon), coef, counter), j, idx))
         counter += 1
-        heapq.heappush(queue, ((sort_key(h.lm()), 0, counter), idx, None))
+        heapq.heappush(queue, ((sort_key(lt[0]), 0, counter), idx, None))
+        return False
 
     for f in gens:
         h = nf_ring(f, G)
-        if not h.is_zero():
-            add(h)
+        if h.terms and add(h):
+            return _reduce_basis(G)
 
     while queue:
         _, a, b = heapq.heappop(queue)
@@ -559,7 +573,9 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
             if strategy.product_criterion and product_criterion_ring(f, g):
                 done.add((a, b))
                 continue
-            if strategy.zero_criterion and zero_criterion(mod, f.lc(), g.lc()):
+            if strategy.zero_criterion and zero_criterion(
+                mod, f.terms[0][1], g.terms[0][1]
+            ):
                 continue
             if strategy.chain_criterion and _chain_drop(
                 mod, G, a, b, done, queued_lcm
@@ -570,8 +586,8 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
         if s.is_zero():
             continue
         h = nf_ring(s, G)
-        if not h.is_zero():
-            add(h)
+        if h.terms and add(h):
+            return _reduce_basis(G)
 
     return _reduce_basis(G)
 
@@ -579,9 +595,13 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
 def _chain_drop(mod, G, i, l, done, queued_lcm) -> bool:
     """Some lt(G[j]) divides the lcm term of (i, l), and each of the pairs
     (i, j) and (j, l) is done or queued with a properly smaller lcm term."""
-    lcm_term = _lcm_term(mod, G[i].lt(), G[l].lt())
-    for j in range(len(G)):
-        if j in (i, l) or not _term_divides(mod, G[j].lt(), lcm_term):
+    lcm_term = _lcm_term(mod, G[i].terms[0], G[l].terms[0])
+    ml, cl = lcm_term
+    le = operator.le
+    for j, g in enumerate(G):
+        mj, cj = g.terms[0]
+        if (j == i or j == l or not all(map(le, mj, ml))
+                or not mod.divides(cj, cl)):
             continue
         if all(
             side in done

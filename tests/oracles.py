@@ -334,6 +334,36 @@ def verify_standard_rep(f: ZmPoly, G) -> bool:
     return True
 
 
+# `ringstd.nf_ring` as it was before it read each reducer's lead once per
+# call, kept verbatim: the new one must agree with it term for term
+def nf_ring_reference(f: ZmPoly, G) -> ZmPoly:
+    """Polynomial weak normal form: the result is 0 or has its leading term
+    outside the leading ideal of the reducer set.
+
+    The reducers are ordered once by ecart, ties by position in G.  Each
+    step hands the lead coefficients of the reducers whose lead divides
+    lm(f), in that order, to one `solve_lead` call: a single divisor of
+    least ecart when there is one, else a combination over the shortest
+    ecart prefix that solves.  The orderings are global, so the lead falls
+    strictly at every step; Mora's device of appending the remainder to
+    the reducers is not needed, since no later lead could be its multiple.
+    """
+    mod = f.ring.mod
+    T = sorted((g for g in G if not g.is_zero()), key=ZmPoly.ecart)
+    while not f.is_zero():
+        mf, cf = f.lt()
+        cands = [g for g in T if _mon_divides(g.terms[0][0], mf)]
+        if not cands:
+            return f
+        sol = solve_lead(mod, cf, [g.lc() for g in cands])
+        if sol is None:
+            return f
+        for g, x in zip(cands, sol):
+            if x:
+                f = f - g.mul_term(_mon_div(mf, g.lm()), x)
+    return f
+
+
 def is_strong_basis(G, samples: int = 50, seed: int = 0,
                     max_deg: int = 2, gens=None) -> bool:
     """Sampled check that some lt(g) divides lt(f) for ideal elements f.

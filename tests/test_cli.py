@@ -194,6 +194,18 @@ def test_at_most_one_leading_sign(tmp_path, capsys, poly):
         assert run(capsys, "gb", one, *extra) == (0, "a + b\n", "")
 
 
+@pytest.mark.parametrize("poly, sign", [
+    ("x -", "-"), ("x - -y", "-"), ("x - + y", "-"), ("- - x", "-"),
+    ("x + -y", "+"), ("+-x + y", "+"), ("x +", "+"), ("x + - ", "+"),
+])
+def test_dangling_sign_named_as_written(tmp_path, capsys, poly, sign):
+    # both readers name the sign the text has, not a '+' it was read as
+    path = write(tmp_path, "sign.txt", f"vars x y\n{poly}\n")
+    err = f"error: line 2: dangling {sign!r} in {poly.strip()!r}\n"
+    for extra in ((), ("--mod", "4")):
+        assert run(capsys, "gb", path, *extra) == (2, "", err)
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "vars x\nx + qq\n")
     code, _, err = run(capsys, "gb", bad)

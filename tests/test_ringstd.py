@@ -4,6 +4,7 @@ import json
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     eval_zm_terms,
     is_strong_basis,
+    nf_ring_reference,
     verify_standard_rep,
     zm_annihilator_set,
     zm_div_exact,
@@ -252,6 +254,50 @@ def test_nf_weak_normal_form_property():
             continue
         cands = [g for g in G if all(a <= b for a, b in zip(g.lm(), r.lm()))]
         assert solve_lead(R.mod, r.lc(), [g.lc() for g in cands]) is None
+
+
+@st.composite
+def reducer_case(draw):
+    """A polynomial and a reducer list that holds zero polynomials and
+    reducers sharing a lead monomial."""
+    m = draw(st.sampled_from((4, 8, 12, 30, 36, 2**61 - 1)))
+    n = draw(st.integers(1, 3))
+    ring = ZmRing(m, [f"x{i}" for i in range(n)], draw(st.sampled_from(("lp", "dlex"))))
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers(0, m - 1))
+
+    def poly(max_terms):
+        return ZmPoly(ring, draw(st.lists(term, max_size=max_terms)))
+
+    G = [poly(4) for _ in range(draw(st.integers(0, 5)))]
+    for g in list(G):
+        if g.terms and draw(st.booleans()):
+            # same lead monomial: a multiple of g, or its lead over a new tail
+            below = [t for t in poly(4).terms
+                     if ring.sort_key(t[0]) < ring.sort_key(g.lm())]
+            twin = ZmPoly(ring, (g.lt(), *below))
+            G.append(draw(st.sampled_from((g.scale(draw(term)[1]), twin))))
+    G.insert(draw(st.integers(0, len(G))), ring.zero)
+    # f is an ideal member plus noise, so that its leads meet the reducers'
+    f = poly(3)
+    for g in G:
+        if draw(st.booleans()):
+            exps, c = draw(term)
+            f = f + g.mul_term(exps, c)
+    return f, draw(st.permutations(G))
+
+
+@settings(max_examples=400, deadline=None)
+@given(reducer_case())
+def test_nf_ring_matches_reference(case):
+    # nf_ring reads each reducer's lead once per call; its answers, and those
+    # of rednf_ring built on it, are the reference's term for term
+    from zddgb import ringstd
+
+    f, G = case
+    assert nf_ring(f, G).terms == nf_ring_reference(f, G).terms
+    with mock.patch.object(ringstd, "nf_ring", nf_ring_reference):
+        expected = rednf_ring(f, G)
+    assert rednf_ring(f, G).terms == expected.terms
 
 
 def test_solve_lead_examples():
@@ -564,6 +610,57 @@ def test_benchmark_pool_bases_unchanged(monkeypatch):
             assert checks.zm_lead_digest(basis) == ref[f"zm:{m}:{i}"]["leads"], (m, i)
             h.update(repr([g.terms for g in basis]).encode())
     assert h.hexdigest()[:16] == ZM_POOL_HEAD_DIGEST
+
+
+def test_std_basis_stops_at_a_unit(monkeypatch, tmp_path, capsys):
+    """A remainder that is a unit constant u makes the ideal the whole ring:
+    std_basis forms no s-polynomial after it and returns [u].  A loop that
+    went on would form 33 more on pool ideal zm:8:203."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import zm_instance
+
+    from zddgb import cli, ringstd
+
+    events = []
+
+    def recording(name):
+        fn = getattr(ringstd, name)
+
+        def wrapped(*args):
+            if name == "_reduce_basis":
+                events.append((name, None))
+            out = fn(*args)
+            events.append((name, out))
+            return out
+
+        monkeypatch.setattr(ringstd, name, wrapped)
+
+    for name in ("spoly_ring", "spoly_extended", "nf_ring", "_reduce_basis"):
+        recording(name)
+    for m, i, unit in ((8, 203, "7"), (8, 5, "1"), (8, 145, "3"), (4, 124, "1"),
+                       (4, 12, "3")):
+        events.clear()
+        names, order, gen_terms = zm_instance(m, i)
+        ring = ZmRing(m, names, order)
+        basis = std_basis([ring.poly(t) for t in gen_terms])
+        assert [str(g) for g in basis] == [unit], (m, i)
+        # the build phase: everything before _reduce_basis starts
+        build = events[:[name for name, _ in events].index("_reduce_basis")]
+        units = [k for k, (name, h) in enumerate(build) if name == "nf_ring"
+                 and h.terms and not any(h.lm()) and ring.mod.is_unit(h.lc())]
+        assert units and str(build[units[0]][1]) == unit, (m, i)
+        # no s-polynomial and no reduction after the first unit remainder
+        assert units[0] == len(build) - 1, (m, i)
+    # the CLI prints the basis of zm:8:203 byte for byte
+    path = tmp_path / "unit.txt"
+    path.write_text("vars x0 x1 x2 x3\n"
+                    "2*x0*x1*x2 + 2*x0*x1*x3 + x1^2 + 3\n"
+                    "7*x0*x3^2 + 5*x1^2 + 2\n"
+                    "5*x0*x2 + 2*x1\n"
+                    "3*x1^2*x2 + 3*x3 + 7\n"
+                    "7*x0*x3 + 3*x0 + 6*x1*x2 + 5\n")
+    assert cli.main(["gb", str(path), "--mod", "8"]) == 0
+    assert capsys.readouterr() == ("7\n", "")
 
 
 # sha256 over the term lists of std_basis(gens), nf_ring(f, basis),
