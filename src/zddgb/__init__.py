@@ -10,12 +10,7 @@ from .boolgb import (
     greedy_nf,
     sat_check,
 )
-from .boolpoly import (
-    BoolPoly,
-    BoolRing,
-    Ordering,
-    parse_ordering,
-)
+from .boolpoly import BoolPoly, BoolRing
 from .interp import (
     PartialFn,
     PointSet,
@@ -32,7 +27,6 @@ __all__ = [
     "BoolPoly",
     "BoolRing",
     "Modulus",
-    "Ordering",
     "PartialFn",
     "PointSet",
     "RingStrategy",
@@ -47,7 +41,6 @@ __all__ = [
     "greedy_nf",
     "interpolate_smallest_lex",
     "nf_by_interpolate",
-    "parse_ordering",
     "points_gb",
     "sat_check",
     "standard_monomials",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .boolpoly import (
     BoolPoly,
     BoolRing,
-    OrderingError,
     _lead_vars,
     _mul,
     _nf_mon,
@@ -126,7 +125,7 @@ class _ReductionTable:
             lead_set = man.diff(lead_set, man.singleton(skip))
         if lead_set == ZERO:
             return fz
-        ordering = self.ring.ordering
+        blocks = self.ring.blocks
         pick = self.pick
         # dropping the terms a lead divides commutes with +, so f is split
         # into irreducible and reducible terms once; after that only each
@@ -135,7 +134,7 @@ class _ReductionTable:
         fz = man.symmetric_diff(fz, result)
         while fz != ZERO:
             # invariant: every term of fz is divisible by some lead
-            _, g_lead, gz, _ = pick(_lead_vars(man, fz, ordering), skip)
+            _, g_lead, gz, _ = pick(_lead_vars(man, fz, blocks), skip)
             q = fz
             for v in g_lead:
                 q = man.subset1(q, v)
@@ -218,10 +217,11 @@ def suitable_shift(p: BoolPoly):
     """Relabel p's variables order-preservingly onto x_0..x_{k-1}.
 
     Returns (shifted polynomial, mapping old index -> new index).  Only a
-    symmetric ordering keeps monomial comparisons intact under the shift.
+    symmetric ordering, one of at most one block, keeps monomial
+    comparisons intact under the shift.
     """
-    if not p.ring.ordering.is_symmetric:
-        raise OrderingError("variable shifts need a symmetric ordering")
+    if len(p.ring.blocks or ()) > 1:
+        raise ValueError("variable shifts need a symmetric ordering")
     mapping = {v: i for i, v in enumerate(p.vars_of())}
     man = p.ring.manager
     memo: dict[int, int] = {}
@@ -243,8 +243,9 @@ def suitable_shift(p: BoolPoly):
 class SymCache:
     """Cache of single-polynomial Boolean Groebner bases.
 
-    Keys are the ordering and the term list of a shifted, factor-stripped
-    core; values are term lists of the reduced basis in shifted variables.
+    Keys are the ordering kind and the term list of a shifted,
+    factor-stripped core; values are term lists of the reduced basis in
+    shifted variables.
     """
 
     def __init__(self):
@@ -254,7 +255,8 @@ class SymCache:
 
     @staticmethod
     def key(core: BoolPoly):
-        return (str(core.ring.ordering), tuple(sorted(core.terms())))
+        blocks = core.ring.blocks
+        return (blocks[0][0] if blocks else "lp", tuple(sorted(core.terms())))
 
 
 # No caller is left for SYMCACHE_VAR_LIMIT and _single_worthwhile, but
@@ -279,8 +281,8 @@ def bgb_single(p: BoolPoly, cache: SymCache | None = None) -> list[BoolPoly]:
     shifted back and multiplied by the factors again.
     """
     ring = p.ring
-    if not ring.ordering.is_symmetric:
-        raise OrderingError("bgb_single needs a symmetric ordering")
+    if len(ring.blocks or ()) > 1:
+        raise ValueError("bgb_single needs a symmetric ordering")
     if p.is_zero():
         return []
     factors, core = factor_linear_leads(p)
@@ -308,8 +310,7 @@ def bgb_single(p: BoolPoly, cache: SymCache | None = None) -> list[BoolPoly]:
         basis = [q * l for q in basis]
     basis = [q for q in basis if not q.is_zero()]
     return sorted(
-        basis, key=lambda q: ring.ordering.sort_key(lead_vars(q)), reverse=True
-    )
+        basis, key=lambda q: ring.sort_key(lead_vars(q)), reverse=True)
 
 
 # -- state ------------------------------------------------------------------------
@@ -345,7 +346,7 @@ class GBState:
     """
 
     def __init__(self, ring: BoolRing, strategy: Strategy):
-        self.sort_key = ring.ordering.sort_key
+        self.sort_key = ring.sort_key
         self.strategy = strategy
         self.gens: list[BoolPoly] = []
         self.leads: list[int] = []
@@ -505,7 +506,7 @@ def interreduce(basis):
     ring = basis[0].ring
     if any(g.is_one() for g in basis):
         return [ring.one]
-    key = ring.ordering.sort_key
+    key = ring.sort_key
     kept: list[tuple[int, tuple[int, ...], BoolPoly]] = []
     for lm, g in sorted(((lead_vars(g), g) for g in basis), key=lambda t: key(t[0])):
         lg = sum(1 << v for v in lm)

@@ -3,86 +3,22 @@
 A polynomial is stored as the ZDD of its term set; canonicity of the
 diagram makes polynomial equality an identifier comparison, and equal
 polynomials define equal Boolean functions (and conversely).  Monomial
-orderings: lex, degree-lex, degree-reverse-lex with reversed variables
-(dp_asc), and block compositions of the degree orderings.
+orderings: lex ("lp"), degree-lex ("dlex"), degree-reverse-lex with
+reversed variables ("dp_asc"), and blocks of the two degree orderings
+("block(dlex:3,dp_asc:6)").  The ring takes the ordering as a string and
+reads it once, into `ring.blocks` and `ring.sort_key`; a bad ordering
+raises ValueError.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .zdd import ONE, ZERO, ZddManager
-
-LEX = "lp"
-DLEX = "dlex"
-DP_ASC = "dp_asc"
-_DEGREE_KINDS = (DLEX, DP_ASC)
 
 
 class RingMismatchError(Exception):
     """Operands belong to different rings."""
-
-
-class OrderingError(ValueError):
-    """Ordering is malformed or unsupported for the requested operation."""
-
-
-@dataclass(frozen=True)
-class Ordering:
-    """Monomial ordering descriptor.
-
-    kind is one of "lp", "dlex", "dp_asc" or "block"; a block ordering
-    carries (kind, end) segments partitioning [0, n) with degree kinds only.
-    """
-
-    kind: str
-    blocks: tuple[tuple[str, int], ...] = ()
-
-    def __post_init__(self):
-        if self.kind == "block":
-            if not self.blocks:
-                raise OrderingError("block ordering needs at least one block")
-            for k, _ in self.blocks:
-                if k not in _DEGREE_KINDS:
-                    raise OrderingError(f"only degree kinds allowed in blocks, got {k}")
-            ends = [e for _, e in self.blocks]
-            if any(e <= 0 for e in ends) or any(
-                a >= b for a, b in zip(ends, ends[1:])
-            ):
-                raise OrderingError("block ends must be strictly increasing")
-        elif self.kind not in (LEX, DLEX, DP_ASC):
-            raise OrderingError(f"unknown ordering kind {self.kind!r}")
-
-    @property
-    def is_symmetric(self) -> bool:
-        """Order-preserving variable shifts keep comparisons intact."""
-        return self.kind != "block"
-
-    def sort_key(self, mon: tuple[int, ...]):
-        """Key with key(m1) < key(m2) iff m1 < m2 in this ordering."""
-        if self.kind == LEX:
-            return _lex_key(mon)
-        if self.kind == DLEX:
-            return (len(mon), _lex_key(mon))
-        if self.kind == DP_ASC:
-            return (len(mon), mon)
-        key = []
-        start = 0
-        for kind, end in self.blocks:
-            part = tuple(v for v in mon if start <= v < end)
-            if kind == DLEX:
-                key.append((len(part), _lex_key(part)))
-            else:
-                key.append((len(part), part))
-            start = end
-        return tuple(key)
-
-    def __str__(self) -> str:
-        if self.kind == "block":
-            inner = ",".join(f"{k}:{e}" for k, e in self.blocks)
-            return f"block({inner})"
-        return self.kind
 
 
 def _lex_key(mon: tuple[int, ...]) -> tuple[int, ...]:
@@ -90,47 +26,88 @@ def _lex_key(mon: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-v for v in mon)
 
 
-def parse_ordering(text: str) -> Ordering:
+# sort keys of the degree orderings, the kinds a block may take; every key
+# reads a monomial as its ascending index tuple
+_DEGREE_KEYS = {"dlex": lambda mon: (len(mon), _lex_key(mon)),
+                "dp_asc": lambda mon: (len(mon), mon)}
+
+
+def _parse_blocks(text: str, n: int) -> tuple[tuple[str, int], ...] | None:
+    """The (kind, end) segments of an ordering of n variables: None under
+    lp, one segment ending at n for dlex or dp_asc, and the segments of
+    "block(kind:end,...)", which partition [0, n) into degree blocks."""
     text = text.strip()
     m = re.fullmatch(r"block\((.*)\)", text)
-    if m:
-        blocks = []
-        for seg in m.group(1).split(","):
-            kind, _, end = seg.strip().partition(":")
-            if not end:
-                raise OrderingError(f"block segment {seg!r} needs kind:end")
-            try:
-                blocks.append((kind.strip(), int(end)))
-            except ValueError:
-                raise OrderingError(
-                    f"block end {end.strip()!r} is not an integer"
-                ) from None
-        return Ordering("block", tuple(blocks))
-    return Ordering(text)
+    if m is None:
+        if text == "lp":
+            return None
+        if text in _DEGREE_KEYS:
+            return ((text, n),)
+        raise ValueError(f"unknown ordering kind {text!r}")
+    blocks = []
+    for seg in m.group(1).split(","):
+        kind, _, end = seg.strip().partition(":")
+        if not end:
+            raise ValueError(f"block segment {seg!r} needs kind:end")
+        try:
+            blocks.append((kind.strip(), int(end)))
+        except ValueError:
+            raise ValueError(
+                f"block end {end.strip()!r} is not an integer") from None
+    for kind, _ in blocks:
+        if kind not in _DEGREE_KEYS:
+            raise ValueError(f"only degree kinds allowed in blocks, got {kind}")
+    ends = [e for _, e in blocks]
+    if ends[0] <= 0 or any(a >= b for a, b in zip(ends, ends[1:])):
+        raise ValueError("block ends must be strictly increasing")
+    if ends[-1] != n:
+        raise ValueError("blocks must partition the variable range")
+    return tuple(blocks)
+
+
+def _block_key(blocks):
+    """Sort key of a block ordering: the blocks' degree keys in turn."""
+    spans = []
+    start = 0
+    for kind, end in blocks:
+        spans.append((start, end, _DEGREE_KEYS[kind]))
+        start = end
+
+    def key(mon: tuple[int, ...]):
+        return tuple(k(tuple(v for v in mon if lo <= v < hi))
+                     for lo, hi, k in spans)
+
+    return key
 
 
 class BoolRing:
-    """Z/2[x_1..x_n] modulo the field polynomials, with a fixed ordering.
+    """Z/2[x_1..x_n] modulo the field polynomials, with a fixed ordering:
+    "lp" (lex), "dlex", "dp_asc" or "block(kind:end,...)".
 
-    Variable index 0 is the largest variable of every ordering.
+    The ring reads the ordering once, into `blocks` (None under lp, else
+    its (kind, end) segments; dlex and dp_asc are one block) and
+    `sort_key`, with key(m1) < key(m2) iff m1 < m2 for ascending index
+    tuples.  Variable index 0 is the largest variable of every ordering.
     """
 
-    def __init__(self, names, ordering: Ordering | str = LEX):
+    def __init__(self, names, ordering: str = "lp"):
         names = list(names)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        if isinstance(ordering, str):
-            ordering = parse_ordering(ordering)
-        if ordering.kind == "block" and ordering.blocks[-1][1] != len(names):
-            raise OrderingError("blocks must partition the variable range")
         self.names = names
         self.n = len(names)
-        self.ordering = ordering
+        self.blocks = blocks = _parse_blocks(ordering, self.n)
+        if blocks is None:
+            self.sort_key = _lex_key
+        elif len(blocks) == 1:
+            self.sort_key = _DEGREE_KEYS[blocks[0][0]]
+        else:
+            self.sort_key = _block_key(blocks)
         self.manager = ZddManager(self.n)
         self._index = {nm: i for i, nm in enumerate(names)}
 
     @classmethod
-    def indexed(cls, n: int, ordering: Ordering | str = LEX):
+    def indexed(cls, n: int, ordering: str = "lp"):
         return cls([f"x{i}" for i in range(n)], ordering)
 
     def poly(self, z: int) -> "BoolPoly":
@@ -193,6 +170,8 @@ class BoolRing:
                 if name == "1":
                     continue
                 if name not in self._index:
+                    if not name and "*" in chunk:
+                        raise ValueError(f"dangling '*' in {src!r}")
                     if re.fullmatch(r"\d+", name):
                         raise ValueError(
                             f"coefficient {name!r} in {src!r}: a Boolean term "
@@ -424,15 +403,13 @@ def lead_vars(f: BoolPoly) -> tuple[int, ...]:
     """Index tuple of the largest term of f under the ring's ordering."""
     if f.z == ZERO:
         raise ValueError("the zero polynomial has no leading term")
-    return _lead_vars(f.ring.manager, f.z, f.ring.ordering)
+    return _lead_vars(f.ring.manager, f.z, f.ring.blocks)
 
 
-def _lead_vars(man: ZddManager, z: int, ordering: Ordering) -> tuple[int, ...]:
-    if ordering.kind == LEX:
+def _lead_vars(man: ZddManager, z: int, blocks) -> tuple[int, ...]:
+    if blocks is None:
         return man.path_vars(man.first_path(z))
-    # a degree ordering is a block ordering with a single block; variables
-    # grow along a path, so the walk meets the blocks in order
-    blocks = ordering.blocks or ((ordering.kind, man.num_vars),)
+    # variables grow along a path, so the walk meets the blocks in order
     var, then, els = man._var, man._then, man._else
     out = []
     for kind, end in blocks:
@@ -441,7 +418,7 @@ def _lead_vars(man: ZddManager, z: int, ordering: Ordering) -> tuple[int, ...]:
             d1 = _deg(man, t, end) + 1
             d0 = _deg(man, e, end)
             # on a degree tie dlex keeps the top variable, dp_asc drops it
-            if d0 < d1 or (kind == DLEX and d0 == d1):
+            if d0 < d1 or (kind == "dlex" and d0 == d1):
                 out.append(var[z])
                 z = t
             else:
@@ -457,13 +434,13 @@ def lead(f: BoolPoly) -> BoolPoly:
 
 def terms_iter(f: BoolPoly):
     """Terms of f in strictly decreasing order; the first is lead_vars(f)."""
-    ordering = f.ring.ordering
-    paths = f.ring.manager.iter_paths(f.z)
-    if ordering.kind == LEX:
+    ring = f.ring
+    paths = ring.manager.iter_paths(f.z)
+    if ring.blocks is None:
         # the natural path order is descending lex
         yield from paths
     else:
-        yield from sorted(paths, key=ordering.sort_key, reverse=True)
+        yield from sorted(paths, key=ring.sort_key, reverse=True)
 
 
 # -- evaluation -----------------------------------------------------------------

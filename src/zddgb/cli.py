@@ -155,8 +155,12 @@ def cmd_gb(args) -> int:
     ring, polys = read_system(text, args.order, args.mod)
     if isinstance(ring, ZmRing):
         basis = std_basis(polys)
+        # the whole ring: std_basis returns [u] for the first unit constant u
+        trivial = (len(basis) == 1 and not any(basis[0].lm())
+                   and ring.mod.is_unit(basis[0].lc()))
     else:
         basis = buchberger(polys)
+        trivial = basis == [ring.one]
     lines = [str(g) for g in basis]
     seconds = time.perf_counter() - t0
     for line in lines:
@@ -164,7 +168,7 @@ def cmd_gb(args) -> int:
     _report(args, {
         "command": "gb", "instance": args.file, "vars": ring.n,
         "eqs": len(polys), "basis_size": len(basis),
-        "verdict": "trivial" if lines == ["1"] else "basis",
+        "verdict": "trivial" if trivial else "basis",
         "seconds": round(seconds, 6),
     })
     return 0
@@ -280,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, mod=True, report=True):
         p.add_argument("file")
-        p.add_argument("--order", help="lp, dlex, dp_asc or block(kind:end,...)")
+        order = "lp, dlex, dp_asc or block(kind:end,...)"
+        p.add_argument("--order",
+                       help=f"{order}; lp or dlex with --mod" if mod else order)
         if mod:
             p.add_argument("--mod", type=_modulus,
                            help="coefficient modulus m >= 2 (ring mode)")

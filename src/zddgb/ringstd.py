@@ -202,7 +202,7 @@ class ZmRing:
 
     def parse(self, text: str) -> "ZmPoly":
         """Parse e.g. "2*x^2*y - 3 + x"; coefficients reduce mod m."""
-        src = text.replace(" ", "")
+        src = "".join(text.split())
         if not src:
             raise ValueError("empty polynomial text")
         terms = []
@@ -220,6 +220,8 @@ class ZmRing:
                     coef *= pow(int(name), e, self.m)
                 elif name in self._index:
                     exps[self._index[name]] += e
+                elif not name and "*" in chunk:
+                    raise ValueError(f"dangling '*' in {text!r}")
                 else:
                     raise ValueError(f"unknown variable {name!r}")
             terms.append((tuple(exps), coef))

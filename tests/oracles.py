@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 from zddgb.boolpoly import _nf_mon
 from zddgb.interp import PointSet, standard_monomials
@@ -86,6 +87,49 @@ def naive_normal_form(terms, basis, key) -> frozenset:
             lm, g = hit
             f.symmetric_difference_update(naive_mul([t - lm], g))
     return frozenset(out)
+
+
+@dataclass(frozen=True)
+class OrderingReference:
+    """The Boolean ring's orderings as one descriptor whose key branches on
+    the kind at every call: the reference for the key each ring binds.
+
+    kind is one of "lp", "dlex", "dp_asc" or "block"; a block ordering
+    carries (kind, end) segments partitioning [0, n) with degree kinds only.
+    """
+
+    kind: str
+    blocks: tuple[tuple[str, int], ...] = ()
+
+    def sort_key(self, mon: tuple[int, ...]):
+        """Key with key(m1) < key(m2) iff m1 < m2 in this ordering."""
+        if self.kind == "lp":
+            return _lex_key(mon)
+        if self.kind == "dlex":
+            return (len(mon), _lex_key(mon))
+        if self.kind == "dp_asc":
+            return (len(mon), mon)
+        key = []
+        start = 0
+        for kind, end in self.blocks:
+            part = tuple(v for v in mon if start <= v < end)
+            if kind == "dlex":
+                key.append((len(part), _lex_key(part)))
+            else:
+                key.append((len(part), part))
+            start = end
+        return tuple(key)
+
+    def __str__(self) -> str:
+        if self.kind == "block":
+            inner = ",".join(f"{k}:{e}" for k, e in self.blocks)
+            return f"block({inner})"
+        return self.kind
+
+
+def _lex_key(mon: tuple[int, ...]) -> tuple[int, ...]:
+    # negating indices makes tuple comparison agree with lex on monomials
+    return tuple(-v for v in mon)
 
 
 def variety(polys_terms, n: int) -> set:

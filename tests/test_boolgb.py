@@ -25,12 +25,10 @@ from zddgb.boolgb import (
 )
 from zddgb.boolpoly import (
     BoolRing,
-    OrderingError,
     deg,
     eval_poly,
     lead_vars,
     mul_monomial,
-    parse_ordering,
     spoly,
 )
 from zddgb.encode import mult_verification, pigeonhole
@@ -103,7 +101,7 @@ def test_greedy_nf_against_reduced_basis_matches_term_list_oracle(
     basis = [g.term_set() for g in G]
 
     def key(t):
-        return ordering.sort_key(tuple(sorted(t)))
+        return ring.sort_key(tuple(sorted(t)))
 
     for _ in range(5):
         f = rand_poly(ring, rnd, 8)
@@ -165,7 +163,7 @@ def interreduce_by_greedy_nf(basis):
         return []
     if any(g.is_one() for g in basis):
         return [basis[0].ring.one]
-    key = basis[0].ring.ordering.sort_key
+    key = basis[0].ring.sort_key
     kept = []
     for g in sorted(basis, key=lambda g: key(lead_vars(g))):
         if not any(set(lead_vars(h)) <= set(lead_vars(g)) for h in kept):
@@ -286,9 +284,17 @@ def test_suitable_shift():
     q = ring.from_terms([{0, 1}])
     shifted2, mapping2 = suitable_shift(q)
     assert shifted2 == q and mapping2 == {0: 0, 1: 1}
-    blocked = BoolRing.indexed(10, parse_ordering("block(dlex:5,dp_asc:10)"))
-    with pytest.raises(OrderingError):
+    blocked = BoolRing.indexed(10, "block(dlex:5,dp_asc:10)")
+    with pytest.raises(ValueError, match="symmetric ordering"):
         suitable_shift(blocked.from_terms([{2, 7}]))
+    with pytest.raises(ValueError, match="symmetric ordering"):
+        bgb_single(blocked.from_terms([{2, 7}]))
+    # a single block is the degree ordering it names
+    one_block = BoolRing.indexed(10, "block(dlex:10)")
+    p = one_block.from_terms([{5, 9}, {9}])
+    assert suitable_shift(p)[1] == {5: 0, 9: 1}
+    dlex = BoolRing.indexed(10, "dlex").from_terms([{5, 9}, {9}])
+    assert [str(g) for g in bgb_single(p)] == [str(g) for g in bgb_single(dlex)]
 
 
 def test_shift_preserves_comparisons():
@@ -300,7 +306,7 @@ def test_shift_preserves_comparisons():
             if p.is_zero():
                 continue
             shifted, mapping = suitable_shift(p)
-            key = ring.ordering.sort_key
+            key = ring.sort_key
             terms = sorted(p.terms(), key=key)
             mapped = sorted(
                 (tuple(sorted(mapping[v] for v in t)) for t in p.terms()),

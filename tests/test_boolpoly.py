@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_add, naive_mul, naive_nf_monomials, truth_table
+from oracles import (
+    OrderingReference,
+    naive_add,
+    naive_mul,
+    naive_nf_monomials,
+    truth_table,
+)
 from zddgb.boolpoly import (
     BoolRing,
-    Ordering,
-    OrderingError,
     RingMismatchError,
     deg,
     eval_poly,
@@ -18,7 +22,6 @@ from zddgb.boolpoly import (
     mul_boolean,
     mul_monomial,
     nf_monomial_set,
-    parse_ordering,
     spoly,
     terms_iter,
 )
@@ -281,7 +284,7 @@ def test_lead_dp_asc_reversed_variables():
     ring = BoolRing(["x", "y", "z"], "dp_asc")
     f = ring.parse("x*y + x*z + y*z")
     terms = list(f.terms())
-    best = max(terms, key=ring.ordering.sort_key)
+    best = max(terms, key=ring.sort_key)
     assert lead_vars(f) == best == (1, 2)
 
 
@@ -293,38 +296,68 @@ def test_lead_is_max_under_comparator_all_orderings():
             f = rand_poly(ring, rnd, 8)
             if f.is_zero():
                 continue
-            best = max(f.terms(), key=ring.ordering.sort_key)
+            best = max(f.terms(), key=ring.sort_key)
             assert lead_vars(f) == best
 
 
 def test_block_ordering_lead_and_iter():
     rnd = random.Random(16)
-    ordering = parse_ordering("block(dlex:3,dp_asc:6)")
-    ring = BoolRing.indexed(6, ordering)
+    ring = BoolRing.indexed(6, "block(dlex:3,dp_asc:6)")
     for _ in range(80):
         f = rand_poly(ring, rnd, 8)
         if f.is_zero():
             continue
-        best = max(f.terms(), key=ordering.sort_key)
+        best = max(f.terms(), key=ring.sort_key)
         assert lead_vars(f) == best
         seq = list(terms_iter(f))
-        assert seq == sorted(f.terms(), key=ordering.sort_key, reverse=True)
+        assert seq == sorted(f.terms(), key=ring.sort_key, reverse=True)
 
 
 @st.composite
-def orderings(draw, max_n=7):
-    """(n, ordering) with n <= max_n: lp, dlex, dp_asc or a block ordering
-    with random cut points and block kinds (a single block of either kind,
-    dp_asc first, ...)."""
-    n = draw(st.integers(1, max_n))
-    kind = draw(st.sampled_from(("lp", "dlex", "dp_asc", "block")))
+def ordering_references(draw, max_n=7, min_n=1):
+    """(n, OrderingReference) with min_n <= n <= max_n: lp, dlex, dp_asc or
+    a block ordering with random cut points and block kinds (a single
+    block of either kind, dp_asc first, ...); no block ordering at n = 0."""
+    n = draw(st.integers(min_n, max_n))
+    choices = ("lp", "dlex", "dp_asc") + (("block",) if n else ())
+    kind = draw(st.sampled_from(choices))
     if kind != "block":
-        return n, Ordering(kind)
+        return n, OrderingReference(kind)
     cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
     ends = sorted(cuts) + [n]
     kinds = draw(st.lists(st.sampled_from(("dlex", "dp_asc")),
                           min_size=len(ends), max_size=len(ends)))
-    return n, Ordering("block", tuple(zip(kinds, ends)))
+    return n, OrderingReference("block", tuple(zip(kinds, ends)))
+
+
+def orderings(max_n=7):
+    """(n, ordering text) drawn as by `ordering_references`."""
+    return ordering_references(max_n).map(lambda r: (r[0], str(r[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordering_references(min_n=0), st.data())
+def test_sort_key_matches_reference(n_reference, data):
+    """The key the ring binds orders every pair of monomials as the
+    reference descriptor does, at n = 0 too."""
+    n, reference = n_reference
+    ring = BoolRing.indexed(n, str(reference))
+    mons = st.frozensets(st.integers(0, n - 1), max_size=n) if n else st.just(
+        frozenset())
+    for _ in range(20):
+        a, b = (tuple(sorted(data.draw(mons))) for _ in range(2))
+        ka, kb = ring.sort_key(a), ring.sort_key(b)
+        ra, rb = reference.sort_key(a), reference.sort_key(b)
+        assert (ka < kb, ka == kb) == (ra < rb, ra == rb)
+
+
+def test_orderings_on_no_variables():
+    for kind in ("lp", "dlex", "dp_asc"):
+        ring = BoolRing([], kind)
+        assert ring.blocks == (None if kind == "lp" else ((kind, 0),))
+        f = ring.parse("1")
+        assert lead_vars(f) == () and list(terms_iter(f)) == [()]
+        assert str(f) == "1" and deg(f) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -337,7 +370,7 @@ def test_lead_terms_iter_deg_agree_with_sort_key(n_ordering, seed):
         f = rand_poly(ring, rnd, 10)
         terms = list(f.terms())
         seq = list(terms_iter(f))
-        assert seq == sorted(terms, key=ordering.sort_key, reverse=True)
+        assert seq == sorted(terms, key=ring.sort_key, reverse=True)
         assert deg(f) == max(map(len, terms), default=0)
         if terms:
             assert lead_vars(f) == seq[0]
@@ -345,12 +378,21 @@ def test_lead_terms_iter_deg_agree_with_sort_key(n_ordering, seed):
 
 
 def test_block_ordering_validation():
-    with pytest.raises(OrderingError):
-        parse_ordering("block(lp:3,dlex:6)")
-    with pytest.raises(OrderingError):
-        Ordering("block", (("dlex", 3), ("dp_asc", 2)))
-    with pytest.raises(OrderingError):
-        BoolRing.indexed(4, parse_ordering("block(dlex:2)"))
+    # a bad ordering is a ValueError, its message pinned byte for byte
+    for n, text, message in (
+            (6, "block(lp:3,dlex:6)",
+             "only degree kinds allowed in blocks, got lp"),
+            (3, "block(dlex:3,dp_asc:2)", "block ends must be strictly increasing"),
+            (3, "block(dlex:0,dp_asc:3)", "block ends must be strictly increasing"),
+            (4, "block(dlex:2)", "blocks must partition the variable range"),
+            (3, "block()", "block segment '' needs kind:end"),
+            (3, "block(dlex:2,,dp_asc:3)", "block segment '' needs kind:end"),
+            (3, "block(lp:3,dlex:x)", "block end 'x' is not an integer"),
+            (3, "block(", "unknown ordering kind 'block('"),
+            (3, " lex ", "unknown ordering kind 'lex'")):
+        with pytest.raises(ValueError) as exc:
+            BoolRing.indexed(n, text)
+        assert str(exc.value) == message
 
 
 def test_terms_iter_strictly_decreasing():
@@ -361,7 +403,7 @@ def test_terms_iter_strictly_decreasing():
             f = rand_poly(ring, rnd, 10)
             seq = list(terms_iter(f))
             assert len(seq) == len(f)
-            keys = [ring.ordering.sort_key(m) for m in seq]
+            keys = [ring.sort_key(m) for m in seq]
             assert all(a > b for a, b in zip(keys, keys[1:]))
             if seq:
                 assert lead_vars(f) == seq[0]
@@ -395,9 +437,8 @@ def test_spoly_properties():
         assert spoly(f, f).is_zero()
         if not s.is_zero():
             lcm = set(lead_vars(f)) | set(lead_vars(g))
-            assert ring.ordering.sort_key(lead_vars(s)) < ring.ordering.sort_key(
-                tuple(sorted(lcm))
-            )
+            assert ring.sort_key(lead_vars(s)) < ring.sort_key(
+                tuple(sorted(lcm)))
 
 
 def test_vars_of(ring):

@@ -263,6 +263,85 @@ def test_ordering_errors_pinned(tmp_path, capsys):
         assert run(capsys, *argv) == (2, "", err)
 
 
+def test_order_names_in_docs_match_the_rings(capsys):
+    # README's system-file paragraph and the --order help name only
+    # orderings the rings accept, and the help names every one they accept
+    from zddgb import ZmRing
+    from zddgb.boolpoly import _DEGREE_KEYS
+    from zddgb.ringstd import _SORT_KEYS
+
+    def boolean_ring(name):
+        ends = re.findall(r"\d+", name)
+        return BoolRing.indexed(int(ends[-1]) if ends else 3, name)
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    para = re.search(r"optional `order` line\s*\((.*?)\), an optional `mod",
+                     readme, re.S).group(1)
+    documented = re.findall(r"`([^`]+)`", para)
+    assert documented
+    for name in documented:
+        boolean_ring(name)
+    for command, ring_mode in (("gb", True), ("nf", True), ("sat", False)):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        text = re.search(r"--order ORDER (.*?) --(?:mod MOD|json|poly)",
+                         shown).group(1)
+        boolean, _, zm = text.partition("; ")
+        *names, block = re.split(r", | or ", boolean)
+        assert set(names) == {"lp", *_DEGREE_KEYS}
+        assert set(names) <= set(documented)
+        assert block == "block(kind:end,...)"
+        for name in names:
+            boolean_ring(name)
+            if name != "lp":
+                boolean_ring(f"block({name}:3)")
+        if ring_mode:
+            zm_names = re.split(r", | or ", zm.removesuffix(" with --mod"))
+            assert set(zm_names) == set(_SORT_KEYS)
+            for name in zm_names:
+                ZmRing(4, ["x"], name)
+        else:
+            assert zm == ""
+
+
+def test_gb_json_trivial_over_zm(tmp_path, capsys):
+    # the whole ring's standard basis is one unit constant, whichever unit
+    # the loop met first; a non-unit constant is a basis like any other
+    for text, mod, out, verdict in (
+            ("x*y + 3\nx + 2\ny + 1\n", "8", "5", "trivial"),
+            ("2*x\n2\n", "4", "2", "basis"),
+            ("x\nx + 1\n", None, "1", "trivial")):
+        path = write(tmp_path, "sys.txt", "vars x y\n" + text)
+        extra = ("--mod", mod) if mod else ()
+        code, got, _ = run(capsys, "gb", path, "--json", *extra)
+        lines = got.splitlines()
+        assert (code, lines[:-1]) == (0, [out])
+        assert json.loads(lines[-1])["verdict"] == verdict
+
+
+def test_whitespace_dropped_by_both_readers(tmp_path, capsys):
+    # a tab is whitespace to the Z/m reader too, not part of a name
+    from zddgb import ZmRing
+
+    R = ZmRing(4, ["x", "y"])
+    assert R.parse("x\t*\ty +\t3") == R.parse("x*y + 3")
+    path = write(tmp_path, "tab.txt", "vars x y\nx -\t- y\n")
+    err = "error: line 2: dangling '-' in 'x -\\t- y'\n"
+    for extra in ((), ("--mod", "4")):
+        assert run(capsys, "gb", path, *extra) == (2, "", err)
+
+
+@pytest.mark.parametrize("poly", ["x*", "*x", "x**y", "x * * y", "1*", "x^2*"])
+def test_dangling_star_named(tmp_path, capsys, poly):
+    # a '*' with no factor on one side is named, as a dangling sign is
+    path = write(tmp_path, "star.txt", f"vars x y\n{poly}\n")
+    err = f"error: line 2: dangling '*' in {poly!r}\n"
+    for extra in ((), ("--mod", "4")):
+        assert run(capsys, "gb", path, *extra) == (2, "", err)
+
+
 @pytest.mark.parametrize("poly", ["3*x + y", "x + y + 2", "0*x + y"])
 def test_boolean_coefficient_points_to_mod(tmp_path, capsys, poly):
     # a number other than 0 or 1 standing alone is a coefficient, which
