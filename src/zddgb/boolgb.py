@@ -22,6 +22,7 @@ from .boolpoly import (
     _lead_vars,
     _mul,
     _nf_mon,
+    _same_ring,
     deg,
     eval_poly,
     lead_vars,
@@ -54,18 +55,13 @@ class _ReductionTable:
     tuple, so the choice depends on the table alone, never on node ids
     (which reflect the manager's history).
 
-    The pick reads a bitmask index, not a diagram: each entry
-    (t << d, lead vars, poly zdd id, lead bitmask) sits in the
-    bucket of its lead's highest variable (the constant lead in bucket
-    -1, which every pick scans), each bucket sorted by entry.  A lead
-    divides m only if its highest variable occurs in m, so the pick takes
-    the first entry whose mask lies in m's mask from each bucket of m's
-    variables, stopping a bucket early once its entries rank above the
-    best so far.  `lead_set`, the leads as a diagram, serves the bulk
-    split of each reduction into irreducible and reducible terms.
+    The entries (t << d, lead vars, poly zdd id, lead bitmask) form one
+    sorted list, and the pick is the first entry whose lead bitmask lies
+    in the monomial's.  `lead_set`, the leads as a diagram, serves the
+    bulk split of each reduction into irreducible and reducible terms.
     """
 
-    __slots__ = ("ring", "lead_set", "by_lead", "buckets")
+    __slots__ = ("ring", "lead_set", "by_lead", "entries")
 
     def __init__(self, ring: BoolRing):
         self.ring = ring
@@ -73,7 +69,7 @@ class _ReductionTable:
         # lead vars (ascending, as lead_vars returns them) -> entry; leads
         # are distinct, so comparing entries never reaches the zdd id
         self.by_lead: dict[tuple[int, ...], tuple] = {}
-        self.buckets: dict[int, list[tuple]] = {}
+        self.entries: list[tuple] = []
 
     def add(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
         prev = self.by_lead.get(lead_vars)
@@ -86,17 +82,15 @@ class _ReductionTable:
 
     def replace(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
         """Make g the reductor of its lead, which lead_set already holds."""
-        bucket = self.buckets.setdefault(
-            lead_vars[-1] if lead_vars else -1, [])
         prev = self.by_lead.get(lead_vars)
         if prev is not None:
-            bucket.remove(prev)
+            self.entries.remove(prev)
         # t is read from the diagram: len(g) is capped at 2^63 - 1
         entry = (self.ring.manager.count_paths(g.z) << len(lead_vars),
                  lead_vars, g.z,
                  sum(1 << v for v in lead_vars))
         self.by_lead[lead_vars] = entry
-        insort(bucket, entry)
+        insort(self.entries, entry)
 
     def pick(self, m: tuple[int, ...],
              skip: tuple[int, ...] | None = None) -> tuple | None:
@@ -105,16 +99,10 @@ class _ReductionTable:
         mask = 0
         for v in m:
             mask |= 1 << v
-        best = None
-        buckets = self.buckets
-        for v in (-1, *m):
-            for e in buckets.get(v, ()):
-                if best is not None and e >= best:
-                    break
-                if e[3] & mask == e[3] and e[1] != skip:
-                    best = e
-                    break
-        return best
+        for e in self.entries:
+            if e[3] & mask == e[3] and e[1] != skip:
+                return e
+        return None
 
     def reduce(self, fz: int, skip: tuple[int, ...] | None = None) -> int:
         """Reduced normal form of the polynomial with term set fz against
@@ -160,6 +148,7 @@ def greedy_nf(f: BoolPoly, G) -> BoolPoly:
     ring = f.ring
     table = _ReductionTable(ring)
     for g in G:
+        _same_ring(f, g)
         if not g.is_zero():
             table.add(g, lead_vars(g))
     return BoolPoly(ring, table.reduce(f.z))
@@ -460,6 +449,8 @@ def buchberger(gens, strategy: Strategy | None = None) -> list[BoolPoly]:
     if not gens:
         return []
     ring = gens[0].ring
+    for f in gens:
+        _same_ring(gens[0], f)
     strategy = strategy or Strategy()
     state = GBState(ring, strategy)
 
@@ -500,6 +491,9 @@ def interreduce(basis):
     another, so reducing a tail never changes a lead, and each element
     ends free of every other element's lead.
     """
+    basis = list(basis)
+    for g in basis:
+        _same_ring(basis[0], g)
     basis = [g for g in basis if not g.is_zero()]
     if not basis:
         return []

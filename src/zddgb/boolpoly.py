@@ -189,7 +189,9 @@ class BoolRing:
         return "*".join(self.names[v] for v in mon)
 
 
-def _same_ring(a: "BoolPoly", b: "BoolPoly") -> None:
+def _same_ring(a, b) -> None:
+    """Raise RingMismatchError unless the polynomials a and b (Boolean or
+    Z/m) share one ring object."""
     if a.ring is not b.ring:
         raise RingMismatchError("operands come from different rings")
 

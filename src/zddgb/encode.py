@@ -4,9 +4,10 @@ Word-level: circuits over Z/2^n become ideals with the disequality gadget
 s*(f-e) = 2^(n-1).  Bit-level: each circuit statement blasts into n Boolean
 polynomials, with the gadget replaced by prod(1 + f_i + e_i);
 arithmetic is ripple-carry addition and schoolbook multiplication with
-fully expanded carries (fresh carry variables are opt-in).  A DIMACS
-reader maps CNF clauses to products of literal polynomials, and the
-pigeonhole / multiplier families generate the benchmark instances.
+fully expanded carries (`bit_add` takes fresh carry variables on
+request).  A DIMACS reader maps CNF clauses to products of literal
+polynomials, and the pigeonhole / multiplier families generate the
+benchmark instances.
 """
 
 from __future__ import annotations
@@ -198,20 +199,19 @@ def bit_add(a_bits, b_bits, fresh=None):
     return out, aux
 
 
-def bit_mul(a_bits, b_bits, fresh=None):
+def bit_mul(a_bits, b_bits):
     """Schoolbook product mod 2^n: partial-product rows accumulated with
-    ripple additions."""
+    ripple additions.  Returns (bits, aux) as `bit_add` does; every carry
+    is expanded, so aux is empty."""
     if len(a_bits) != len(b_bits):
         raise ValueError("bit vectors must have equal length")
     n = len(a_bits)
     ring = a_bits[0].ring
-    aux = []
     acc = [a_bits[i] * b_bits[0] for i in range(n)]
     for j in range(1, n):
         row = [ring.zero] * j + [a_bits[i] * b_bits[j] for i in range(n - j)]
-        acc, more = bit_add(acc, row, fresh)
-        aux.extend(more)
-    return acc, aux
+        acc, _ = bit_add(acc, row)
+    return acc, []
 
 
 def const_bits(ring: BoolRing, n: int, value: int):

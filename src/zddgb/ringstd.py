@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .boolpoly import _same_ring
+
 
 @lru_cache(maxsize=None)
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
@@ -337,6 +339,7 @@ class ZmPoly:
     def _merge(self, other: "ZmPoly", sign: int) -> "ZmPoly":
         """self + sign * other by merging the two sorted term lists.  Under
         lp the sort key is the exponent tuple itself, compared directly."""
+        _same_ring(self, other)
         ring = self.ring
         m = ring.m
         key = ring.sort_key
@@ -373,6 +376,7 @@ class ZmPoly:
         return ZmPoly._canonical(self.ring, tuple(out))
 
     def __mul__(self, other: "ZmPoly") -> "ZmPoly":
+        _same_ring(self, other)
         add = operator.add
         out = []
         for e, c in self.terms:
@@ -444,6 +448,9 @@ def nf_ring(f: ZmPoly, G) -> ZmPoly:
     """
     mod = f.ring.mod
     le, sub = operator.le, operator.sub
+    G = list(G)
+    for g in G:
+        _same_ring(f, g)
     # (lead monomial, lead coefficient, reducer), nonzero reducers by ecart
     T = [(*g.terms[0], g)
          for g in sorted((g for g in G if g.terms), key=ZmPoly.ecart)]
@@ -527,6 +534,9 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
     ring, u divides every lead, every later remainder would reduce to 0,
     and the reduced basis is [u].
     """
+    gens = list(gens)
+    for g in gens:
+        _same_ring(gens[0], g)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -570,7 +580,7 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
         if b is None:
             s = spoly_extended(G[a])
         else:
-            queued_lcm.pop((a, b), None)
+            lcm_term = queued_lcm.pop((a, b))
             f, g = G[a], G[b]
             if strategy.product_criterion and product_criterion_ring(f, g):
                 done.add((a, b))
@@ -580,7 +590,7 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
             ):
                 continue
             if strategy.chain_criterion and _chain_drop(
-                mod, G, a, b, done, queued_lcm
+                mod, G, a, b, lcm_term, done, queued_lcm
             ):
                 continue
             s = spoly_ring(f, g)
@@ -594,10 +604,10 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
     return _reduce_basis(G)
 
 
-def _chain_drop(mod, G, i, l, done, queued_lcm) -> bool:
-    """Some lt(G[j]) divides the lcm term of (i, l), and each of the pairs
-    (i, j) and (j, l) is done or queued with a properly smaller lcm term."""
-    lcm_term = _lcm_term(mod, G[i].terms[0], G[l].terms[0])
+def _chain_drop(mod, G, i, l, lcm_term, done, queued_lcm) -> bool:
+    """Some lt(G[j]) divides lcm_term, the lcm term of (i, l), and each of
+    the pairs (i, j) and (j, l) is done or queued with a properly smaller
+    lcm term."""
     ml, cl = lcm_term
     le = operator.le
     for j, g in enumerate(G):

@@ -67,7 +67,6 @@ class ZddManager:
         self._subset0: dict = {}
         self._subset1: dict = {}
         self._change: dict = {}
-        self._divwith: dict = {}
         self._count: dict = {}
         # boolpoly and boolgb
         self._bmul: dict = {}
@@ -131,8 +130,13 @@ class ZddManager:
 
     def full_family(self) -> int:
         """The family of all variable subsets, one node per variable."""
+        return self._all_subsets(range(self.num_vars))
+
+    def _all_subsets(self, vs) -> int:
+        """The family of all subsets of the index set vs, one node per
+        variable."""
         n = ONE
-        for v in range(self.num_vars - 1, -1, -1):
+        for v in sorted(set(vs), reverse=True):
             n = self.mk_node(v, n, n)
         return n
 
@@ -307,37 +311,14 @@ class ZddManager:
     # -- divisibility --------------------------------------------------------
 
     def divisors_within(self, lead_set: int, m) -> int:
-        """{s in lead_set : s ⊆ m}, one cached traversal.
+        """{s in lead_set : s ⊆ m}: lead_set intersected with the family
+        of all subsets of m.
 
         `m` is a monomial given as a single-path diagram or an iterable of
         variable indices.
         """
-        mz = m if isinstance(m, int) else self.singleton(m)
-        return self._div_within(lead_set, mz)
-
-    def _div_within(self, s: int, m: int) -> int:
-        if s <= ONE:
-            return s
-        cache = self._divwith
-        key = (s, m)
-        r = cache.get(key)
-        if r is not None:
-            return r
-        vs = self._var[s]
-        vm = self._var[m]
-        if vs < vm:
-            r = self._div_within(self._else[s], m)
-        elif vs > vm:
-            r = self._div_within(s, self._then[m])
-        else:
-            rest = self._then[m]
-            r = self.mk_node(
-                vs,
-                self._div_within(self._then[s], rest),
-                self._div_within(self._else[s], rest),
-            )
-        cache[key] = r
-        return r
+        vs = self.support(m) if isinstance(m, int) else m
+        return self.intersect(lead_set, self._all_subsets(vs))
 
     # -- path enumeration ------------------------------------------------------
 

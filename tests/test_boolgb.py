@@ -1,6 +1,8 @@
 import itertools
 import random
+import signal
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from zddgb.boolgb import (
 )
 from zddgb.boolpoly import (
     BoolRing,
+    RingMismatchError,
     deg,
     eval_poly,
     lead_vars,
@@ -111,8 +114,8 @@ def test_greedy_nf_against_reduced_basis_matches_term_list_oracle(
 
 @pytest.mark.parametrize("kind", ["lp", "dlex", "dp_asc", "block(dp_asc:2,dlex:4)"])
 def test_reductor_set_holding_one(kind):
-    """1 divides every term: its lead is the constant, which the reductor
-    index keeps apart from the buckets of the variables."""
+    """1 divides every term: its lead is the constant, which divides every
+    monomial the reductor table is asked about, wherever its entry sorts."""
     ring = BoolRing.indexed(4, kind)
     rnd = random.Random(kind)
     for _ in range(10):
@@ -154,6 +157,72 @@ def test_index_pick_matches_divisor_diagram_pick(n_ordering, seed):
             assert got is None
         else:
             assert got == table.by_lead[want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(orderings(max_n=10), st.integers(0, 2**32))
+def test_pick_is_smallest_dividing_entry(n_ordering, seed):
+    """pick(m, skip) is the smallest entry of by_lead whose lead divides m
+    and is not skip, found by a plain scan, also after replace has given
+    some leads a new reductor."""
+    n, ordering = n_ordering
+    ring = BoolRing.indexed(n, ordering)
+    rnd = random.Random(seed)
+    table = boolgb._ReductionTable(ring)
+    for _ in range(rnd.randrange(1, 12)):
+        g = rand_poly(ring, rnd, 5, rnd.choice([0.2, 0.4, 0.7]))
+        if g:
+            table.add(g, lead_vars(g))
+    if rnd.random() < 0.2:
+        table.add(ring.one, ())
+    leads = list(table.by_lead)
+    for lead in leads:
+        if rnd.random() < 0.3:
+            table.replace(ring.monomial(lead), lead)
+    for _ in range(20):
+        m = tuple(v for v in range(n) if rnd.random() < 0.6)
+        for skip in (None, rnd.choice(leads + [None])):
+            hits = [e for lead, e in table.by_lead.items()
+                    if set(lead) <= set(m) and lead != skip]
+            assert table.pick(m, skip) == (min(hits) if hits else None)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_engines_refuse_mixed_rings():
+    """Polynomials of two rings with the same names hold node ids of two
+    managers; every engine raises instead of mixing them, which can loop
+    in greedy_nf or give a wrong basis.  The time limit turns a loop into
+    a failure."""
+    ring, other = BoolRing(["x", "y"]), BoolRing(["x", "y"])
+    f, g = ring.parse("x*y + x"), other.parse("x + 1")
+    assert buchberger([f, ring.parse("x + 1")]) == [
+        ring.parse("x + 1"), ring.parse("y + 1")]
+    calls = [
+        lambda: greedy_nf(f, [g]),
+        lambda: greedy_nf(f, [other.zero]),
+        lambda: buchberger([f, g]),
+        lambda: buchberger([f, other.zero]),
+        lambda: interreduce([f, g]),
+        lambda: sat_check([f, g]),
+        lambda: sat_check([f, g], preprocess="conjunction"),
+    ]
+    for call in calls:
+        with time_limit(5), pytest.raises(RingMismatchError):
+            call()
 
 
 def interreduce_by_greedy_nf(basis):

@@ -23,6 +23,7 @@ from oracles import (
     zm_nu,
     zm_variety,
 )
+from zddgb.boolpoly import RingMismatchError
 from zddgb.ringstd import (
     Modulus,
     RingStrategy,
@@ -455,6 +456,24 @@ def test_is_strong_basis():
     basis = std_basis(gens)
     truncated = [g for g in basis if "y" not in str(g)]
     assert not is_strong_basis(truncated, samples=80, seed=7, gens=gens)
+
+
+def test_mixed_rings_raise():
+    """Arithmetic and the engines refuse polynomials of two rings, of two
+    moduli or of one modulus, instead of computing modulo one of them."""
+    for m1, m2 in ((4, 8), (4, 4)):
+        R1, R2 = ZmRing(m1, ["x", "y"]), ZmRing(m2, ["x", "y"])
+        f, g = R1.parse("x*y + 2*x"), R2.parse("x + 3")
+        calls = [
+            lambda: f + g, lambda: f - g, lambda: f * g, lambda: g * f,
+            lambda: nf_ring(f, [g]), lambda: nf_ring(f, [R2.zero]),
+            lambda: std_basis([f, g]), lambda: std_basis([R1.const(1), g]),
+            lambda: std_basis([f, R2.zero]),
+        ]
+        for call in calls:
+            with pytest.raises(RingMismatchError):
+                call()
+    assert f + f == f.scale(2)
 
 
 def test_parse_print_roundtrip():

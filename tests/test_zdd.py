@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zddgb.zdd import ONE, ZERO, ZddError, ZddManager
 
@@ -82,6 +84,24 @@ def test_divisors_within(man):
     withone = man.union(s, ONE)
     assert man.divisors_within(withone, []) == ONE
     assert man.divisors_within(ZERO, [0, 1]) == ZERO
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_divisors_within_is_subset_filter(n, data):
+    """divisors_within(S, m) is the diagram of {s in S : s ⊆ m}, for S
+    with and without the empty set and S = 0, m as an index tuple and as
+    a one-path diagram, and m = ∅."""
+    man = ZddManager(n)
+    sets = st.frozensets(st.integers(0, n - 1))
+    family = data.draw(st.sets(sets, max_size=10))
+    m = data.draw(sets)
+    for S in (family | {frozenset()}, family - {frozenset()}, set()):
+        for mon in (m, frozenset()):
+            want = man.from_sets(s for s in S if s <= mon)
+            lead_set = man.from_sets(S)
+            assert man.divisors_within(lead_set, tuple(sorted(mon))) == want
+            assert man.divisors_within(lead_set, man.singleton(mon)) == want
 
 
 def test_path_iteration():
