@@ -190,8 +190,8 @@ class BoolRing:
 
 
 def _same_ring(a, b) -> None:
-    """Raise RingMismatchError unless the polynomials a and b (Boolean or
-    Z/m) share one ring object."""
+    """Raise RingMismatchError unless a and b (Boolean or Z/m polynomials,
+    or point sets) share one ring object."""
     if a.ring is not b.ring:
         raise RingMismatchError("operands come from different rings")
 

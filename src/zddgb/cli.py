@@ -2,7 +2,8 @@
 
 Subcommands: gb, nf, sat, zeros, interp, encode.  Exit codes: 0 on
 success, 2 on parse errors, 3 on internal invariant violations, 4 when an
-input exceeds a resource limit (recursion depth or memory); `sat` follows
+input exceeds a resource limit (recursion depth, memory, or an exponent or
+degree past 32767 over Z/m); `sat` follows
 the SAT-solver convention of 10 (satisfiable, model printed) and 20
 (unsatisfiable).
 """
@@ -19,7 +20,7 @@ from .boolgb import buchberger, greedy_nf, sat_check
 from .boolpoly import BoolRing
 from .interp import (PartialFn, PointSet, interpolate_smallest_lex, points_gb,
                      zeros)
-from .ringstd import ZmRing, rednf_ring, std_basis
+from .ringstd import ExponentOverflowError, ZmRing, rednf_ring, std_basis
 from .zdd import ZddError
 
 
@@ -87,6 +88,8 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
             polys.append(ring.parse(src))
         except ValueError as exc:
             raise ValueError(f"line {ln}: {exc}") from None
+        except ExponentOverflowError as exc:
+            raise ExponentOverflowError(f"line {ln}: {exc}") from None
     return ring, polys
 
 
@@ -340,6 +343,9 @@ def main(argv=None) -> int:
     except (AssertionError, ZddError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except ExponentOverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (RecursionError, MemoryError) as exc:
         # the diagram recursions take one frame per variable level
         print(f"error: resource limit reached ({str(exc) or type(exc).__name__})",

@@ -8,7 +8,7 @@ points is a ZDD over the same manager as the polynomials it meets.
 
 from __future__ import annotations
 
-from .boolpoly import BoolPoly, BoolRing
+from .boolpoly import BoolPoly, BoolRing, _same_ring
 from .zdd import ONE, ZERO, ZddManager
 
 
@@ -61,12 +61,15 @@ class PointSet:
             yield tuple(1 if i in on else 0 for i in range(n))
 
     def union(self, other: "PointSet") -> "PointSet":
+        _same_ring(self, other)
         return PointSet(self.ring, self.ring.manager.union(self.z, other.z))
 
     def intersect(self, other: "PointSet") -> "PointSet":
+        _same_ring(self, other)
         return PointSet(self.ring, self.ring.manager.intersect(self.z, other.z))
 
     def diff(self, other: "PointSet") -> "PointSet":
+        _same_ring(self, other)
         return PointSet(self.ring, self.ring.manager.diff(self.z, other.z))
 
 
@@ -76,8 +79,7 @@ class PartialFn:
     __slots__ = ("ring", "zeros", "ones")
 
     def __init__(self, zeros: PointSet, ones: PointSet):
-        if zeros.ring is not ones.ring:
-            raise ValueError("point sets come from different rings")
+        _same_ring(zeros, ones)
         if zeros.ring.manager.intersect(zeros.z, ones.z) != ZERO:
             raise InterpolationError("zero- and one-sets overlap")
         self.ring = zeros.ring
@@ -90,8 +92,7 @@ class PartialFn:
 
 def zeros(p: BoolPoly, S: PointSet) -> PointSet:
     """{s in S : p(s) = 0}, by one cached recursion over both diagrams."""
-    if p.ring is not S.ring:
-        raise ValueError("polynomial and point set come from different rings")
+    _same_ring(p, S)
     return PointSet(S.ring, _zeros(S.ring.manager, p.z, S.z))
 
 

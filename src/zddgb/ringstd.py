@@ -4,17 +4,29 @@ Z/m is weak factorial, and in Z/m the ideal (a) equals (gcd(a, m)): the
 coefficient arithmetic (divisibility, lcm, annihilators, exact division)
 is integer gcd arithmetic, with no factorization of m.  Buchberger's
 loop gains extended s-polynomials (annihilator multiples) and a zero-divisor
-criterion on top of the classical product and chain criteria.  Polynomials
-are sorted term lists with integer exponent vectors; orderings are global
-(lex or degree-lex), with variable index 0 the largest.
+criterion on top of the classical product and chain criteria.  Orderings
+are global (lex or degree-lex), with variable index 0 the largest.
+
+Polynomials are sorted term lists whose monomials are packed ints (as in
+Bachmann and Schoenemann, "Monomial representations for Groebner bases
+computations", ISSAC 1998): a 16-bit field per variable, 15 value bits
+under a guard bit, variable 0 in the highest field, and under dlex a
+total-degree field above them all.  Both orderings then compare with `<`,
+a product is `+`, a quotient is `-`, a divides b is
+`((b | G) - a) & G == G` for the mask G of guard bits, and only a pair's
+lcm takes a per-field max.  A reduction step f - x*t*g is one merge, with
+no intermediate polynomial.  The engine reads only the packed form; the
+constructors, `ZmPoly.terms`, `lt`, `lm`, `str` and `eval` speak exponent
+tuples.  A guard bit that gets set is an overflow: an exponent, or under
+dlex a degree, past EXPONENT_LIMIT = 32767 raises ExponentOverflowError.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import operator
 import re
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -159,31 +171,94 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return g, y, x - (a // b) * y
 
 
-# -- orderings and polynomials ------------------------------------------------
+# -- packed monomials and polynomials -------------------------------------------
 
 
-# exponent-vector sort keys of the global orderings, variable 0 the largest
-_SORT_KEYS = {"lp": tuple, "dlex": lambda exps: (sum(exps), exps)}
+# the largest exponent, and under dlex the largest degree: 15 value bits per
+# 16-bit field, under a guard bit
+EXPONENT_LIMIT = 0x7FFF
+
+
+class ExponentOverflowError(OverflowError):
+    """A monomial's exponent, or its degree under dlex, passed
+    EXPONENT_LIMIT: its packed field would set the guard bit."""
+
+    def __init__(self,
+                 message: str = f"an exponent or degree passed {EXPONENT_LIMIT}"):
+        super().__init__(message)
+
+
+# the global orderings of ZmRing, variable 0 the largest
+_ORDERINGS = ("lp", "dlex")
 
 
 class ZmRing:
-    """Z/m[x_1..x_n] with a global ordering, "lp" (lex) or "dlex"."""
+    """Z/m[x_1..x_n] with a global ordering, "lp" (lex) or "dlex".
+
+    `sort_key` packs an exponent tuple into the int that ZmPoly stores (the
+    layout is in the module docstring).  Packed monomials compare as the
+    monomials do, so the packing is also the tuple-level sort key for
+    callers.
+    """
 
     def __init__(self, m: int, names, ordering: str = "lp"):
-        try:
-            self.sort_key = _SORT_KEYS[ordering]
-        except KeyError:
-            raise ValueError(f"unsupported ring ordering {ordering!r}") from None
+        if ordering not in _ORDERINGS:
+            raise ValueError(f"unsupported ring ordering {ordering!r}")
         self.mod = Modulus(m)
         self.names = list(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
         self.n = len(self.names)
         self._index = {nm: i for i, nm in enumerate(self.names)}
+        self._dlex = ordering == "dlex"
+        fields = self.n + self._dlex
+        self._width = 2 * fields
+        self._guard = int.from_bytes(b"\x80\x00" * fields, "big")
+        self._pack = struct.Struct(f">{fields}H").pack
+        self._unpack_fields = struct.Struct(
+            f">{'2x' if self._dlex else ''}{self.n}H").unpack
+        self._var_mask = (1 << 16 * self.n) - 1
 
     @property
     def m(self) -> int:
         return self.mod.m
+
+    def sort_key(self, exps) -> int:
+        """The packed monomial of an exponent tuple."""
+        try:
+            fields = (self._pack(sum(exps), *exps) if self._dlex
+                      else self._pack(*exps))
+        except (struct.error, TypeError):
+            if len(exps) == self.n and all(
+                    isinstance(e, int) and e >= 0 for e in exps):
+                raise ExponentOverflowError() from None
+            raise ValueError(f"{exps!r} is no exponent vector of "
+                             f"{self.n} variables") from None
+        x = int.from_bytes(fields, "big")
+        if x & self._guard:
+            raise ExponentOverflowError()
+        return x
+
+    def _unpack(self, x: int) -> tuple[int, ...]:
+        """The exponent tuple of a packed monomial."""
+        return self._unpack_fields(x.to_bytes(self._width, "big"))
+
+    def _lcm(self, a: int, b: int) -> int:
+        """Lcm of two packed monomials: the max of each variable's field.
+
+        Under dlex its degree may pass the limit (it is below 2^16 - 1):
+        such a pair can still be queued and dropped by a criterion, and its
+        s-polynomial raises ExponentOverflowError."""
+        guard = self._guard
+        wins = ((a | guard) - b) & guard  # the guard bits of fields where a >= b
+        keep = wins - (wins >> 15)  # the value bits of those fields
+        x = a & keep | b & ~keep
+        if self._dlex:
+            # the degree field is the sum of the others, < 2^16 - 1 since
+            # deg(a) + deg(b) is, and 2^16 = 1 mod 2^16 - 1
+            x &= self._var_mask
+            x |= x % 0xFFFF << 16 * self.n
+        return x
 
     def poly(self, terms) -> "ZmPoly":
         return ZmPoly(self, terms)
@@ -241,74 +316,71 @@ class ZmRing:
         return "*".join(parts)
 
 
-def _mon_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(map(operator.le, a, b))
-
-
-def _mon_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(max, a, b))
-
-
-def _mon_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(operator.sub, a, b))
+def _sorted_residues(acc: dict, m: int) -> tuple:
+    """The terms of {packed monomial: coefficient}, reduced mod m, zeros
+    dropped, leading term first."""
+    return tuple((x, c) for x in sorted(acc, reverse=True) if (c := acc[x] % m))
 
 
 class ZmPoly:
     """Term list sorted strictly descending; no zero coefficients.
 
-    `ZmPoly(ring, terms)` canonicalizes arbitrary input.  The arithmetic
-    below keeps term lists sorted without re-sorting: both orderings are
-    monomial orderings, so multiplying by a term or a scalar preserves the
-    order, and sums are merges of two sorted lists.
+    `ZmPoly(ring, terms)` canonicalizes arbitrary (exponent tuple,
+    coefficient) pairs, and `terms` gives them back in that form.  Inside,
+    `_t` holds (packed monomial, coefficient) pairs, which the arithmetic
+    below keeps sorted without re-sorting: both orderings are monomial
+    orderings, so multiplying by a term or a scalar preserves the order,
+    and sums are merges of two sorted lists.
     """
 
-    __slots__ = ("ring", "terms", "_ecart")
+    __slots__ = ("ring", "_t", "_ecart")
 
     def __init__(self, ring: ZmRing, terms):
-        m = ring.m
-        acc: dict[tuple[int, ...], int] = {}
+        pack = ring.sort_key
+        acc: dict[int, int] = {}
         for exps, c in terms:
-            c = (acc.get(exps, 0) + c) % m
-            if c:
-                acc[exps] = c
-            else:
-                acc.pop(exps, None)
-        key = ring.sort_key
+            x = pack(exps)
+            acc[x] = acc.get(x, 0) + c
         self.ring = ring
-        self.terms = tuple(
-            (e, acc[e]) for e in sorted(acc, key=key, reverse=True)
-        )
+        self._t = _sorted_residues(acc, ring.m)
         self._ecart = None
 
     @classmethod
     def _canonical(cls, ring: ZmRing, terms: tuple) -> "ZmPoly":
-        """Wrap terms that are already sorted, reduced and nonzero."""
+        """Wrap packed terms that are already sorted, reduced and nonzero."""
         p = object.__new__(cls)
         p.ring = ring
-        p.terms = terms
+        p._t = terms
         p._ecart = None
         return p
 
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(exponent tuple, coefficient) pairs, leading term first."""
+        unpack = self.ring._unpack
+        return tuple((unpack(x), c) for x, c in self._t)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._t)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ZmPoly)
             and self.ring is other.ring
-            and self.terms == other.terms
+            and self._t == other._t
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.ring), self.terms))
+        return hash((id(self.ring), self._t))
 
     def lt(self) -> tuple[tuple[int, ...], int]:
-        if not self.terms:
+        if not self._t:
             raise ValueError("the zero polynomial has no leading term")
-        return self.terms[0]
+        x, c = self._t[0]
+        return self.ring._unpack(x), c
 
     def lm(self) -> tuple[int, ...]:
         return self.lt()[0]
@@ -317,75 +389,85 @@ class ZmPoly:
         return self.lt()[1]
 
     def tail(self) -> "ZmPoly":
-        return ZmPoly._canonical(self.ring, self.terms[1:])
+        return ZmPoly._canonical(self.ring, self._t[1:])
 
     def deg(self) -> int:
-        if not self.terms:
+        if not self._t:
             return 0
         return max(sum(e) for e, _ in self.terms)
 
     def ecart(self) -> int:
         """deg(f) - deg(lm(f)); guides reducer choice in the normal form."""
         if self._ecart is None:
-            self._ecart = self.deg() - sum(self.lm()) if self.terms else 0
+            self._ecart = self.deg() - sum(self.lm()) if self._t else 0
         return self._ecart
 
     def __add__(self, other: "ZmPoly") -> "ZmPoly":
-        return self._merge(other, 1)
+        _same_ring(self, other)
+        return self._add_mul(0, 1, other)
 
     def __sub__(self, other: "ZmPoly") -> "ZmPoly":
-        return self._merge(other, -1)
-
-    def _merge(self, other: "ZmPoly", sign: int) -> "ZmPoly":
-        """self + sign * other by merging the two sorted term lists.  Under
-        lp the sort key is the exponent tuple itself, compared directly."""
         _same_ring(self, other)
+        return self._add_mul(0, -1, other)
+
+    def _add_mul(self, t: int, x: int, g: "ZmPoly") -> "ZmPoly":
+        """self + x * X^t * g, for a packed monomial t, in one merge of the
+        two sorted term lists: no intermediate polynomial."""
         ring = self.ring
-        m = ring.m
-        key = ring.sort_key
-        lex = key is tuple
-        s, t = self.terms, other.terms
+        m, guard = ring.m, ring._guard
+        s = self._t
+        n = len(s)
         out = []
-        i = j = 0
-        while i < len(s) and j < len(t):
-            (e, c), (f, d) = s[i], t[j]
-            if e == f:
-                c = (c + sign * d) % m
+        i = 0
+        for e, d in g._t:
+            e += t
+            if e & guard:
+                raise ExponentOverflowError()
+            d = d * x % m
+            while i < n and s[i][0] > e:
+                out.append(s[i])
+                i += 1
+            if i < n and s[i][0] == e:
+                c = (s[i][1] + d) % m
                 if c:
                     out.append((e, c))
                 i += 1
-                j += 1
-            elif e > f if lex else key(e) > key(f):
-                out.append(s[i])
-                i += 1
-            else:
-                out.append((f, sign * d % m))
-                j += 1
+            elif d:
+                out.append((e, d))
         out += s[i:]
-        out += [(f, sign * d % m) for f, d in t[j:]]
+        return ZmPoly._canonical(ring, tuple(out))
+
+    def _shift(self, t: int, coef: int) -> "ZmPoly":
+        """coef * X^t * self for a packed monomial t."""
+        ring = self.ring
+        m, guard = ring.m, ring._guard
+        out = []
+        for e, c in self._t:
+            e += t
+            if e & guard:
+                raise ExponentOverflowError()
+            c = c * coef % m
+            if c:
+                out.append((e, c))
         return ZmPoly._canonical(ring, tuple(out))
 
     def mul_term(self, exps: tuple[int, ...], coef: int) -> "ZmPoly":
-        m = self.ring.m
-        add = operator.add
-        out = []
-        for e, c in self.terms:
-            c = c * coef % m
-            if c:
-                out.append((tuple(map(add, e, exps)), c))
-        return ZmPoly._canonical(self.ring, tuple(out))
+        return self._shift(self.ring.sort_key(exps), coef)
 
     def __mul__(self, other: "ZmPoly") -> "ZmPoly":
         _same_ring(self, other)
-        add = operator.add
-        out = []
-        for e, c in self.terms:
-            for e2, c2 in other.terms:
-                out.append((tuple(map(add, e, e2)), c * c2))
-        return ZmPoly(self.ring, out)
+        guard = self.ring._guard
+        acc: dict[int, int] = {}
+        for e, c in self._t:
+            for f, d in other._t:
+                f += e
+                if f & guard:
+                    raise ExponentOverflowError()
+                acc[f] = acc.get(f, 0) + c * d
+        return ZmPoly._canonical(self.ring, _sorted_residues(acc, self.ring.m))
 
     def scale(self, c: int) -> "ZmPoly":
-        return self.mul_term((0,) * self.ring.n, c)
+        return self._shift(0, c)
 
     def eval(self, point) -> int:
         m = self.ring.m
@@ -398,7 +480,7 @@ class ZmPoly:
         return total
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._t:
             return "0"
         return " + ".join(self.ring.mon_str(e, c) for e, c in self.terms)
 
@@ -414,20 +496,20 @@ def spoly_ring(f: ZmPoly, g: ZmPoly) -> ZmPoly:
     included); the leading terms cancel exactly."""
     if f.is_zero() or g.is_zero():
         raise ValueError("s-polynomial needs nonzero inputs")
+    _same_ring(f, g)
     mod = f.ring.mod
-    (mf, cf), (mg, cg) = f.lt(), g.lt()
+    (mf, cf), (mg, cg) = f._t[0], g._t[0]
     cl = mod.lcm(cf, cg)
-    ml = _mon_lcm(mf, mg)
-    qf = mod.div_exact(cl, cf)
-    qg = mod.div_exact(cl, cg)
-    return f.mul_term(_mon_div(ml, mf), qf) - g.mul_term(_mon_div(ml, mg), qg)
+    ml = f.ring._lcm(mf, mg)
+    return f._shift(ml - mf, mod.div_exact(cl, cf))._add_mul(
+        ml - mg, -mod.div_exact(cl, cg), g)
 
 
 def spoly_extended(f: ZmPoly) -> ZmPoly:
     """Annihilator multiple of f: ann(lc f) * f."""
     if f.is_zero():
         raise ValueError("s-polynomial needs a nonzero input")
-    return f.scale(f.ring.mod.ann_generator(f.lc()))
+    return f.scale(f.ring.mod.ann_generator(f._t[0][1]))
 
 
 # -- normal form ------------------------------------------------------------------
@@ -438,25 +520,28 @@ def nf_ring(f: ZmPoly, G) -> ZmPoly:
     outside the leading ideal of the reducer set.
 
     The reducers are ordered once by ecart, ties by position in G, and
-    each one's lead monomial and coefficient are read once per call.  Each
-    step hands the lead coefficients of the reducers whose lead divides
-    lm(f), in that order, to one `solve_lead` call: a single divisor of
-    least ecart when there is one, else a combination over the shortest
-    ecart prefix that solves.  The orderings are global, so the lead falls
-    strictly at every step; Mora's device of appending the remainder to
-    the reducers is not needed, since no later lead could be its multiple.
+    each one's packed lead monomial and coefficient are read once per
+    call.  Each step hands the lead coefficients of the reducers whose
+    lead divides lm(f), in that order, to one `solve_lead` call: a single
+    divisor of least ecart when there is one, else a combination over the
+    shortest ecart prefix that solves; each reducer used is then
+    subtracted in one merge, f - x*t*g.  The orderings are global, so the
+    lead falls strictly at every step; Mora's device of appending the
+    remainder to the reducers is not needed, since no later lead could be
+    its multiple.
     """
     mod = f.ring.mod
-    le, sub = operator.le, operator.sub
+    guard = f.ring._guard
     G = list(G)
     for g in G:
         _same_ring(f, g)
     # (lead monomial, lead coefficient, reducer), nonzero reducers by ecart
-    T = [(*g.terms[0], g)
-         for g in sorted((g for g in G if g.terms), key=ZmPoly.ecart)]
-    while f.terms:
-        mf, cf = f.terms[0]
-        cands = [t for t in T if all(map(le, t[0], mf))]
+    T = [(*g._t[0], g) for g in sorted((g for g in G if g._t), key=ZmPoly.ecart)]
+    while f._t:
+        mf, cf = f._t[0]
+        # g's lead divides mf when no field of mf - lm(g) borrows its guard bit
+        top = mf | guard
+        cands = [t for t in T if (top - t[0]) & guard == guard]
         if not cands:
             return f
         sol = solve_lead(mod, cf, [c for _, c, _ in cands])
@@ -464,7 +549,7 @@ def nf_ring(f: ZmPoly, G) -> ZmPoly:
             return f
         for (mg, _, g), x in zip(cands, sol):
             if x:
-                f = f - g.mul_term(tuple(map(sub, mf, mg)), x)
+                f = f._add_mul(mf - mg, -x, g)
     return f
 
 
@@ -473,9 +558,9 @@ def rednf_ring(f: ZmPoly, G) -> ZmPoly:
     kept = []
     while True:
         f = nf_ring(f, G)
-        if f.is_zero():
+        if not f._t:
             return ZmPoly._canonical(f.ring, tuple(kept))
-        kept.append(f.lt())
+        kept.append(f._t[0])
         f = f.tail()
 
 
@@ -485,22 +570,10 @@ def rednf_ring(f: ZmPoly, G) -> ZmPoly:
 def product_criterion_ring(f: ZmPoly, g: ZmPoly) -> bool:
     """Coprime lead monomials and both lead coefficients units."""
     mod = f.ring.mod
-    (mf, cf), (mg, cg) = f.terms[0], g.terms[0]
+    (mf, cf), (mg, cg) = f._t[0], g._t[0]
     if not (mod.is_unit(cf) and mod.is_unit(cg)):
         return False
-    return all(a == 0 or b == 0 for a, b in zip(mf, mg))
-
-
-def _term_divides(mod: Modulus, t1: tuple, t2: tuple) -> bool:
-    """Term divisibility: monomial divides and coefficient divides."""
-    (m1, c1), (m2, c2) = t1, t2
-    return _mon_divides(m1, m2) and mod.divides(c1, c2)
-
-
-def _lcm_term(mod: Modulus, t1: tuple, t2: tuple) -> tuple:
-    """Lcm of two terms: lcm of the monomials with lcm of the coefficients."""
-    (m1, c1), (m2, c2) = t1, t2
-    return (_mon_lcm(m1, m2), mod.lcm(c1, c2))
+    return f.ring._lcm(mf, mg) == mf + mg
 
 
 def zero_criterion(mod: Modulus, ci: int, cl: int) -> bool:
@@ -541,42 +614,43 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
     if not gens:
         return []
     ring = gens[0].ring
-    sort_key = ring.sort_key
     strategy = strategy or RingStrategy()
     mod = ring.mod
 
     G: list[ZmPoly] = []
     queue: list = []
     done: set[tuple[int, int]] = set()
-    queued_lcm: dict[tuple[int, int], tuple] = {}
+    queued_lcm: dict[tuple[int, int], tuple[int, int]] = {}
     counter = 0
 
     def add(h: ZmPoly) -> bool:
         """Append h to G and queue its pairs; True, with nothing queued,
         when h is a unit constant."""
-        # queue entries (key, a, b): the pair (a, b) with a < b, or the
-        # annihilator s-polynomial of G[a] when b is None
+        # queue entries (lcm monomial, lcm coefficient, counter, a, b): the
+        # pair (a, b) with a < b, or the annihilator s-polynomial of G[a]
+        # when b is None
         nonlocal counter
         idx = len(G)
         G.append(h)
-        lt = h.terms[0]
-        if not any(lt[0]) and mod.is_unit(lt[1]):
+        mon, coef = h._t[0]
+        if not mon and mod.is_unit(coef):
             return True
         for j in range(idx):
-            mon, coef = queued_lcm[(j, idx)] = _lcm_term(mod, G[j].terms[0], lt)
+            mj, cj = G[j]._t[0]
+            ml, cl = queued_lcm[(j, idx)] = ring._lcm(mj, mon), mod.lcm(cj, coef)
             counter += 1
-            heapq.heappush(queue, ((sort_key(mon), coef, counter), j, idx))
+            heapq.heappush(queue, (ml, cl, counter, j, idx))
         counter += 1
-        heapq.heappush(queue, ((sort_key(lt[0]), 0, counter), idx, None))
+        heapq.heappush(queue, (mon, 0, counter, idx, None))
         return False
 
     for f in gens:
         h = nf_ring(f, G)
-        if h.terms and add(h):
+        if h._t and add(h):
             return _reduce_basis(G)
 
     while queue:
-        _, a, b = heapq.heappop(queue)
+        *_, a, b = heapq.heappop(queue)
         if b is None:
             s = spoly_extended(G[a])
         else:
@@ -586,33 +660,38 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
                 done.add((a, b))
                 continue
             if strategy.zero_criterion and zero_criterion(
-                mod, f.terms[0][1], g.terms[0][1]
+                mod, f._t[0][1], g._t[0][1]
             ):
                 continue
             if strategy.chain_criterion and _chain_drop(
-                mod, G, a, b, lcm_term, done, queued_lcm
+                G, a, b, lcm_term, done, queued_lcm
             ):
                 continue
             s = spoly_ring(f, g)
             done.add((a, b))
-        if s.is_zero():
+        if not s._t:
             continue
         h = nf_ring(s, G)
-        if h.terms and add(h):
+        if h._t and add(h):
             return _reduce_basis(G)
 
     return _reduce_basis(G)
 
 
-def _chain_drop(mod, G, i, l, lcm_term, done, queued_lcm) -> bool:
-    """Some lt(G[j]) divides lcm_term, the lcm term of (i, l), and each of
-    the pairs (i, j) and (j, l) is done or queued with a properly smaller
-    lcm term."""
+def _chain_drop(G, i, l, lcm_term, done, queued_lcm) -> bool:
+    """Some lt(G[j]) divides lcm_term, the packed lcm term of (i, l), and
+    each of the pairs (i, j) and (j, l) is done or queued with a properly
+    smaller lcm term."""
+    ring = G[i].ring
+    mod = ring.mod
+    # the variables' guard bits decide divisibility: a queued lcm's degree
+    # field may hold a degree past the limit (see ZmRing._lcm)
+    guard = ring._guard & ring._var_mask
     ml, cl = lcm_term
-    le = operator.le
+    top = ml | guard
     for j, g in enumerate(G):
-        mj, cj = g.terms[0]
-        if (j == i or j == l or not all(map(le, mj, ml))
+        mj, cj = g._t[0]
+        if (j == i or j == l or (top - mj) & guard != guard
                 or not mod.divides(cj, cl)):
             continue
         if all(
@@ -620,7 +699,8 @@ def _chain_drop(mod, G, i, l, lcm_term, done, queued_lcm) -> bool:
             or (
                 (q := queued_lcm.get(side)) is not None
                 and q != lcm_term
-                and _term_divides(mod, q, lcm_term)
+                and (top - q[0]) & guard == guard
+                and mod.divides(q[1], cl)
             )
             for side in ((min(i, j), max(i, j)), (min(l, j), max(l, j)))
         ):
@@ -633,20 +713,23 @@ def _reduce_basis(G) -> list[ZmPoly]:
     if not G:
         return []
     ring = G[0].ring
-    sort_key = ring.sort_key
     mod = ring.mod
+    guard = ring._guard
     # scanning by (monomial, gcd(lc, m)) puts divisor terms first: a proper
     # divisor's gcd is a proper divisor of the other's, associates tie
     ordered = sorted(
-        G, key=lambda g: (sort_key(g.lm()), math.gcd(g.lc(), mod.m), g.lc())
+        G, key=lambda g: (g._t[0][0], math.gcd(g._t[0][1], mod.m), g._t[0][1])
     )
     kept: list[ZmPoly] = []
     for g in ordered:
-        if not any(_term_divides(mod, h.lt(), g.lt()) for h in kept):
+        mg, cg = g._t[0]
+        top = mg | guard
+        if not any((top - h._t[0][0]) & guard == guard
+                   and mod.divides(h._t[0][1], cg) for h in kept):
             kept.append(g)
     out = []
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        reduced = ZmPoly(ring, (g.lt(),)) + rednf_ring(g.tail(), others)
+        reduced = ZmPoly._canonical(ring, g._t[:1]) + rednf_ring(g.tail(), others)
         out.append(reduced)
-    return sorted(out, key=lambda g: (sort_key(g.lm()), g.lc()), reverse=True)
+    return sorted(out, key=lambda g: g._t[0], reverse=True)

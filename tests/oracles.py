@@ -12,18 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
 from zddgb.boolpoly import _nf_mon
 from zddgb.interp import PointSet, standard_monomials
-from zddgb.ringstd import (
-    ZmPoly,
-    _mon_div,
-    _mon_divides,
-    _term_divides,
-    solve_lead,
-)
+from zddgb.ringstd import ZmPoly, solve_lead
 from zddgb.zdd import ONE, ZddManager
 
 
@@ -258,6 +253,28 @@ def gm_pruned(queued, leads, new) -> list:
 
 
 # -- Z/m helpers -----------------------------------------------------------------
+
+
+def _mon_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(map(operator.le, a, b))
+
+
+def _mon_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(operator.sub, a, b))
+
+
+def _term_divides(mod, t1: tuple, t2: tuple) -> bool:
+    """Term divisibility on exponent tuples: monomial divides and
+    coefficient divides."""
+    (m1, c1), (m2, c2) = t1, t2
+    return _mon_divides(m1, m2) and mod.divides(c1, c2)
+
+
+def _lcm_term(mod, t1: tuple, t2: tuple) -> tuple:
+    """Lcm of two terms on exponent tuples: lcm of the monomials with lcm
+    of the coefficients."""
+    (m1, c1), (m2, c2) = t1, t2
+    return tuple(map(max, m1, m2)), mod.lcm(c1, c2)
 
 
 def zm_divides(m: int, a: int, b: int) -> bool:

@@ -268,7 +268,7 @@ def test_order_names_in_docs_match_the_rings(capsys):
     # orderings the rings accept, and the help names every one they accept
     from zddgb import ZmRing
     from zddgb.boolpoly import _DEGREE_KEYS
-    from zddgb.ringstd import _SORT_KEYS
+    from zddgb.ringstd import _ORDERINGS
 
     def boolean_ring(name):
         ends = re.findall(r"\d+", name)
@@ -299,7 +299,7 @@ def test_order_names_in_docs_match_the_rings(capsys):
                 boolean_ring(f"block({name}:3)")
         if ring_mode:
             zm_names = re.split(r", | or ", zm.removesuffix(" with --mod"))
-            assert set(zm_names) == set(_SORT_KEYS)
+            assert set(zm_names) == set(_ORDERINGS)
             for name in zm_names:
                 ZmRing(4, ["x"], name)
         else:
@@ -394,6 +394,24 @@ def test_resource_limits_exit_4(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "gb", small)
     assert code == 4
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exponent_limit_exit_4(tmp_path, capsys):
+    # a Z/m monomial packs each exponent into 15 bits: 32767 is the largest
+    at_limit = write(tmp_path, "limit.txt", "vars x\nx^32767\n")
+    assert run(capsys, "gb", at_limit, "--mod", "4") == (0, "x^32767\n", "")
+    past = write(tmp_path, "past.txt", "vars x\nx*x^0\nx^32768\n")
+    assert run(capsys, "gb", past, "--mod", "4") == (
+        4, "", "error: line 3: an exponent or degree passed 32767\n")
+    code, out, err = run(capsys, "nf", at_limit, "--mod", "4", "--poly", "x^40000")
+    assert (code, out) == (4, "") and err.count("\n") == 1
+    # the inputs parse; the reduction's product y^13000 * y^20000 (lp) and
+    # the pair's lcm x^20000*y^20000 (dlex, degree 40000) do not
+    for order, system in (("lp", "x + y^20000\nx*y^13000\n"),
+                          ("dlex", "2*x^20000 + y\n2*y^20000 + x\n")):
+        path = write(tmp_path, f"{order}.txt", f"vars x y\n{system}")
+        assert run(capsys, "gb", path, "--mod", "8", "--order", order) == (
+            4, "", "error: an exponent or degree passed 32767\n")
 
 
 def test_second_mod_or_order_line_exit_2(tmp_path, capsys):

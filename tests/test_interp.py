@@ -14,7 +14,7 @@ from oracles import (
     minimal_elements,
 )
 from zddgb.boolgb import greedy_nf
-from zddgb.boolpoly import BoolPoly, BoolRing, eval_poly
+from zddgb.boolpoly import BoolPoly, BoolRing, RingMismatchError, eval_poly
 from zddgb.interp import (
     InterpolationError,
     PartialFn,
@@ -127,6 +127,24 @@ def test_partial_fn_overlap_rejected():
     P = PointSet.from_points(ring, [(1,)])
     with pytest.raises(InterpolationError):
         PartialFn(P, P)
+
+
+def test_point_sets_of_two_rings_raise():
+    """Set algebra, `zeros`, `nf_by_interpolate` and `PartialFn` refuse
+    diagrams of two rings, as polynomial arithmetic does: a node index
+    means nothing in the other ring's manager (A ∩ B once read
+    [(1, 0)] for a B holding only (0, 1))."""
+    R1, R2 = BoolRing(["x", "y"], "lp"), BoolRing(["x", "y"], "lp")
+    A = PointSet.from_points(R1, [(1, 0), (0, 1)])
+    B = PointSet.from_points(R2, [(0, 1)])
+    f = R1.parse("x + y")
+    calls = [lambda: A.union(B), lambda: A.intersect(B), lambda: A.diff(B),
+             lambda: zeros(f, B), lambda: nf_by_interpolate(f, B),
+             lambda: PartialFn(A, B)]
+    for call in calls:
+        with pytest.raises(RingMismatchError):
+            call()
+    assert sorted(A.intersect(PointSet.from_points(R1, [(0, 1)])).points()) == [(0, 1)]
 
 
 # -- interpolation ----------------------------------------------------------------------

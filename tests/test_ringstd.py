@@ -25,6 +25,9 @@ from oracles import (
 )
 from zddgb.boolpoly import RingMismatchError
 from zddgb.ringstd import (
+    _ORDERINGS,
+    EXPONENT_LIMIT,
+    ExponentOverflowError,
     Modulus,
     RingStrategy,
     ZmPoly,
@@ -365,7 +368,9 @@ def test_std_basis_variety_preservation_exhaustive():
 
 
 def test_criteria_helpers():
-    from zddgb.ringstd import _lcm_term, _term_divides, product_criterion_ring
+    from oracles import _lcm_term, _term_divides
+
+    from zddgb.ringstd import product_criterion_ring
 
     R4 = ZmRing(4, ["x", "y", "z"])
     assert product_criterion_ring(R4.parse("x"), R4.parse("y"))
@@ -496,6 +501,101 @@ def test_parse_rejects_bad_exponent_and_dangling_sign():
     assert R.parse("x^0*y^2") == R.parse("y^2")
     # a power of a coefficient is a power, not its base
     assert R.parse("3^2*x") == R.parse("x")
+
+
+# -- packed monomials ----------------------------------------------------------
+
+
+@st.composite
+def packed_pair(draw):
+    """A ring and two exponent vectors with fields at 0, at the limit and
+    between; under dlex the degree is bounded too, so each field of a
+    vector takes a share of the limit, or one field takes all of it."""
+    ordering = draw(st.sampled_from(_ORDERINGS))
+    n = draw(st.integers(1, 4))
+    ring = ZmRing(4, [f"x{i}" for i in range(n)], ordering)
+    cap = EXPONENT_LIMIT if ordering == "lp" else EXPONENT_LIMIT // n
+    field = st.one_of(st.just(0), st.just(cap), st.integers(0, cap))
+    at_limit = st.integers(0, n - 1).map(
+        lambda i: tuple(EXPONENT_LIMIT if k == i else 0 for k in range(n)))
+    vec = st.one_of(st.tuples(*[field] * n), at_limit)
+    return ring, draw(vec), draw(vec)
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_pair())
+def test_packed_monomials_match_tuple_operations(case):
+    ring, a, b = case
+    A, B = ring.sort_key(a), ring.sort_key(b)
+    assert ring._unpack(A) == a and ring._unpack(B) == b
+    key = (lambda e: (sum(e), e)) if ring._dlex else (lambda e: e)
+    assert (A < B) == (key(a) < key(b)) and (A == B) == (a == b)
+
+    def fits(e):
+        return max(e) <= EXPONENT_LIMIT and (
+            not ring._dlex or sum(e) <= EXPONENT_LIMIT)
+
+    fa, fb = ring.poly([(a, 1)]), ring.poly([(b, 1)])
+    # divisibility and quotient, as the normal form reads them
+    divides = all(x <= y for x, y in zip(a, b))
+    assert nf_ring(fb, [fa]).is_zero() == divides
+    if divides:
+        assert ring._unpack(B - A) == tuple(y - x for x, y in zip(a, b))
+    # the lcm is exact even past the dlex degree limit: such a pair is
+    # queued, and only its s-polynomial raises (test_exponent_limit)
+    lcm = tuple(map(max, a, b))
+    L = ring._lcm(A, B)
+    assert ring._unpack(L) == lcm
+    assert L >> 16 * ring.n == (sum(lcm) if ring._dlex else 0)
+    product = tuple(x + y for x, y in zip(a, b))
+    if fits(product):
+        assert A + B == ring.sort_key(product)
+        assert (fa * fb).terms == fa.mul_term(b, 1).terms == ((product, 1),)
+    else:
+        for call in (lambda: fa * fb, lambda: fa.mul_term(b, 1)):
+            with pytest.raises(ExponentOverflowError):
+                call()
+
+
+def test_exponent_limit():
+    for ordering in _ORDERINGS:
+        R = ZmRing(8, ["x", "y"], ordering)
+        f = R.parse("x^32767 + y")
+        assert str(f) == "x^32767 + y" and R.parse(str(f)) == f
+        calls = [
+            lambda: R.parse("x^32768"),
+            lambda: R.poly([((0, 10**9), 1)]),
+            lambda: f * R.parse("x + 1"),
+            lambda: f.mul_term((1, 0), 3),
+        ]
+        for call in calls:
+            with pytest.raises(ExponentOverflowError):
+                call()
+        for bad in ((1,), (1, 2, 3), (-1, 0), (0.5, 1)):
+            with pytest.raises(ValueError):
+                R.poly([(bad, 1)])
+    # the degree field bounds dlex monomials only
+    lex, dlex = ZmRing(4, ["x", "y"]), ZmRing(4, ["x", "y"], "dlex")
+    assert str(lex.parse("x^20000*y^20000")) == "x^20000*y^20000"
+    with pytest.raises(ExponentOverflowError):
+        dlex.parse("x^20000*y^20000")
+    # a pair whose lcm passes the degree limit is queued all the same: the
+    # product or the chain criterion drops it, or its s-polynomial raises
+    R8 = ZmRing(8, ["x", "y"], "dlex")
+    coprime = [R8.parse("x^20000 + y"), R8.parse("y^20000 + x")]
+    assert [str(g) for g in std_basis(coprime)] == ["x^20000 + y", "y^20000 + x"]
+    chained = [R8.parse(t) for t in ("2*x^20000", "2*y^20000", "2*x*y")]
+    assert [str(g) for g in std_basis(chained)] == [
+        "2*x^20000", "2*y^20000", "2*x*y"]
+    with pytest.raises(ExponentOverflowError):
+        std_basis(chained, RingStrategy(chain_criterion=False))
+    # under lp a tail can outgrow the lead: y^32767 * (x + y) reduces
+    # x*y^32767, and y^13000 * (x + y^20000) - x*y^13000 = y^33000
+    for call in (lambda: nf_ring(lex.parse("x*y^32767"), [lex.parse("x + y")]),
+                 lambda: spoly_ring(lex.parse("x + y^20000"),
+                                    lex.parse("x*y^13000"))):
+        with pytest.raises(ExponentOverflowError):
+            call()
 
 
 # -- order-preserving term-list operations ---------------------------------------------
