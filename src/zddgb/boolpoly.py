@@ -8,6 +8,14 @@ reversed variables ("dp_asc"), and blocks of the two degree orderings
 ("block(dlex:3,dp_asc:6)").  The ring takes the ordering as a string and
 reads it once, into `ring.blocks` and `ring.sort_key`; a bad ordering
 raises ValueError.
+
+Both rings read polynomial text in one grammar (`_parse_terms`): whitespace
+is dropped, then one optional sign and terms joined by + or -, each term
+*-separated factors, a variable or a number, either one maybe ^k (k >= 0).
+Here a sign is a plus, x^k is x for k >= 1, and the only number is 1 (a
+lone 0 is zero).  Names follow one rule (`check_names`), so every name a
+ring takes reads back: not empty, not all digits, no whitespace and none
+of + - * ^.
 """
 
 from __future__ import annotations
@@ -92,8 +100,7 @@ class BoolRing:
 
     def __init__(self, names, ordering: str = "lp"):
         names = list(names)
-        if len(set(names)) != len(names):
-            raise ValueError("variable names must be unique")
+        check_names(names)
         self.names = names
         self.n = len(names)
         self.blocks = blocks = _parse_blocks(ordering, self.n)
@@ -142,46 +149,21 @@ class BoolRing:
         return BoolPoly(self, z)
 
     def parse(self, text: str) -> "BoolPoly":
-        """Parse "a*b + c^2 + 1"; exponents reduce modulo the field relation."""
-        src, text = text, text.replace("-", "+").strip()
-        text = text.removeprefix("+").strip()
-        if not text:
-            raise ValueError("empty polynomial text")
-        z = ZERO
+        """Parse "a*b + c^2 + 1": a sign is a plus, x^k for k >= 1 is x,
+        and the only number a term takes is 1."""
         man = self.manager
-        for chunk in text.split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                # name the sign as written: the first one that another sign
-                # or the end of the text follows
-                sign = re.search(r"[+-](?=[+-]|$)", "".join(src.split()))
-                raise ValueError(f"dangling {sign.group()!r} in {src!r}")
-            if chunk == "0":
-                continue
-            if chunk == "1":
-                z = man.symmetric_diff(z, ONE)
-                continue
-            vs = set()
-            for factor in chunk.split("*"):
-                name, caret, exp = factor.partition("^")
-                name, exp = name.strip(), exp.strip()
-                if caret and not re.fullmatch(r"\d+", exp):
-                    raise ValueError(f"'^' needs an exponent >= 0 in {src!r}")
-                if name == "1":
-                    continue
-                if name not in self._index:
-                    if not name and "*" in chunk:
-                        raise ValueError(f"dangling '*' in {src!r}")
-                    if re.fullmatch(r"\d+", name):
-                        raise ValueError(
-                            f"coefficient {name!r} in {src!r}: a Boolean term "
-                            "takes no coefficient but 1 (use --mod for Z/m)")
-                    raise ValueError(f"unknown variable {name!r}")
-                if caret and int(exp) == 0:
-                    continue
-                vs.add(self._index[name])
-            z = man.symmetric_diff(z, man.singleton(vs))
+        z = ZERO
+        for _, exps in _parse_terms(text, self):
+            z = man.symmetric_diff(z, man.singleton(exps))
         return BoolPoly(self, z)
+
+    def _number(self, digits: str, k: int, text: str) -> int:
+        """The coefficient of a number factor digits^k in text: 1 only."""
+        if digits != "1":
+            raise ValueError(
+                f"coefficient {digits!r} in {text!r}: a Boolean term takes "
+                "no coefficient but 1 (use --mod for Z/m)")
+        return 1
 
     def mon_str(self, mon: tuple[int, ...]) -> str:
         if not mon:
@@ -194,6 +176,75 @@ def _same_ring(a, b) -> None:
     or point sets) share one ring object."""
     if a.ring is not b.ring:
         raise RingMismatchError("operands come from different rings")
+
+
+# what a name may not hold: whitespace and the grammar's operators
+_NOT_IN_NAMES = re.compile(r"[\s+\-*^]")
+
+
+def check_names(names: list, what: str = "variable") -> None:
+    """Raise ValueError for the first name that polynomial text cannot
+    write, or that repeats.  The name rule: a name is not empty, is not all
+    digits, and holds no whitespace and none of + - * ^."""
+    if (all(names) and not any(map(str.isdecimal, names))
+            and not _NOT_IN_NAMES.search("".join(names))
+            and len(set(names)) == len(names)):
+        return  # the common case, checked in one pass per test
+    seen = set()
+    for name in names:
+        if not name or name.isdecimal() or _NOT_IN_NAMES.search(name):
+            raise ValueError(
+                f"{what} {name!r} cannot be named in a polynomial: a name is "
+                "not empty, not all digits, and holds no whitespace and none "
+                "of + - * ^")
+        if name in seen:
+            raise ValueError(f"{what} {name!r} is listed twice")
+        seen.add(name)
+
+
+def _parse_terms(text: str, ring) -> list:
+    """The (coefficient, {variable index: exponent}) terms of text in the
+    grammar of both rings (module docstring).  A number factor n^k has the
+    coefficient ring._number(n, k, text); a lone 0 is no term."""
+    index = ring._index
+    src = "".join(text.split())
+    if not src:
+        raise ValueError("empty polynomial text")
+    parts = src.replace("-", "+-").split("+")  # a '-' opens its part
+    if not parts[0]:  # the text opens with a sign
+        del parts[0]
+    terms = []
+    for part in parts:
+        neg = part.startswith("-")
+        term = part[1:] if neg else part
+        if not term:  # the sign that opens the part dangles
+            raise ValueError(f"dangling {'-' if neg else '+'!r} in {text!r}")
+        if term == "0":  # the zero term, which no Boolean coefficient gives
+            continue
+        coef, factors, exps = -1 if neg else 1, term.split("*"), {}
+        if "^" not in term:  # the common term: distinct names, no powers
+            for name in factors:
+                exps[index.get(name)] = 1
+            if None not in exps and len(exps) == len(factors):
+                terms.append((coef, exps))
+                continue
+            exps = {}
+        for factor in factors:
+            name, caret, k = factor.partition("^")
+            if caret and not k.isdecimal():
+                raise ValueError(f"'^' needs an exponent >= 0 in {text!r}")
+            k = int(k) if caret else 1
+            if name in index:
+                if k:
+                    exps[index[name]] = exps.get(index[name], 0) + k
+            elif name.isdecimal():
+                coef *= ring._number(name, k, text)
+            elif not name and "*" in term:
+                raise ValueError(f"dangling '*' in {text!r}")
+            else:
+                raise ValueError(f"unknown variable {name!r}")
+        terms.append((coef, exps))
+    return terms
 
 
 class BoolPoly:

@@ -17,7 +17,7 @@ import time
 
 from . import encode as enc
 from .boolgb import buchberger, greedy_nf, sat_check
-from .boolpoly import BoolRing
+from .boolpoly import BoolRing, check_names
 from .interp import (PartialFn, PointSet, interpolate_smallest_lex, points_gb,
                      zeros)
 from .ringstd import ExponentOverflowError, ZmRing, rednf_ring, std_basis
@@ -55,9 +55,10 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
         first[head] = ln
         if head == "vars":
             names = arg.split()
-            twice = _repeated(names)
-            if twice is not None:
-                raise ValueError(f"line {ln}: variable {twice!r} is listed twice")
+            try:
+                check_names(names)
+            except ValueError as exc:
+                raise ValueError(f"line {ln}: {exc}") from None
         elif head == "order":
             if not arg:
                 raise ValueError(f"line {ln}: 'order' needs a value")
@@ -91,11 +92,6 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
         except ExponentOverflowError as exc:
             raise ExponentOverflowError(f"line {ln}: {exc}") from None
     return ring, polys
-
-
-def _repeated(names: list[str]) -> str | None:
-    """The first name that occurs earlier in the list, or None."""
-    return next((x for i, x in enumerate(names) if x in names[:i]), None)
 
 
 def _modulus(text: str) -> int:
@@ -228,10 +224,10 @@ def cmd_zeros(args) -> int:
     names = args.vars.split(",") if args.vars else [f"x{i}" for i in range(width)]
     if len(names) != width:
         raise ValueError("variable list does not match point width")
-    twice = _repeated(names)
-    if twice is not None:
-        raise ValueError(f"--vars: variable {twice!r} is listed twice")
-    ring = BoolRing(names, "lp")
+    try:
+        ring = BoolRing(names)
+    except ValueError as exc:
+        raise ValueError(f"--vars: {exc}") from None
     f = ring.parse(args.poly)
     P = PointSet.from_points(ring, pts)
     for p in sorted(zeros(f, P).points()):
@@ -243,13 +239,13 @@ def cmd_interp(args) -> int:
     text = _read(args.file)
     if args.basis:
         width, pts, _ = read_points(text, values=False)
-        ring = BoolRing([f"x{i}" for i in range(width)], "lp")
+        ring = BoolRing.indexed(width)
         P = PointSet.from_points(ring, pts)
         for g in points_gb(P):
             print(g)
         return 0
     width, pts, vals = read_points(text, values=True)
-    ring = BoolRing([f"x{i}" for i in range(width)], "lp")
+    ring = BoolRing.indexed(width)
     zs = PointSet.from_points(ring, [p for p, v in zip(pts, vals) if v == 0])
     os_ = PointSet.from_points(ring, [p for p, v in zip(pts, vals) if v == 1])
     print(interpolate_smallest_lex(PartialFn(zs, os_)))

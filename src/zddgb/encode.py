@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .boolpoly import BoolPoly, BoolRing
+from .boolpoly import BoolPoly, BoolRing, check_names
 from .ringstd import ZmPoly, ZmRing
 
 
@@ -69,9 +69,11 @@ def parse_circuit(text: str) -> Circuit:
                 if c.wordlen <= 0:
                     raise EncodeError("wordlen must be >= 1", ln)
             elif kw == "signal":
+                try:
+                    check_names(parts[1:], "signal")
+                except ValueError as exc:
+                    raise EncodeError(str(exc), ln) from None
                 for s in parts[1:]:
-                    if declared.get(s) == ln:
-                        raise EncodeError(f"signal {s!r} is listed twice", ln)
                     if s in declared:
                         raise EncodeError(f"signal {s!r} already declared "
                                           f"on line {declared[s]}", ln)
@@ -230,15 +232,20 @@ def blast(c: Circuit) -> BitSystem:
     n = c.wordlen
     statements = c.assigns + c.asserts
     ordered = dict.fromkeys([st[0] for st in statements] + c.signals)
-    names: list[str] = []
+    owner: dict[str, tuple[str, int]] = {}   # bit name -> (signal, bit)
     bit_names: dict[str, list[int]] = {}
     for nm in ordered:
         idxs = []
         for i in range(n - 1, -1, -1):
-            idxs.append(len(names))
-            names.append(f"{nm}{i}")
+            bit = f"{nm}{i}"
+            if bit in owner:
+                other, j = owner[bit]
+                raise EncodeError(f"bit name {bit!r} is bit {j} of signal "
+                                  f"{other!r} and bit {i} of signal {nm!r}")
+            idxs.append(len(owner))
+            owner[bit] = (nm, i)
         bit_names[nm] = idxs[::-1]      # position i = bit of weight 2^i
-    ring = BoolRing(names)
+    ring = BoolRing(list(owner))
 
     def signal_bits(nm: str):
         return [ring.var(v) for v in bit_names[nm]]

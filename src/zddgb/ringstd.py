@@ -19,18 +19,21 @@ no intermediate polynomial.  The engine reads only the packed form; the
 constructors, `ZmPoly.terms`, `lt`, `lm`, `str` and `eval` speak exponent
 tuples.  A guard bit that gets set is an overflow: an exponent, or under
 dlex a degree, past EXPONENT_LIMIT = 32767 raises ExponentOverflowError.
+
+`ZmRing.parse` reads the grammar of `boolpoly._parse_terms` with a sign as
+a sign and a number n^k as the coefficient n^k mod m; its names follow
+`boolpoly.check_names`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import re
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .boolpoly import _same_ring
+from .boolpoly import _parse_terms, _same_ring, check_names
 
 
 @lru_cache(maxsize=None)
@@ -206,8 +209,7 @@ class ZmRing:
             raise ValueError(f"unsupported ring ordering {ordering!r}")
         self.mod = Modulus(m)
         self.names = list(names)
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("variable names must be unique")
+        check_names(self.names)
         self.n = len(self.names)
         self._index = {nm: i for i, nm in enumerate(self.names)}
         self._dlex = ordering == "dlex"
@@ -279,30 +281,13 @@ class ZmRing:
 
     def parse(self, text: str) -> "ZmPoly":
         """Parse e.g. "2*x^2*y - 3 + x"; coefficients reduce mod m."""
-        src = "".join(text.split())
-        if not src:
-            raise ValueError("empty polynomial text")
-        terms = []
-        for sign, chunk in re.findall(r"([+-]|^)([^+-]*)", src):
-            if not chunk:
-                raise ValueError(f"dangling {sign!r} in {text!r}")
-            coef = -1 if sign == "-" else 1
-            exps = [0] * self.n
-            for factor in chunk.split("*"):
-                name, caret, exp = factor.partition("^")
-                if caret and not re.fullmatch(r"\d+", exp):
-                    raise ValueError(f"'^' needs an exponent >= 0 in {text!r}")
-                e = int(exp) if caret else 1
-                if re.fullmatch(r"\d+", name):
-                    coef *= pow(int(name), e, self.m)
-                elif name in self._index:
-                    exps[self._index[name]] += e
-                elif not name and "*" in chunk:
-                    raise ValueError(f"dangling '*' in {text!r}")
-                else:
-                    raise ValueError(f"unknown variable {name!r}")
-            terms.append((tuple(exps), coef))
-        return ZmPoly(self, terms)
+        return ZmPoly(self, [
+            (tuple(exps.get(v, 0) for v in range(self.n)), coef)
+            for coef, exps in _parse_terms(text, self)])
+
+    def _number(self, digits: str, k: int, text: str) -> int:
+        """The coefficient of a number factor digits^k: its value mod m."""
+        return pow(int(digits), k, self.m)
 
     def mon_str(self, exps: tuple[int, ...], coef: int) -> str:
         parts = []

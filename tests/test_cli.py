@@ -6,10 +6,22 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from zddgb import ZmRing
 from zddgb.boolgb import buchberger
 from zddgb.boolpoly import BoolRing, eval_poly, lead_vars
-from zddgb.cli import main
+from zddgb.cli import main, read_system
+from zddgb.encode import blast, parse_circuit, word_level_encode
+from zddgb.ringstd import ExponentOverflowError, std_basis
+
+from test_encode import RUNNING_EXAMPLE
+
+
+# how a name that polynomial text cannot write is refused
+UNNAMEABLE = ("cannot be named in a polynomial: a name is not empty, not all "
+              "digits, and holds no whitespace and none of + - * ^")
 
 
 def run(capsys, *argv):
@@ -229,6 +241,12 @@ def test_parse_error_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "gb", dup)
     assert code == 2
     assert "line 1: variable 'x' is listed twice" in err
+    # a name no polynomial can write: a number, or one holding an operator
+    for name in ("2", "a+b"):
+        unreadable = write(tmp_path, "name.txt", f"vars x {name}\nx\n")
+        for extra in ((), ("--mod", "4")):
+            assert run(capsys, "gb", unreadable, *extra) == (
+                2, "", f"error: line 1: variable {name!r} {UNNAMEABLE}\n")
     good = write(tmp_path, "good.txt", "vars x\nx\n")
     for value in ("0", "1", "x"):
         with pytest.raises(SystemExit) as exc:
@@ -331,6 +349,70 @@ def test_whitespace_dropped_by_both_readers(tmp_path, capsys):
     err = "error: line 2: dangling '-' in 'x -\\t- y'\n"
     for extra in ((), ("--mod", "4")):
         assert run(capsys, "gb", path, *extra) == (2, "", err)
+    # a space inside a name is dropped too: both readers look for 'xy'
+    path = write(tmp_path, "space.txt", "vars x y\nx y\n")
+    err = "error: line 2: unknown variable 'xy'\n"
+    for extra in ((), ("--mod", "4")):
+        assert run(capsys, "gb", path, *extra) == (2, "", err)
+
+
+# strings of x, y, 0-3, + - * ^, a space and a tab; most break the
+# grammar, so half of them are signed terms, which mostly read
+READER_TEXTS = st.one_of(
+    st.text(alphabet="xy0123+-*^ \t", max_size=14),
+    st.lists(st.tuples(
+        st.sampled_from(["+", "-", " + ", "\t- "]),
+        st.lists(st.sampled_from(["x", "y", "0", "1", "x^2", "y^0", "1^3"]),
+                 min_size=1, max_size=3).map("*".join)),
+        min_size=1, max_size=4).map(lambda ts: "".join(s + t for s, t in ts)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(READER_TEXTS)
+def test_readers_agree(text):
+    # both readers raise the same message, or read the same polynomial
+    # once x^k is x; a number other than 1 only the Z/m reader takes
+    B, Z = BoolRing(["x", "y"]), ZmRing(2, ["x", "y"])
+
+    def read(ring):
+        try:
+            return ring.parse(text), None
+        except ValueError as exc:
+            return None, str(exc)
+        except ExponentOverflowError:  # Z/m only: x^k past 32767
+            reject()
+
+    (b, b_err), (z, z_err) = read(B), read(Z)
+    if b_err is not None and b_err.startswith("coefficient"):
+        assert not b_err.startswith("coefficient '1'")
+        return
+    assert b_err == z_err
+    if b_err is None:
+        assert b == B.from_terms([v for v, e in enumerate(exps) if e]
+                                 for exps, _ in z.terms)
+
+
+@pytest.mark.parametrize("name", ["", "2", "007", "a+b", "a-b", "y*z", "x^2",
+                                  "a b", "a\tb"])
+def test_rings_refuse_names_that_text_cannot_write(name):
+    for build in (BoolRing, lambda names: ZmRing(4, names)):
+        with pytest.raises(ValueError) as exc:
+            build(["x", name])
+        assert str(exc.value) == f"variable {name!r} {UNNAMEABLE}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=4))
+def test_every_name_a_ring_takes_reads_back(name):
+    try:
+        B = BoolRing([name])
+    except ValueError:
+        with pytest.raises(ValueError):
+            ZmRing(4, [name])
+        return
+    Z = ZmRing(4, [name])
+    assert B.parse(f"{name}^2") == B.var(0)
+    assert Z.parse(f"3*{name}^2") == Z.poly([((2,), 3)])
 
 
 @pytest.mark.parametrize("poly", ["x*", "*x", "x**y", "x * * y", "1*", "x^2*"])
@@ -455,6 +537,9 @@ def test_zeros(tmp_path, capsys):
     code, out, err = run(capsys, "zeros", pts, "--poly", "x", "--vars", "x,x")
     assert code == 2 and out == ""
     assert "--vars: variable 'x' is listed twice" in err
+    for names, bad in (("x,2", "2"), ("x,", ""), ("x,y^2", "y^2")):
+        assert run(capsys, "zeros", pts, "--poly", "x", "--vars", names) == (
+            2, "", f"error: --vars: variable {bad!r} {UNNAMEABLE}\n")
 
 
 def test_interp_and_basis(tmp_path, capsys):
@@ -524,9 +609,14 @@ def test_encode_bad_circuit(tmp_path, capsys):
     ("wordlen 2\nsignal a b c\ndisequal a b c\n",
      "line 3: 'disequal' needs two signals"),
     ("signal a\nwordlen 0\n", "line 2: wordlen must be >= 1"),
+    ("wordlen 11\nsignal a a1 z\nassign z = a add a1\n",
+     "bit name 'a10' is bit 10 of signal 'a' and bit 0 of signal 'a1'"),
+    ("wordlen 2\nsignal a 5\n", f"line 2: signal '5' {UNNAMEABLE}"),
+    ("wordlen 2\n\nsignal y*z\n", f"line 3: signal 'y*z' {UNNAMEABLE}"),
 ], ids=["signal-twice", "signal-redeclared", "assign-undeclared",
         "disequal-undeclared", "second-wordlen", "second-disequal",
-        "disequal-three", "wordlen-zero"])
+        "disequal-three", "wordlen-zero", "bit-names-collide",
+        "signal-number", "signal-operator"])
 def test_encode_circuit_errors_name_the_line(tmp_path, capsys, text, message):
     bad = write(tmp_path, "bad.txt", text)
     code, out, err = run(capsys, "encode", bad)
@@ -540,6 +630,49 @@ def test_encode_signal_declared_after_use(tmp_path, capsys):
     code, out, _ = run(capsys, "encode", late, "--mode", "word")
     assert code == 0
     assert out.splitlines() == ["mod 4", "vars c a b", "3*c + a*b"]
+
+
+# the circuits of this module and of test_encode.py, and one whose signal
+# `s` takes the word-level gadget's name, so that the gadget is `s_`
+ENCODED_CIRCUITS = [
+    "wordlen 2\nsignal a b c\nassign c = a mul b\ndisequal c a\n",
+    "wordlen 2\nassign c = a mul b\nsignal c a b\n",
+    RUNNING_EXAMPLE,
+    "wordlen 2\nsignal x\nassign x = 3\n",
+    "wordlen 2\nsignal x\nassign x = 0\n",
+    "wordlen 1\nsignal f e\ndisequal f e\n",
+    "wordlen 4\nsignal p a b\nassign p = a mul b\n",
+    "wordlen 2\nsignal x y z\nassign z = x mul y\nassert z = 2\n",
+    "wordlen 3\nsignal s t u\nassign u = s add t\ndisequal u s\n",
+]
+
+
+@pytest.mark.parametrize("mode", ["word", "bit"])
+@pytest.mark.parametrize("circuit", ENCODED_CIRCUITS, ids=[
+    "mul-disequal", "declared-late", "running-example", "const-3", "const-0",
+    "disequal-1bit", "mul-4bit", "assert", "gadget-s_"])
+def test_encoded_system_and_its_basis_read_back(tmp_path, capsys, mode, circuit):
+    # what `encode` prints reads back as the system it encoded, and each
+    # element of the basis that `gb` prints reads back as itself
+    c = parse_circuit(circuit)
+    system = word_level_encode(c) if mode == "word" else blast(c)
+    code, out, _ = run(capsys, "encode", write(tmp_path, "c.txt", circuit),
+                       "--mode", mode)
+    assert code == 0
+    ring, polys = read_system(out, None)
+    assert ring.names == system.ring.names
+    if mode == "word":
+        assert out.startswith(f"mod {system.ring.m}\n")
+        assert ring.m == system.ring.m
+        assert [p.terms for p in polys] == [p.terms for p in system.polys]
+        basis = std_basis(polys)
+    else:
+        assert [p.term_set() for p in polys] == [
+            p.term_set() for p in system.polys]
+        basis = buchberger(polys)
+    assert basis and all(ring.parse(str(g)) == g for g in basis)
+    if "signal s " in circuit and mode == "word":
+        assert ring.names[-1] == "s_"
 
 
 def readme_quick_start():
