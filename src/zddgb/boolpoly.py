@@ -151,11 +151,7 @@ class BoolRing:
     def parse(self, text: str) -> "BoolPoly":
         """Parse "a*b + c^2 + 1": a sign is a plus, x^k for k >= 1 is x,
         and the only number a term takes is 1."""
-        man = self.manager
-        z = ZERO
-        for _, exps in _parse_terms(text, self):
-            z = man.symmetric_diff(z, man.singleton(exps))
-        return BoolPoly(self, z)
+        return self.from_terms(exps for _, exps in _parse_terms(text, self))
 
     def _number(self, digits: str, k: int, text: str) -> int:
         """The coefficient of a number factor digits^k in text: 1 only."""
@@ -186,10 +182,6 @@ def check_names(names: list, what: str = "variable") -> None:
     """Raise ValueError for the first name that polynomial text cannot
     write, or that repeats.  The name rule: a name is not empty, is not all
     digits, and holds no whitespace and none of + - * ^."""
-    if (all(names) and not any(map(str.isdecimal, names))
-            and not _NOT_IN_NAMES.search("".join(names))
-            and len(set(names)) == len(names)):
-        return  # the common case, checked in one pass per test
     seen = set()
     for name in names:
         if not name or name.isdecimal() or _NOT_IN_NAMES.search(name):
@@ -355,10 +347,8 @@ def _mul(man: ZddManager, f: int, g: int) -> int:
     return r
 
 
-def mul_monomial(f: BoolPoly, m: BoolPoly) -> BoolPoly:
-    """Boolean multiplication by a one-term polynomial m."""
-    _same_ring(f, m)
-    return BoolPoly(f.ring, _mul(f.ring.manager, f.z, m.z))
+# the product's name where the second factor is one term
+mul_monomial = mul_boolean
 
 
 def nf_monomial_set(f: BoolPoly, G: int) -> BoolPoly:

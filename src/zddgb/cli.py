@@ -55,10 +55,7 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
         first[head] = ln
         if head == "vars":
             names = arg.split()
-            try:
-                check_names(names)
-            except ValueError as exc:
-                raise ValueError(f"line {ln}: {exc}") from None
+            _naming(f"line {ln}: ", check_names, names)
         elif head == "order":
             if not arg:
                 raise ValueError(f"line {ln}: 'order' needs a value")
@@ -76,22 +73,25 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
     if order is None and file_order is not None:
         # the ring kind is known only now; errors still name the line
         order, where = file_order, f"line {first['order']}: "
-    try:  # names and modulus are checked above, so only the ordering fails
-        if modulus is None:
-            ring = BoolRing(names, order or "lp")
-        else:
-            ring = ZmRing(modulus, names, order or "lp")
+    # names and modulus are checked above, so only the ordering fails
+    if modulus is None:
+        ring = _naming(where, BoolRing, names, order or "lp")
+    else:
+        ring = _naming(where, ZmRing, modulus, names, order or "lp")
+    return ring, [_naming(f"line {ln}: ", ring.parse, src)
+                  for ln, src in polys_src]
+
+
+def _naming(where: str, fn, *args):
+    """fn(*args), with where, the line or flag at fault, prefixed to a
+    ValueError or ExponentOverflowError it raises; the type, and with it
+    the exit code (2 or 4), stays."""
+    try:
+        return fn(*args)
+    except ExponentOverflowError as exc:
+        raise ExponentOverflowError(f"{where}{exc}") from None
     except ValueError as exc:
         raise ValueError(f"{where}{exc}") from None
-    polys = []
-    for ln, src in polys_src:
-        try:
-            polys.append(ring.parse(src))
-        except ValueError as exc:
-            raise ValueError(f"line {ln}: {exc}") from None
-        except ExponentOverflowError as exc:
-            raise ExponentOverflowError(f"line {ln}: {exc}") from None
-    return ring, polys
 
 
 def _modulus(text: str) -> int:
@@ -176,7 +176,7 @@ def cmd_gb(args) -> int:
 def cmd_nf(args) -> int:
     text = _read(args.file)
     ring, polys = read_system(text, args.order, args.mod)
-    f = ring.parse(args.poly)
+    f = _naming("--poly: ", ring.parse, args.poly)
     nf = rednf_ring if isinstance(ring, ZmRing) else greedy_nf
     print(nf(f, polys))
     return 0
@@ -185,10 +185,8 @@ def cmd_nf(args) -> int:
 def cmd_sat(args) -> int:
     text = _read(args.file)
     if any(line.split()[:2] == ["p", "cnf"] for line in text.splitlines()):
-        nvars, clauses = enc.parse_dimacs(text)
-        names = [f"v{i}" for i in range(1, nvars + 1)]
-        ring = BoolRing(names, args.order or "lp")
-        polys = enc.cnf_to_polys((nvars, clauses), ring).polys
+        system = enc.cnf_to_polys(enc.parse_dimacs(text), args.order or "lp")
+        ring, polys = system.ring, system.polys
     else:
         ring, polys = read_system(text, args.order)
         if isinstance(ring, ZmRing):
@@ -223,12 +221,9 @@ def cmd_zeros(args) -> int:
     width, pts, _ = read_points(_read(args.file), values=False)
     names = args.vars.split(",") if args.vars else [f"x{i}" for i in range(width)]
     if len(names) != width:
-        raise ValueError("variable list does not match point width")
-    try:
-        ring = BoolRing(names)
-    except ValueError as exc:
-        raise ValueError(f"--vars: {exc}") from None
-    f = ring.parse(args.poly)
+        raise ValueError("--vars: variable list does not match point width")
+    ring = _naming("--vars: ", BoolRing, names)
+    f = _naming("--poly: ", ring.parse, args.poly)
     P = PointSet.from_points(ring, pts)
     for p in sorted(zeros(f, P).points()):
         print("".join(map(str, p)))
@@ -236,16 +231,12 @@ def cmd_zeros(args) -> int:
 
 
 def cmd_interp(args) -> int:
-    text = _read(args.file)
+    width, pts, vals = read_points(_read(args.file), values=not args.basis)
+    ring = BoolRing.indexed(width)
     if args.basis:
-        width, pts, _ = read_points(text, values=False)
-        ring = BoolRing.indexed(width)
-        P = PointSet.from_points(ring, pts)
-        for g in points_gb(P):
+        for g in points_gb(PointSet.from_points(ring, pts)):
             print(g)
         return 0
-    width, pts, vals = read_points(text, values=True)
-    ring = BoolRing.indexed(width)
     zs = PointSet.from_points(ring, [p for p, v in zip(pts, vals) if v == 0])
     os_ = PointSet.from_points(ring, [p for p, v in zip(pts, vals) if v == 1])
     print(interpolate_smallest_lex(PartialFn(zs, os_)))

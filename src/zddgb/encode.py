@@ -320,16 +320,13 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
     return nvars, clauses
 
 
-def cnf_to_polys(source, ring: BoolRing | None = None) -> BitSystem:
+def cnf_to_polys(source, ordering: str = "lp") -> BitSystem:
     """One polynomial per clause of source = (nvars, clauses), as
-    `parse_dimacs` returns it: positive literal v maps to (x_v + 1),
-    negative to x_v; the product vanishes exactly on satisfying
-    assignments (truth value 1 means x = 1)."""
+    `parse_dimacs` returns it, over the ring of v1..vn under ordering:
+    positive literal v maps to (x_v + 1), negative to x_v; the product
+    vanishes exactly on satisfying assignments (truth value 1 means x = 1)."""
     nvars, clauses = source
-    if ring is None:
-        ring = BoolRing([f"v{i}" for i in range(1, nvars + 1)])
-    elif ring.n < nvars:
-        raise EncodeError("ring too small for the clause set")
+    ring = BoolRing([f"v{i}" for i in range(1, nvars + 1)], ordering)
     polys = []
     for clause in clauses:
         p = ring.one

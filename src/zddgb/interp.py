@@ -8,7 +8,7 @@ points is a ZDD over the same manager as the polynomials it meets.
 
 from __future__ import annotations
 
-from .boolpoly import BoolPoly, BoolRing, _same_ring
+from .boolpoly import BoolPoly, BoolRing, _contains_empty, _same_ring
 from .zdd import ONE, ZERO, ZddManager
 
 
@@ -27,14 +27,11 @@ class PointSet:
 
     @classmethod
     def from_points(cls, ring: BoolRing, points) -> "PointSet":
-        man = ring.manager
-        z = ZERO
-        for p in points:
-            p = tuple(p)
-            if len(p) != ring.n:
-                raise ValueError("point length must match the variable count")
-            z = man.union(z, man.singleton(i for i, b in enumerate(p) if b))
-        return cls(ring, z)
+        points = [tuple(p) for p in points]
+        if any(len(p) != ring.n for p in points):
+            raise ValueError("point length must match the variable count")
+        return cls(ring, ring.manager.from_sets(
+            [i for i, b in enumerate(p) if b] for p in points))
 
     @classmethod
     def full_cube(cls, ring: BoolRing) -> "PointSet":
@@ -101,13 +98,10 @@ def _zeros(man: ZddManager, p: int, S: int) -> int:
         return S
     if p == ONE or S == ZERO:
         return ZERO
-    var, then, els = man._var, man._then, man._else
     if S == ONE:
         # only the origin: value there is the constant part of p
-        q = p
-        while q > ONE:
-            q = els[q]
-        return ZERO if q == ONE else S
+        return ZERO if _contains_empty(man, p) else S
+    var, then, els = man._var, man._then, man._else
     cache = man._zeros
     key = (p, S)
     r = cache.get(key)

@@ -31,12 +31,10 @@ import heapq
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .boolpoly import _parse_terms, _same_ring, check_names
 
 
-@lru_cache(maxsize=None)
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization by trial division.  Only `Modulus.primes` calls
     it, for `nu`, `core` and `unit_normalize`; the solver never does."""

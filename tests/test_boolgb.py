@@ -89,7 +89,7 @@ def test_greedy_nf_reduced_and_in_ideal():
                 assert eval_poly(f, p) == eval_poly(r, p)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(orderings(), st.integers(0, 2**32))
 def test_greedy_nf_against_reduced_basis_matches_term_list_oracle(
         n_ordering, seed):
@@ -128,7 +128,7 @@ def test_reductor_set_holding_one(kind):
             assert buchberger([ring.one] + G, strategy) == [ring.one]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(orderings(max_n=10), st.integers(0, 2**32))
 def test_index_pick_matches_divisor_diagram_pick(n_ordering, seed):
     """The bitmask index picks the lead the diagram walk picked: the
@@ -159,7 +159,7 @@ def test_index_pick_matches_divisor_diagram_pick(n_ordering, seed):
             assert got == table.by_lead[want]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(orderings(max_n=10), st.integers(0, 2**32))
 def test_pick_is_smallest_dividing_entry(n_ordering, seed):
     """pick(m, skip) is the smallest entry of by_lead whose lead divides m
@@ -242,7 +242,7 @@ def interreduce_by_greedy_nf(basis):
     return kept[::-1]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(orderings(), st.integers(0, 2**32))
 def test_interreduce_matches_elementwise_greedy_nf(n_ordering, seed):
     n, ordering = n_ordering
@@ -617,7 +617,7 @@ def test_retired_generators_get_no_new_pairs(monkeypatch):
     assert seen["retired"] > 0 and seen["paired"] > 0
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(orderings(), st.integers(0, 2**32))
 def test_criteria_keep_basis_and_variety(n_ordering, seed):
     """Every field pair goes through the queue, under block orderings as
@@ -750,7 +750,7 @@ def test_sat_models_verified():
             assert not vin
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(orderings(max_n=8), st.integers(0, 2**32))
 def test_sat_model_is_lex_min_of_variety(n_ordering, seed):
     """The verdict matches the brute-force variety under every ordering,

@@ -106,7 +106,7 @@ def term_set_pairs(draw):
     return n, f, g
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(term_set_pairs())
 def test_mul_and_add_match_naive_properties(pair):
     n, f_terms, g_terms = pair
@@ -121,7 +121,7 @@ def test_mul_and_add_match_naive_properties(pair):
 _DIST_RING = BoolRing.indexed(8)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.frozensets(st.frozensets(st.integers(0, 7)), max_size=10),
                 min_size=3, max_size=3))
 def test_mul_distributes_over_add(term_sets):
@@ -138,7 +138,7 @@ def ordered_triples(draw):
     return n, ordering, [draw(terms) for _ in range(3)]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(ordered_triples())
 def test_boolean_laws_match_eval_poly(case):
     """Evaluation takes + to xor and * to and on every point of the cube;
@@ -335,7 +335,7 @@ def orderings(max_n=7):
     return ordering_references(max_n).map(lambda r: (r[0], str(r[1])))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(ordering_references(min_n=0), st.data())
 def test_sort_key_matches_reference(n_reference, data):
     """The key the ring binds orders every pair of monomials as the
@@ -360,7 +360,7 @@ def test_orderings_on_no_variables():
         assert str(f) == "1" and deg(f) == 0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(orderings(), st.integers(0, 2**32))
 def test_lead_terms_iter_deg_agree_with_sort_key(n_ordering, seed):
     n, ordering = n_ordering

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -108,7 +109,7 @@ def polys_and_point_sets(draw):
     return n, terms, pts
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(polys_and_point_sets())
 def test_zeros_matches_evaluation(case):
     n, terms, pts = case
@@ -215,7 +216,7 @@ def domain_and_two_one_sets(draw):
     return n, dom, o1, o2
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(domain_and_two_one_sets())
 def test_interpolate_smallest_lex_is_linear_on_a_domain(case):
     # on a fixed domain D the lex-smallest interpolant is the normal form
@@ -384,3 +385,20 @@ def test_cross_algorithm_identity():
         f = rand_poly(ring, rnd)
         P = rand_points(ring, rnd, 12)
         assert nf_by_interpolate(f, P) == greedy_nf(f, points_gb(P))
+
+
+def test_len_stops_at_maxsize_and_count_paths_counts_any_set():
+    # CPython's len() must fit a Py_ssize_t, 2^63 - 1 on 64-bit builds: a
+    # point set or polynomial with more members raises OverflowError there,
+    # while count_paths counts a set of any size
+    ring = BoolRing.indexed(sys.maxsize.bit_length())
+    no_origin = PointSet.full_cube(ring).diff(
+        PointSet.from_points(ring, [(0,) * ring.n]))
+    assert len(no_origin) == len(ring.poly(no_origin.z)) == sys.maxsize
+    for n in (ring.n, 64):
+        ring = BoolRing.indexed(n)
+        cube = PointSet.full_cube(ring)
+        for big in (cube, ring.poly(cube.z)):
+            with pytest.raises(OverflowError):
+                len(big)
+        assert ring.manager.count_paths(cube.z) == 2**n

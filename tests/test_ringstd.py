@@ -150,7 +150,7 @@ def test_modulus_arithmetic_matches_reference_exhaustive():
                         mod.div_exact(a, b)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(st.integers(2, 400).flatmap(
     lambda m: st.tuples(st.just(m), st.integers(-3 * m, 3 * m),
                         st.integers(-3 * m, 3 * m))
@@ -290,7 +290,7 @@ def reducer_case(draw):
     return f, draw(st.permutations(G))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(reducer_case())
 def test_nf_ring_matches_reference(case):
     # nf_ring reads each reducer's lead once per call; its answers, and those
@@ -522,7 +522,7 @@ def packed_pair(draw):
     return ring, draw(vec), draw(vec)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(packed_pair())
 def test_packed_monomials_match_tuple_operations(case):
     ring, a, b = case
@@ -623,7 +623,7 @@ def assert_canonical(ring, f):
     assert all(key(a) > key(b) for (a, _), (b, _) in zip(f.terms, f.terms[1:]))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(ring_and_raw_terms())
 def test_add_sub_merge_match_canonicalized_concatenation(case):
     ring, (s, t) = case
@@ -636,7 +636,7 @@ def test_add_sub_merge_match_canonicalized_concatenation(case):
     assert (f - f).is_zero()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(ring_and_raw_terms(count=1), st.data())
 def test_mul_term_scale_tail_match_canonicalized_terms(case, data):
     ring, (s,) = case
@@ -653,7 +653,7 @@ def test_mul_term_scale_tail_match_canonicalized_terms(case, data):
                              if h.terms else 0)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(ring_and_raw_terms(), st.data())
 def test_arithmetic_matches_eval(case, data):
     ring, (s, t) = case
@@ -687,7 +687,7 @@ def zm_ideal_and_multipliers(draw):
     return ring, gens, combos
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(zm_ideal_and_multipliers())
 def test_std_basis_membership_property(case):
     ring, gens, combos = case

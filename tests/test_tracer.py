@@ -3,7 +3,7 @@ package functions by name; renaming or deleting one must fail here."""
 
 from pathlib import Path
 
-from zddgb import boolgb, cli
+from zddgb import boolgb, boolpoly, cli
 from zddgb.boolpoly import BoolRing
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -26,3 +26,15 @@ def test_tracer_targets_resolve_and_uninstall(monkeypatch):
     calls = tracer.layer_metrics(tracer.nodes_created())
     assert calls["boolgb.sat_model.calls"][0] == 1
     assert calls["boolgb.buchberger.calls"][0] >= 1
+
+    # mul_monomial is mul_boolean under a second name, so install wraps the
+    # one function twice; uninstall must undo both, and a call is one span
+    mul = boolpoly.mul_boolean
+    tracer = Tracer()
+    with tracer.installed():
+        assert boolgb.mul_monomial is not mul
+        boolgb.mul_monomial(ring.parse("x + 1"), ring.parse("y"))
+    assert (boolpoly.mul_boolean is mul and boolpoly.mul_monomial is mul
+            and boolgb.mul_monomial is mul)
+    calls = tracer.layer_metrics(tracer.nodes_created())
+    assert calls["boolpoly.mul.calls"][0] == 1

@@ -86,7 +86,7 @@ def test_divisors_within(man):
     assert man.divisors_within(ZERO, [0, 1]) == ZERO
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(1, 7), st.data())
 def test_divisors_within_is_subset_filter(n, data):
     """divisors_within(S, m) is the diagram of {s in S : s ⊆ m}, for S
