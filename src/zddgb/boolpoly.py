@@ -318,7 +318,7 @@ def _mul(man: ZddManager, f: int, g: int) -> int:
     if f > g:
         f, g = g, f
     cache = man._bmul
-    key = (f, g)
+    key = f << 32 | g
     r = cache.get(key)
     if r is not None:
         return r
@@ -390,7 +390,7 @@ def _nf_mon_rec(man: ZddManager, f: int, G: int) -> int:
     if G == ZERO:
         return f
     cache = man._nfmon
-    key = (f, G)
+    key = f << 32 | G
     r = cache.get(key)
     if r is not None:
         return r
@@ -427,7 +427,7 @@ def _deg(man: ZddManager, z: int, end: int) -> int:
     if z <= ONE or man._var[z] >= end:
         return 0
     cache = man._deg
-    key = (z, end)
+    key = z << 32 | end
     r = cache.get(key)
     if r is not None:
         return r

@@ -2,9 +2,9 @@
 
 Subcommands: gb, nf, sat, zeros, interp, encode.  Exit codes: 0 on
 success, 2 on parse errors, 3 on internal invariant violations, 4 when an
-input exceeds a resource limit (recursion depth, memory, or an exponent or
-degree past 32767 over Z/m); `sat` follows
-the SAT-solver convention of 10 (satisfiable, model printed) and 20
+input exceeds a resource limit (recursion depth, memory, 2^32 diagram
+nodes, or an exponent or degree past 32767 over Z/m); `sat` follows the
+SAT-solver convention of 10 (satisfiable, model printed) and 20
 (unsatisfiable).
 """
 

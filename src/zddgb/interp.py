@@ -103,7 +103,7 @@ def _zeros(man: ZddManager, p: int, S: int) -> int:
         return ZERO if _contains_empty(man, p) else S
     var, then, els = man._var, man._then, man._else
     cache = man._zeros
-    key = (p, S)
+    key = p << 32 | S
     r = cache.get(key)
     if r is not None:
         return r
@@ -141,7 +141,7 @@ def interpolate_smallest_lex(b: PartialFn) -> BoolPoly:
 
 def _interp_lex(man: ZddManager, D: int, O: int) -> int:
     """Lex-smallest interpolant of the partial function with domain D and
-    one-set O ⊆ D; memo `_ilex` keyed by (D, O).
+    one-set O ⊆ D; memo `_ilex` keyed by D << 32 | O.
 
     With D1, D0 (O1, O0) the cofactors at D's top variable x_i, the
     interpolant is x_i*h_t + h_e: h_t takes b1 + b0 on the conflict
@@ -156,7 +156,7 @@ def _interp_lex(man: ZddManager, D: int, O: int) -> int:
     if O == D:
         return ONE
     cache = man._ilex
-    key = (D, O)
+    key = D << 32 | O
     r = cache.get(key)
     if r is not None:
         return r
@@ -237,7 +237,7 @@ def points_gb(P: PointSet) -> list[BoolPoly]:
             return [(0, ONE)]
         if i == n:
             return []
-        key = (S, i)
+        key = S << 32 | i
         r = memo.get(key)
         if r is not None:
             return r

@@ -21,8 +21,16 @@ class ZddError(Exception):
     """Structural misuse of the ZDD kernel (order violation, mixed managers)."""
 
 
+class NodeLimitError(MemoryError):
+    """A manager would create a node id at or past NODE_ID_LIMIT, which its
+    packed keys cannot hold."""
+
+
 ZERO = 0
 ONE = 1
+
+# node ids fill a 32-bit field of the unique-table and memo keys
+NODE_ID_LIMIT = 1 << 32
 
 
 class ZddManager:
@@ -32,12 +40,19 @@ class ZddManager:
     every identifier derived from it are confined to a single logical
     thread; independent computations should use independent managers.
 
-    Each cached operation, here and in the polynomial and variety layers,
-    has its own memo dict bound as an attribute (`_union`, `_bmul`,
-    `_zeros`, ...), so a recursion step fetches it with one attribute
-    read.  The interpolation memo `_ilex` is keyed by (domain, ones).  The
-    recursions read the arena lists `_var`, `_then` and `_else` directly;
-    `top`, `then_branch` and `else_branch` are the checked accessors for
+    The unique table `_unique` is a list of dicts, one per variable; the
+    subtable of v maps `t << 32 | e` to the node (v, t, e).  Each cached
+    operation, here and in the polynomial and variety layers, has its own
+    memo dict bound as an attribute (`_union`, `_bmul`, `_zeros`, ...), so
+    a recursion step fetches it with one attribute read.  Memo keys are
+    one int as well: `f << 32 | g` for two diagrams (`_ilex` packs the
+    domain and the ones this way), `z << 32 | v` for a diagram and an
+    index.  An int key takes about half the bytes of a tuple, and the
+    garbage collector does not track a dict that holds only ints.  The
+    packing needs node ids below NODE_ID_LIMIT = 2^32: the node that would
+    take id 2^32 raises NodeLimitError, a MemoryError.  The recursions
+    read the arena lists `_var`, `_then` and `_else` directly; `top`,
+    `then_branch` and `else_branch` are the checked accessors for
     everything else.  Terminals have `_var` equal to `num_vars`, below
     every decision variable.
     """
@@ -58,7 +73,8 @@ class ZddManager:
         self._var = [self.num_vars, self.num_vars]
         self._then = [0, 0]
         self._else = [0, 0]
-        self._unique: dict[tuple[int, int, int], int] = {}
+        # one subtable per variable: t << 32 | e -> node (v, t, e)
+        self._unique: list[dict[int, int]] = [{} for _ in range(self.num_vars)]
         # kernel operations
         self._union: dict = {}
         self._intersect: dict = {}
@@ -83,15 +99,22 @@ class ZddManager:
         """Interned node for (v, t, e); returns e when t = 0 (zero-suppression)."""
         if t == ZERO:
             return e
-        key = (v, t, e)
-        n = self._unique.get(key)
-        if n is None:
+        key = t << 32 | e
+        try:
+            n = self._unique[v].get(key)
+        except IndexError:
+            n = None
+        # a negative v indexes some other variable's subtable from the end
+        if n is None or v < 0:
             if not 0 <= v < self.num_vars:
                 raise ZddError(f"variable index {v} out of range")
             if self._var[t] <= v or self._var[e] <= v:
                 raise ZddError(f"variable order violated at index {v}")
             n = len(self._var)
-            self._unique[key] = n
+            if n >= NODE_ID_LIMIT:
+                raise NodeLimitError(
+                    f"diagram node ids reached the limit of {NODE_ID_LIMIT}")
+            self._unique[v][key] = n
             self._var.append(v)
             self._then.append(t)
             self._else.append(e)
@@ -150,7 +173,7 @@ class ZddManager:
         if f > g:
             f, g = g, f
         cache = self._union
-        key = (f, g)
+        key = f << 32 | g
         r = cache.get(key)
         if r is not None:
             return r
@@ -177,7 +200,7 @@ class ZddManager:
         if f > g:
             f, g = g, f
         cache = self._intersect
-        key = (f, g)
+        key = f << 32 | g
         r = cache.get(key)
         if r is not None:
             return r
@@ -202,7 +225,7 @@ class ZddManager:
         if g == ZERO:
             return f
         cache = self._diff
-        key = (f, g)
+        key = f << 32 | g
         r = cache.get(key)
         if r is not None:
             return r
@@ -232,7 +255,7 @@ class ZddManager:
         if f > g:
             f, g = g, f
         cache = self._xor
-        key = (f, g)
+        key = f << 32 | g
         r = cache.get(key)
         if r is not None:
             return r
@@ -261,7 +284,7 @@ class ZddManager:
         if vz == v:
             return self._then[z]
         cache = self._subset1
-        key = (z, v)
+        key = z << 32 | v
         r = cache.get(key)
         if r is not None:
             return r
@@ -279,7 +302,7 @@ class ZddManager:
         if vz == v:
             return self._else[z]
         cache = self._subset0
-        key = (z, v)
+        key = z << 32 | v
         r = cache.get(key)
         if r is not None:
             return r
@@ -293,7 +316,7 @@ class ZddManager:
         """Toggle membership of v in every set of z."""
         vz = self._var[z]
         cache = self._change
-        key = (z, v)
+        key = z << 32 | v
         r = cache.get(key)
         if r is not None:
             return r
@@ -394,9 +417,14 @@ class ZddManager:
         return tuple(sorted(out))
 
     def check_invariants(self) -> None:
-        """Scan the arena for zero-suppression and order violations."""
-        for (v, t, e), n in self._unique.items():
-            if t == ZERO:
-                raise AssertionError(f"node {n} has then-child 0")
-            if self._var[t] <= v or self._var[e] <= v:
-                raise AssertionError(f"node {n} violates the variable order")
+        """Scan the unique table: every key decodes to its node's fields,
+        and no node breaks zero-suppression or the variable order."""
+        for v, sub in enumerate(self._unique):
+            for key, n in sub.items():
+                t, e = key >> 32, key & 0xFFFFFFFF
+                if (self._var[n], self._then[n], self._else[n]) != (v, t, e):
+                    raise AssertionError(f"node {n} does not match its key")
+                if t == ZERO:
+                    raise AssertionError(f"node {n} has then-child 0")
+                if self._var[t] <= v or self._var[e] <= v:
+                    raise AssertionError(f"node {n} violates the variable order")

@@ -1,8 +1,11 @@
 import itertools
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -480,6 +483,26 @@ def test_resource_limits_exit_4(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "gb", small)
     assert code == 4
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_node_id_limit_exit_4(tmp_path, capsys, monkeypatch):
+    import zddgb.zdd as zdd
+
+    path = write(tmp_path, "sys.txt", "vars a b c\na*b + c\nb*c + 1\na + b + c\n")
+    monkeypatch.setattr(zdd, "NODE_ID_LIMIT", 8)
+    code, out, err = run(capsys, "gb", path)
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "limit of 8" in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = write(tmp_path, "sys.txt", "vars x y\nx + y\ny\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "zddgb", "gb", path],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x\ny\n", "")
 
 
 def test_exponent_limit_exit_4(tmp_path, capsys):

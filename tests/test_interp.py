@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -14,7 +15,7 @@ from oracles import (
     lex_standard_monomials,
     minimal_elements,
 )
-from zddgb.boolgb import greedy_nf
+from zddgb.boolgb import buchberger, greedy_nf
 from zddgb.boolpoly import BoolPoly, BoolRing, RingMismatchError, eval_poly
 from zddgb.interp import (
     InterpolationError,
@@ -402,3 +403,21 @@ def test_len_stops_at_maxsize_and_count_paths_counts_any_set():
             with pytest.raises(OverflowError):
                 len(big)
         assert ring.manager.count_paths(cube.z) == 2**n
+
+
+def test_memo_dicts_and_unique_subtables_stay_untracked():
+    # int keys and values keep every manager dict out of the garbage
+    # collector's sight; a tuple key would make it tracked
+    ring = BoolRing.indexed(6, "dlex")
+    man = ring.manager
+    f = ring.parse("x0*x1 + x2 + 1")
+    g = ring.parse("x1*x3 + x4*x5 + x0")
+    h = f * g
+    greedy_nf(ring.parse("x0*x1*x2*x3 + x5 + x1*x4"), buchberger([f, g]))
+    points_gb(zeros(h, PointSet.full_cube(ring)))
+    memos = {k: d for k, d in vars(man).items() if isinstance(d, dict)}
+    for name in ("_bmul", "_nfmon", "_deg", "_xor", "_zeros", "_ilex"):
+        assert memos[name], name
+    assert not any(gc.is_tracked(d) for d in memos.values())
+    assert sum(map(len, man._unique)) == len(man)
+    assert not any(gc.is_tracked(sub) for sub in man._unique)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zddgb.zdd import ONE, ZERO, ZddError, ZddManager
+from zddgb import zdd
+from zddgb.zdd import ONE, ZERO, NodeLimitError, ZddError, ZddManager
 
 
 @pytest.fixture
@@ -27,6 +28,33 @@ def test_mk_node_order_violation(man):
     inner = man.mk_node(1, ONE, ZERO)
     with pytest.raises(ZddError):
         man.mk_node(3, inner, ZERO)
+
+
+def test_mk_node_index_out_of_range():
+    man = ZddManager(4)
+    for v in (-1, -4, -5, 4, 10**6):
+        with pytest.raises(ZddError, match="out of range"):
+            man.mk_node(v, ONE, ZERO)
+    # a negative index reads a subtable from the end of the list; with
+    # (ONE, ZERO) in every subtable it must still be refused
+    nodes = [man.mk_node(v, ONE, ZERO) for v in range(4)]
+    for v in (-1, -2, -4, -5, 4, 10**6):
+        with pytest.raises(ZddError, match="out of range"):
+            man.mk_node(v, ONE, ZERO)
+    assert [man.mk_node(v, ONE, ZERO) for v in range(4)] == nodes
+    assert len(man) == 4
+
+
+def test_node_id_limit(monkeypatch):
+    monkeypatch.setattr(zdd, "NODE_ID_LIMIT", 6)
+    man = ZddManager(8)
+    ids = [man.mk_node(v, ONE, ZERO) for v in range(4)]
+    assert ids == [2, 3, 4, 5]
+    with pytest.raises(NodeLimitError):
+        man.mk_node(4, ONE, ZERO)
+    # hits still answer, and nothing was half-created
+    assert man.mk_node(0, ONE, ZERO) == 2 and len(man) == 4
+    man.check_invariants()
 
 
 def test_ac_plus_c_has_two_nodes_sharing_c():
@@ -177,6 +205,35 @@ def test_zero_suppression_scan():
     for _ in range(30):
         man.from_sets(random_family(man, rnd, 10))
     man.check_invariants()
+
+
+def corrupt_rekey(man, v, key, n):
+    del man._unique[v][key]
+    man._unique[v][key ^ 1] = n
+
+
+def corrupt_repoint(man, v, key, n):
+    man._unique[v][key] = n + 1 if n + 1 < len(man._var) else n - 1
+
+
+def corrupt_move(man, v, key, n):
+    del man._unique[v][key]
+    man._unique[v + 1][key] = n
+
+
+@pytest.mark.parametrize("corrupt", [corrupt_rekey, corrupt_repoint,
+                                     corrupt_move])
+def test_check_invariants_decodes_keys(corrupt):
+    man = ZddManager(4)
+    man.from_sets([[0, 2], [1], [1, 3], [2, 3]])
+    man.check_invariants()
+    v = 1
+    key, n = next(iter(man._unique[v].items()))
+    assert (man._var[n], man._then[n], man._else[n]) == (
+        v, key >> 32, key & 0xFFFFFFFF)
+    corrupt(man, v, key, n)
+    with pytest.raises(AssertionError, match="does not match its key"):
+        man.check_invariants()
 
 
 def test_reset_clears_arena():
