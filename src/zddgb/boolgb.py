@@ -59,17 +59,33 @@ class _ReductionTable:
     sorted list, and the pick is the first entry whose lead bitmask lies
     in the monomial's.  `lead_set`, the leads as a diagram, serves the
     bulk split of each reduction into irreducible and reducible terms.
+
+    The table of a reductor list, (g, lead vars) pairs, is built in one
+    pass: per lead it keeps the first reductor of the least rank, as
+    `add` does, then sorts the entries once and builds `lead_set` with one
+    `from_sets` call.  `add` grows a table one reductor at a time.
     """
 
     __slots__ = ("ring", "lead_set", "by_lead", "entries")
 
-    def __init__(self, ring: BoolRing):
+    def __init__(self, ring: BoolRing, reductors=()):
         self.ring = ring
-        self.lead_set = ZERO
         # lead vars (ascending, as lead_vars returns them) -> entry; leads
         # are distinct, so comparing entries never reaches the zdd id
-        self.by_lead: dict[tuple[int, ...], tuple] = {}
-        self.entries: list[tuple] = []
+        by_lead: dict[tuple[int, ...], tuple] = {}
+        for g, lead in reductors:
+            entry = self._entry(g, lead)
+            prev = by_lead.get(lead)
+            if prev is None or entry[0] < prev[0]:
+                by_lead[lead] = entry
+        self.by_lead = by_lead
+        self.entries: list[tuple] = sorted(by_lead.values())
+        self.lead_set = ring.manager.from_sets(by_lead)
+
+    def _entry(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> tuple:
+        # t is read from the diagram: len(g) is capped at 2^63 - 1
+        return (self.ring.manager.count_paths(g.z) << len(lead_vars),
+                lead_vars, g.z, sum(1 << v for v in lead_vars))
 
     def add(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
         prev = self.by_lead.get(lead_vars)
@@ -85,10 +101,7 @@ class _ReductionTable:
         prev = self.by_lead.get(lead_vars)
         if prev is not None:
             self.entries.remove(prev)
-        # t is read from the diagram: len(g) is capped at 2^63 - 1
-        entry = (self.ring.manager.count_paths(g.z) << len(lead_vars),
-                 lead_vars, g.z,
-                 sum(1 << v for v in lead_vars))
+        entry = self._entry(g, lead_vars)
         self.by_lead[lead_vars] = entry
         insort(self.entries, entry)
 
@@ -145,13 +158,12 @@ def greedy_nf(f: BoolPoly, G) -> BoolPoly:
     basis the result is unique; otherwise it depends on which reductor
     each step picks (see `_ReductionTable`).
     """
-    ring = f.ring
-    table = _ReductionTable(ring)
+    reductors = []
     for g in G:
         _same_ring(f, g)
         if not g.is_zero():
-            table.add(g, lead_vars(g))
-    return BoolPoly(ring, table.reduce(f.z))
+            reductors.append((g, lead_vars(g)))
+    return BoolPoly(f.ring, _ReductionTable(f.ring, reductors).reduce(f.z))
 
 
 # -- criteria -------------------------------------------------------------------
@@ -508,9 +520,7 @@ def interreduce(basis):
             kept.append((lg, lm, g))
     # one table for the pass: each element is reduced against all leads
     # but its own, and its reduced form then replaces it as a reductor
-    table = _ReductionTable(ring)
-    for _, lm, g in kept:
-        table.add(g, lm)
+    table = _ReductionTable(ring, [(g, lm) for _, lm, g in kept])
     polys = []
     for _, lm, g in kept:
         h = BoolPoly(ring, table.reduce(g.z, skip=lm))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 
-from .zdd import ONE, ZERO, ZddManager
+from .zdd import ONE, ZERO, ZddError, ZddManager
 
 
 class RingMismatchError(Exception):
@@ -141,12 +141,26 @@ class BoolRing:
         return BoolPoly(self, self.manager.singleton(vs))
 
     def from_terms(self, terms) -> "BoolPoly":
-        """Polynomial from an iterable of terms, each a set of indices."""
-        z = ZERO
-        man = self.manager
+        """Polynomial from an iterable of terms, each a set of indices.
+
+        The terms are summed in one pass: those that occur an odd number
+        of times (as index sets, so x*x is x) go to one `from_sets` call.
+        A term that cancels is still checked against the variable range.
+        """
+        odd = set()
+        cancelled = []
         for t in terms:
-            z = man.symmetric_diff(z, man.singleton(t))
-        return BoolPoly(self, z)
+            t = frozenset(t)
+            if t in odd:
+                odd.remove(t)
+                cancelled.append(t)
+            else:
+                odd.add(t)
+        for t in cancelled:
+            for v in t:
+                if not 0 <= v < self.n:
+                    raise ZddError(f"variable index {v} out of range")
+        return BoolPoly(self, self.manager.from_sets(odd))
 
     def parse(self, text: str) -> "BoolPoly":
         """Parse "a*b + c^2 + 1": a sign is a plus, x^k for k >= 1 is x,

@@ -11,6 +11,7 @@ SAT-solver convention of 10 (satisfiable, model printed) and 20
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -264,7 +265,10 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; subcommand c runs
+    `cmd_c`, looked up when `main` runs."""
     ap = argparse.ArgumentParser(
         prog="zddgb",
         description="Groebner bases for Boolean polynomials and Z/m, with "
@@ -286,36 +290,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gb", help="reduced Groebner/standard basis")
     common(p)
-    p.set_defaults(fn=cmd_gb)
 
     p = sub.add_parser("nf", help="normal form of --poly against the file")
     common(p, report=False)
     p.add_argument("--poly", required=True)
-    p.set_defaults(fn=cmd_nf)
 
     p = sub.add_parser("sat", help="satisfiability of a DIMACS or polynomial file")
     common(p, mod=False)
     p.add_argument("--preprocess", choices=["none", "conjunction"],
                    default="none")
-    p.set_defaults(fn=cmd_sat)
 
     p = sub.add_parser("zeros", help="zeros of --poly within a point file")
     p.add_argument("file")
     p.add_argument("--poly", required=True)
     p.add_argument("--vars", help="comma-separated variable names")
-    p.set_defaults(fn=cmd_zeros)
 
     p = sub.add_parser("interp", help="lex-smallest interpolant of a point/value file")
     p.add_argument("file")
     p.add_argument("--basis", action="store_true",
                    help="treat the file as a plain point list and print the "
                         "reduced lex basis of its vanishing ideal")
-    p.set_defaults(fn=cmd_interp)
 
     p = sub.add_parser("encode", help="polynomial system of a circuit file")
     p.add_argument("file")
     p.add_argument("--mode", choices=["word", "bit"], default="bit")
-    p.set_defaults(fn=cmd_encode)
 
     return ap
 
@@ -323,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (enc.EncodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -173,7 +173,8 @@ class BitSystem:
 
 
 def bit_add(a_bits, b_bits, fresh=None):
-    """Bitwise sum mod 2^n by ripple carry: s = a+b+c, c' = ab+ac+bc.
+    """Bitwise sum mod 2^n by ripple carry: s = a+b+c, c' = ab+ac+bc,
+    computed as ab + c(a+b) with two products.
 
     With `fresh` (a callable tag -> variable polynomial) each carry becomes
     a fresh variable and its defining polynomial goes to the aux list;
@@ -191,7 +192,7 @@ def bit_add(a_bits, b_bits, fresh=None):
         out.append(a + b + carry)
         if i == n - 1:
             break
-        new_carry = a * b + a * carry + b * carry
+        new_carry = a * b + carry * (a + b)
         if fresh is not None:
             cv = fresh(f"carry{i}")
             aux.append(cv + new_carry)

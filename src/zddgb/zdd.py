@@ -145,11 +145,55 @@ class ZddManager:
         return n
 
     def from_sets(self, sets) -> int:
-        """Diagram of a family of index sets."""
-        out = ZERO
-        for s in sets:
-            out = self.union(out, self.singleton(s))
-        return out
+        """Diagram of a family of index sets, built in one pass.
+
+        The distinct members, as ascending index tuples, are sorted, so the
+        rows that share a prefix form one block and, within a block, the
+        rows with the same next index form one run.  A block's diagram is
+        the else-chain over its runs, built by a loop from the last run to
+        the first and ending in 1 when the empty suffix (which sorts first)
+        is a row.  Each run is one then-child: the indices that all its
+        rows share form a chain, built by a loop, above the block of what
+        follows them (1 when the run is one row).  So every mk_node call
+        makes a node of the result, no memo is touched, and the recursion
+        goes one level deeper only where rows part ways, never along a
+        shared stretch of indices.
+        """
+        rows = sorted({tuple(sorted(set(s))) for s in sets})
+        return self._block(rows, 0, len(rows), 0) if rows else ZERO
+
+    def _block(self, rows: list, lo: int, hi: int, d: int) -> int:
+        """Diagram of {row[d:] : row in rows[lo:hi]}, rows sorted and
+        sharing their first d indices."""
+        mk = self.mk_node
+        tail = ZERO
+        if len(rows[lo]) == d:  # the empty suffix
+            tail = ONE
+            lo += 1
+        runs = []
+        while lo < hi:
+            v = rows[lo][d]
+            end = lo + 1
+            while end < hi and rows[end][d] == v:
+                end += 1
+            runs.append((v, lo, end))
+            lo = end
+        for v, lo, end in reversed(runs):
+            # the run's rows share indices d..p-1: a chain above the block
+            # of their suffixes (1 for one row); sorted rows share what the
+            # first and the last share
+            first, last = rows[lo], rows[end - 1]
+            if end - lo == 1:
+                p, t = len(first), ONE
+            else:
+                p = d + 1
+                while p < len(first) and first[p] == last[p]:
+                    p += 1
+                t = self._block(rows, lo, end, p)
+            for k in range(p - 1, d, -1):
+                t = mk(first[k], t, ZERO)
+            tail = mk(v, t, tail)
+        return tail
 
     def full_family(self) -> int:
         """The family of all variable subsets, one node per variable."""

@@ -160,6 +160,47 @@ def test_index_pick_matches_divisor_diagram_pick(n_ordering, seed):
 
 
 @settings(max_examples=200)
+@given(orderings(max_n=5), st.integers(0, 2**32))
+def test_one_pass_table_matches_add(n_ordering, seed):
+    """The table built from a reductor list holds the entries, by_lead
+    and lead_set of one filled by add in list order; leads repeat with
+    reductors of different and of equal length, so the first of the least
+    rank must win."""
+    n, ordering = n_ordering
+    ring = BoolRing.indexed(n, ordering)
+    key = ring.sort_key
+    monomials = [m for k in range(n + 1) for m in itertools.combinations(range(n), k)]
+    rnd = random.Random(seed)
+    reductors = []
+    for _ in range(rnd.randrange(12)):
+        g = rand_poly(ring, rnd, 5, rnd.choice([0.2, 0.4, 0.7]))
+        if not g:
+            continue
+        lead, terms = lead_vars(g), g.term_set()
+        reductors.append((g, lead))
+        below = [m for m in monomials if key(m) < key(lead) and m not in terms]
+        tails = sorted(terms - {lead})
+        if below and rnd.random() < 0.5:
+            # the same lead, one term longer
+            reductors.append((ring.from_terms(terms | {rnd.choice(below)}), lead))
+        if below and tails and rnd.random() < 0.5:
+            # the same lead and length: one tail term swapped
+            swapped = terms - {rnd.choice(tails)} | {rnd.choice(below)}
+            reductors.append((ring.from_terms(swapped), lead))
+    if rnd.random() < 0.2:
+        reductors.append((ring.one, ()))
+    rnd.shuffle(reductors)
+    filled = boolgb._ReductionTable(ring)
+    for g, lead in reductors:
+        filled.add(g, lead)
+    built = boolgb._ReductionTable(ring, reductors)
+    assert built.entries == filled.entries
+    assert built.by_lead == filled.by_lead
+    assert built.lead_set == filled.lead_set
+    assert boolgb._ReductionTable(ring, []).lead_set == 0
+
+
+@settings(max_examples=200)
 @given(orderings(max_n=10), st.integers(0, 2**32))
 def test_pick_is_smallest_dividing_entry(n_ordering, seed):
     """pick(m, skip) is the smallest entry of by_lead whose lead divides m

@@ -25,6 +25,7 @@ from zddgb.boolpoly import (
     spoly,
     terms_iter,
 )
+from zddgb.zdd import ZddError
 
 
 @pytest.fixture
@@ -445,6 +446,43 @@ def test_vars_of(ring):
     assert ring.one.vars_of() == ()
     assert ring.zero.vars_of() == ()
     assert ring.parse("a*c + c").vars_of() == (0, 2)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 6), st.data())
+def test_from_terms_matches_xor_of_singletons(n, data):
+    """The one-pass sum gives the diagram of the xor-of-singletons fold:
+    a term given twice cancels, and a repeated index in a term (x*x) is
+    the index once."""
+    ring = BoolRing.indexed(n)
+    man = ring.manager
+    term = st.lists(st.integers(0, n - 1), max_size=5) if n else st.just([])
+    terms = data.draw(st.lists(term, max_size=10))
+    terms += data.draw(st.lists(st.sampled_from(terms), max_size=4)) if terms else []
+    terms = data.draw(st.permutations(terms))
+    want = 0
+    for t in terms:
+        want = man.symmetric_diff(want, man.singleton(t))
+    assert ring.from_terms(terms).z == want
+    assert ring.from_terms(iter(terms)).z == want
+
+
+def test_from_terms_cancels_and_checks_the_range(ring):
+    assert ring.from_terms([(0, 1), (1, 0), [2, 2]]) == ring.parse("c")
+    assert ring.from_terms([]) == ring.zero
+    assert ring.from_terms([(), ()]) == ring.zero
+    # the singleton fold refused an out-of-range term even when it cancels
+    for bad in ([(3,)], [(3,), (3,)], [(0,), (-1,), (-1,)]):
+        with pytest.raises(ZddError):
+            ring.from_terms(bad)
+
+
+def test_parse_long_monomial_without_recursion():
+    """A 1500-variable monomial is one chain of nodes, built by a loop."""
+    ring = BoolRing.indexed(1500)
+    f = ring.parse("*".join(ring.names))
+    assert len(f) == 1 and lead_vars(f) == tuple(range(1500))
+    assert len(ring.parse(" + ".join(ring.names))) == 1500
 
 
 def test_parse_exponents_and_roundtrip(ring):

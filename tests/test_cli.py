@@ -505,6 +505,36 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x\ny\n", "")
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # one parser per process; a failed command, in the parser or in the
+    # file, leaves nothing behind for the next call, and every call prints
+    # what a fresh `python -m zddgb` prints
+    from zddgb.cli import build_parser
+
+    assert build_parser() is build_parser()
+    system = write(tmp_path, "sys.txt", "vars a b c\na*b + c\nb*c + 1\n")
+    bad = write(tmp_path, "bad.txt", "vars a b\na +\n")
+    calls = [("nf", system, "--poly", "a*b*c + a + b"),
+             ("gb", bad),
+             ("gb", system, "--mod", "x"),
+             ("nf", system, "--poly", "a*b*c + a + b")]
+    outs = []
+    for argv in calls:
+        try:
+            code, out, _ = run(capsys, *argv)
+        except SystemExit as exc:  # argparse refuses the option
+            code, out = exc.code, capsys.readouterr().out
+        assert code == (0 if argv[0] == "nf" else 2)
+        outs.append(out)
+    assert outs[0] == outs[3] and outs[0].strip()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv, out in zip(calls, outs):
+        proc = subprocess.run([sys.executable, "-m", "zddgb", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0 if argv[0] == "nf" else 2, out)
+
+
 def test_exponent_limit_exit_4(tmp_path, capsys):
     # a Z/m monomial packs each exponent into 15 bits: 32767 is the largest
     at_limit = write(tmp_path, "limit.txt", "vars x\nx^32767\n")

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from zddgb import encode
 from zddgb.boolgb import sat_check
 from zddgb.boolpoly import BoolRing, eval_poly
 from zddgb.encode import (
@@ -133,6 +134,41 @@ def test_bit_add_fresh_carries():
     # it to a0*b0
     assert ring.index("t0") in bits[1].vars_of()
     assert aux[0] == ring.var("t0") + ring.parse("a0*b0")
+
+
+def _bit_add_three_products(a_bits, b_bits, fresh=None):
+    """bit_add with the carry written out as ab + ac + bc."""
+    ring = a_bits[0].ring
+    aux, carry, out = [], ring.zero, []
+    for i, (a, b) in enumerate(zip(a_bits, b_bits)):
+        out.append(a + b + carry)
+        if i == len(a_bits) - 1:
+            break
+        new_carry = a * b + a * carry + b * carry
+        if fresh is not None:
+            cv = fresh(f"carry{i}")
+            aux.append(cv + new_carry)
+            new_carry = cv
+        carry = new_carry
+    return out, aux
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_carry_of_two_products_matches_three(n, monkeypatch):
+    """ab + c(a+b) is ab + ac + bc over GF(2): the multiplier systems and
+    a blasted add/mul circuit are the same, polynomial by polynomial."""
+    circuit = (f"wordlen {n}\nsignal a b c d\nassign c = a add b\n"
+               "assign d = c mul a\nassert d = 1\n")
+
+    def systems():
+        out = [blast(parse_circuit(circuit))]
+        if n >= 2:
+            out += [mult_verification(n), mult_verification(n, tamper=True)]
+        return [(s.ring.names, [p.term_set() for p in s.polys]) for s in out]
+
+    two = systems()
+    monkeypatch.setattr(encode, "bit_add", _bit_add_three_products)
+    assert systems() == two
 
 
 # -- blast -------------------------------------------------------------------------------

@@ -171,6 +171,72 @@ def test_canonicity_two_construction_orders():
         man.check_invariants()
 
 
+def _union_fold(man, sets):
+    out = ZERO
+    for s in sets:
+        out = man.union(out, man.singleton(s))
+    return out
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 7), st.data())
+def test_from_sets_matches_union_of_singletons(n, data):
+    """The one-pass build gives the diagram of the union-of-singletons
+    fold, for families with repeated members, the empty set, no members,
+    unsorted and repeated indices; an index out of range raises ZddError
+    on both sides."""
+    if n == 0:
+        sets = st.just([])
+    elif data.draw(st.booleans()):
+        sets = st.lists(st.integers(-1, n), max_size=6)
+    else:
+        sets = st.lists(st.integers(0, n - 1), max_size=6)
+    fam = data.draw(st.lists(sets, max_size=10))
+    fam += data.draw(st.lists(st.sampled_from(fam), max_size=3)) if fam else []
+    man = ZddManager(n)
+    try:
+        want = _union_fold(man, fam)
+    except ZddError:
+        with pytest.raises(ZddError):
+            ZddManager(n).from_sets(fam)
+        return
+    before = len(man)
+    assert man.from_sets(fam) == want
+    assert len(man) == before  # every node already existed
+    fresh = ZddManager(n)
+    z = fresh.from_sets(fam)
+    assert sorted(fresh.iter_paths(z)) == sorted({tuple(sorted(set(s))) for s in fam})
+    fresh.check_invariants()
+
+
+def test_from_sets_edge_cases():
+    man = ZddManager(3)
+    assert man.from_sets([]) == ZERO
+    assert man.from_sets([[]]) == ONE
+    assert man.from_sets([[], [], [2, 2]]) == _union_fold(man, [[], [2]])
+    assert man.from_sets(iter([[2, 0], [0, 2]])) == man.singleton([0, 2])
+    for bad in ([[3]], [[0], [1, -1]], [[], [0, 3]]):
+        with pytest.raises(ZddError):
+            man.from_sets(bad)
+
+
+def test_from_sets_builds_only_result_nodes():
+    """One mk_node per node of the result: a fresh manager holds exactly
+    the diagram's nodes, and a long member is built by a loop."""
+    man = ZddManager(1500)
+    z = man.from_sets([range(1500)])
+    assert len(man) == 1500 and man.count_paths(z) == 1
+    # two long members that part ways only at the end: the shared stretch
+    # is a chain too, so no recursion follows it
+    man = ZddManager(1500)
+    z = man.from_sets([range(1500), range(1499)])
+    assert man.count_paths(z) == 2 and len(man) == 1500
+    man = ZddManager(6)
+    man.from_sets([[0, 1, 2], [0, 1, 3], [0, 4], [5], []])
+    # x0 at the root, x1, x2, x3 and x4 below it, x5 on its else-chain
+    assert len(man) == 6
+
+
 def test_inclusion_exclusion_counts():
     rnd = random.Random(1)
     man = ZddManager(7)
