@@ -4,6 +4,19 @@ The field relations x*x = x are never materialized: every product is a
 Boolean product, and each generator g additionally spawns "field pairs"
 (g, v) whose s-polynomial reduces (mod the field ideal) to x_v * g.
 
+The reduced lex basis depends only on the zero set V of the generators,
+so `buchberger` sends a dense clause system under lp past the pair loop:
+`zeros` filters V out of the cube one clause at a time and `points_gb`
+reads the basis off it.  A clause is a product of factors x_v and
+x_v + 1 (CNF as `cnf_to_polys` encodes it), and dense means at least
+CLAUSE_DENSITY distinct clauses per variable they mention.  On dense CNF
+the pair loop builds many times the nodes of the variety route (hole5:
+84 s against 0.01 s).  Sparse CNF has a large zero set whose diagram is
+wide: 40 random 3-clauses over 300 variables ran out of 2 GB on the
+variety route and took 0.04 s on the pair loop.  Multipliers, whose
+definitions are not clauses, and the other orderings (`points_gb` is lex
+only) keep the pair loop.
+
 `bgb_single`, the basis of one polynomial from its linear-lead factors
 and its core shifted onto the first variables (reusable for every shift
 through a `SymCache`), is a library function.  The engine does not use
@@ -28,7 +41,7 @@ from .boolpoly import (
     lead_vars,
     mul_monomial,
 )
-from .interp import PointSet, zeros
+from .interp import PointSet, points_gb, zeros
 from .zdd import ONE, ZERO
 
 
@@ -453,9 +466,17 @@ class GBState:
 
 def buchberger(gens, strategy: Strategy | None = None) -> list[BoolPoly]:
     """Reduced Boolean Groebner basis of the ideal of gens plus the field
-    ideal (Boolean part only).
+    ideal (Boolean part only), sorted lead-descending.
 
-    Deterministic for a fixed strategy and input order.
+    Deterministic for a fixed strategy and input order.  The basis depends
+    only on the zero set V of gens, so a dense clause system under lp,
+    with no `strategy` given, takes the variety route (`_variety_basis`):
+    V is filtered out of the cube and the lex basis read off it by
+    `points_gb`.  Dense means every nonzero generator is a clause and
+    there are at least CLAUSE_DENSITY times as many distinct clauses as
+    variables they mention; sparser CNF has a large zero set with a wide
+    diagram, and the pair loop wins.  A `strategy` configures the pair
+    loop, so passing one always runs it.
     """
     gens = list(gens)
     if not gens:
@@ -463,6 +484,10 @@ def buchberger(gens, strategy: Strategy | None = None) -> list[BoolPoly]:
     ring = gens[0].ring
     for f in gens:
         _same_ring(gens[0], f)
+    if strategy is None and ring.blocks is None:
+        clauses = _dense_clauses(gens)
+        if clauses is not None:
+            return _variety_basis(ring, clauses)
     strategy = strategy or Strategy()
     state = GBState(ring, strategy)
 
@@ -494,6 +519,74 @@ def buchberger(gens, strategy: Strategy | None = None) -> list[BoolPoly]:
             alive = insert(s)
 
     return interreduce(state.gens[j] for j in state.active)
+
+
+# the least ratio of distinct clauses to the variables they mention at which
+# `buchberger` takes the variety route (see `_dense_clauses`).  On random 2-,
+# 3- and 4-CNF and pigeonhole the route never lost at 2 or more (where it
+# ran out of 2 GB, the pair loop ran past 60 s too); below 2 the pair loop
+# won (3-CNF, 30 variables and clauses: 5.9 s against 23 s and 1.1 GB) or
+# alone finished (2-CNF, 80 clauses over 80 variables)
+CLAUSE_DENSITY = 2
+
+
+def _clause_vars(man, z: int) -> list[int] | None:
+    """The variables of the nonzero diagram z when it is a clause, a
+    product of factors x_v and x_v + 1 (the constant 1 is the empty
+    clause); None otherwise.  A clause is one then-chain in which every
+    else-child is 0 (factor x_v) or equals the then-child (factor x_v + 1);
+    the walk creates no node."""
+    var, then, els = man._var, man._then, man._else
+    vs = []
+    while z > ONE:
+        t = then[z]
+        if els[z] not in (ZERO, t):
+            return None
+        vs.append(var[z])
+        z = t
+    return vs
+
+
+def _dense_clauses(gens) -> list[BoolPoly] | None:
+    """The distinct nonzero generators, in input order, when each is a
+    clause and they number at least CLAUSE_DENSITY times the variables
+    they mention; None otherwise."""
+    man = gens[0].ring.manager
+    clauses: dict[int, BoolPoly] = {}
+    mentioned: set[int] = set()
+    for g in gens:
+        if g.z == ZERO or g.z in clauses:
+            continue
+        vs = _clause_vars(man, g.z)
+        if vs is None:
+            return None
+        clauses[g.z] = g
+        mentioned.update(vs)
+    if len(clauses) < CLAUSE_DENSITY * len(mentioned):
+        return None
+    return list(clauses.values())
+
+
+def _variety_basis(ring: BoolRing, clauses) -> list[BoolPoly]:
+    """Reduced lex basis of the clauses' ideal plus the field ideal, from
+    their zero set: the full cube is filtered by `zeros` clause by clause,
+    and `points_gb` (lead-descending, as `interreduce` lists it) reads the
+    basis off what is left; [1] once it is empty.
+
+    Clauses go deepest top variable first, then fewest terms.  As in
+    `sat_check`, constraining the bottom levels of the point-set diagram
+    first keeps its upper levels the cube's chain for longer; fewest terms
+    first alone built 5.8 M nodes in 40 s on a random 2-CNF over 80
+    variables with 160 clauses, and this order 19 k in 0.08 s.
+    """
+    man = ring.manager
+    var, count = man._var, man.count_paths
+    variety = PointSet.full_cube(ring)
+    for g in sorted(clauses, key=lambda g: (-var[g.z], count(g.z))):
+        variety = zeros(g, variety)
+        if variety.z == ZERO:
+            return [ring.one]
+    return points_gb(variety)
 
 
 def interreduce(basis):
@@ -559,6 +652,10 @@ def sat_check(gens, preprocess: str | None = None):
     computed by `zeros` over the full cube and verified.  With
     preprocess="conjunction" the system is first collapsed to its unique
     ideal generator by Boolean multiplication, as the benchmark runs do.
+    The basis comes from `buchberger`, so a dense clause system under lp
+    (plain CNF, which `cnf_to_polys` encodes clause by clause) is decided
+    by its zero set, with no pair loop; the verdict and model are the
+    same on either route, because the basis is.
 
     The variety is intersected in ascending-lead order.  Under lex a lead
     whose first variable is x_k bounds every term of its polynomial to

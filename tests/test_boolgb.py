@@ -1,6 +1,7 @@
 import itertools
 import random
 import signal
+import time
 from collections import Counter
 from contextlib import contextmanager
 
@@ -34,7 +35,7 @@ from zddgb.boolpoly import (
     mul_monomial,
     spoly,
 )
-from zddgb.encode import mult_verification, pigeonhole
+from zddgb.encode import cnf_to_polys, mult_verification, pigeonhole
 from zddgb.interp import PointSet, nf_by_interpolate, points_gb
 
 
@@ -453,8 +454,10 @@ def test_bgb_single_matches_points_gb():
 
 
 def test_buchberger_matches_points_gb():
-    # a reduced lex basis is determined by its variety: the engine and the
-    # basis interpolated from brute-force zeros must agree as lists
+    # a reduced lex basis is determined by its variety: the pair loop and
+    # the basis interpolated from brute-force zeros must agree as lists (an
+    # explicit Strategy keeps clause systems off the variety route, which
+    # would compare points_gb with itself)
     rnd = random.Random(31)
     for _ in range(300):
         n = rnd.randint(1, 7)
@@ -462,7 +465,7 @@ def test_buchberger_matches_points_gb():
         gens = [rand_poly(ring, rnd, 6) for _ in range(rnd.randint(1, 4))]
         pts = variety([g.term_set() for g in gens], n)
         expected = points_gb(PointSet.from_points(ring, sorted(pts)))
-        assert buchberger(gens) == expected
+        assert buchberger(gens, Strategy()) == expected
 
 
 def test_bgb_single_cache_hits():
@@ -684,7 +687,8 @@ def test_gb_deterministic_byte_identical():
 
 def reduction_trace(monkeypatch, ring, term_lists):
     """Every `_ReductionTable.reduce` input (term set, lead set) and the
-    number of reduction steps (q*g products) of `buchberger` on the system."""
+    number of reduction steps (q*g products) of `buchberger` on the system,
+    run through the pair loop."""
     calls, steps = [], []
     reduce, mul = boolgb._ReductionTable.reduce, boolgb._mul
 
@@ -701,7 +705,7 @@ def reduction_trace(monkeypatch, ring, term_lists):
     with monkeypatch.context() as m:
         m.setattr(boolgb._ReductionTable, "reduce", traced)
         m.setattr(boolgb, "_mul", counted)
-        buchberger([ring.from_terms(t) for t in term_lists])
+        buchberger([ring.from_terms(t) for t in term_lists], Strategy())
     return calls, len(steps)
 
 
@@ -721,6 +725,7 @@ def test_reductor_choice_is_history_free(monkeypatch):
         other = [draw() for _ in range(5)]
         fresh = reduction_trace(monkeypatch, BoolRing.indexed(n, ordering),
                                 system)
+        assert fresh[0]
         ring = BoolRing.indexed(n, ordering)
         buchberger([ring.from_terms(t) for t in other], ALL_OFF)
         assert reduction_trace(monkeypatch, ring, system) == fresh
@@ -774,6 +779,137 @@ def test_sat_pigeonhole_2():
     assert sat_check(system.polys, preprocess="conjunction")[0] == "UNSAT"
 
 
+def test_pair_loop_refutes_hole3():
+    system = pigeonhole(3)
+    assert buchberger(system.polys, Strategy()) == [system.ring.one]
+
+
+# -- the variety route for dense clause systems ------------------------------------------
+
+
+def random_cnf(rnd, n, m, width=3):
+    """m random clauses of `width` distinct literals over v1..vn."""
+    return [[v if rnd.random() < 0.5 else -v
+             for v in rnd.sample(range(1, n + 1), width)] for _ in range(m)]
+
+
+def clause_systems():
+    """(name, clause polynomials) on lp rings: random 3-CNF on both sides
+    of CLAUSE_DENSITY, pigeonhole (k + 1 pigeons in k holes: no zero),
+    units, repeats, the empty clause and clauses over part of the ring."""
+    rnd = random.Random(41)
+    for i in range(40):
+        n = rnd.randint(3, 10)
+        m = rnd.randint(1, 4 * n)
+        yield f"3cnf{i}", cnf_to_polys((n, random_cnf(rnd, n, m))).polys
+    for k in (2, 3, 4):
+        yield f"hole{k}", pigeonhole(k).polys
+    yield "units", cnf_to_polys((3, [[1], [-2], [3], [-1, 2]])).polys
+    yield "complementary units", cnf_to_polys((3, [[2], [-2]])).polys
+    yield "repeats", cnf_to_polys((3, [[1, 2]] * 5 + [[-1, 3]] * 2)).polys
+    yield "empty clause", cnf_to_polys((2, [[1], []])).polys
+    yield "zero", [BoolRing.indexed(2, "lp").zero]
+    partial = cnf_to_polys((9, random_cnf(rnd, 4, 12)))
+    yield "part of the ring", partial.polys + [partial.ring.zero]
+
+
+def test_variety_route_agrees_with_pair_loop_and_brute_force():
+    for name, gens in clause_systems():
+        ring = gens[0].ring
+        # brute force over hole4's 2^20 points would take minutes
+        pts = (set() if name.startswith("hole")
+               else variety([g.term_set() for g in gens], ring.n))
+        expected = points_gb(PointSet.from_points(ring, sorted(pts)))
+        assert buchberger(gens) == buchberger(gens, Strategy()) == expected, name
+        verdict, model = sat_check(gens)
+        if pts:
+            assert (verdict, model) == ("SAT", min(pts)), name
+        else:
+            assert (verdict, model) == ("UNSAT", None), name
+
+
+def dense_by_rule(gens):
+    """The routing rule, restated: each nonzero generator a product of
+    factors x_v and x_v + 1, distinct clauses at least CLAUSE_DENSITY
+    times the variables they mention."""
+    clauses = {frozenset(map(frozenset, g.terms())) for g in gens if g}
+    mentioned = set()
+    for terms in clauses:
+        support = frozenset().union(*terms)
+        lows = frozenset.intersection(*terms)
+        # a clause's terms are the sets between its positive-literal
+        # variables and its whole support, all of them
+        if len(terms) != 1 << len(support - lows):
+            return False
+        mentioned |= support
+    return len(clauses) >= boolgb.CLAUSE_DENSITY * len(mentioned)
+
+
+@pytest.fixture
+def variety_calls(monkeypatch):
+    calls = []
+    route = boolgb._variety_basis
+
+    def spy(ring, clauses):
+        calls.append(len(clauses))
+        return route(ring, clauses)
+
+    monkeypatch.setattr(boolgb, "_variety_basis", spy)
+    return calls
+
+
+def test_variety_route_taken_exactly_when_the_rule_holds(variety_calls):
+    for name, gens in clause_systems():
+        expected = dense_by_rule(gens)
+        buchberger(gens)
+        assert variety_calls == ([len({g.z for g in gens if g})]
+                                 if expected else []), name
+        variety_calls.clear()
+        # a Strategy always runs the pair loop
+        buchberger(gens, Strategy())
+        assert not variety_calls, name
+    dense = random_cnf(random.Random(42), 8, 24)
+    for ordering in ("dlex", "dp_asc", "block(dlex:4,dp_asc:8)"):
+        buchberger(cnf_to_polys((8, dense), ordering).polys)
+    assert not variety_calls
+    system = cnf_to_polys((8, dense))
+    assert dense_by_rule(system.polys)
+    buchberger(system.polys + [system.ring.parse("v1*v2 + v3")])
+    assert not variety_calls
+
+
+def test_density_threshold_counts_distinct_clauses(variety_calls):
+    # 8 variables: 15 distinct clauses stay on the pair loop however often
+    # they repeat, and the 16th takes the variety route
+    rnd = random.Random(43)
+    clauses = []
+    while len(clauses) < 16:
+        c = sorted(random_cnf(rnd, 8, 1)[0], key=abs)
+        if c not in clauses:
+            clauses.append(c)
+    clauses[0] = [1, 2, 3, 4, 5, 6, 7, 8]
+    below = cnf_to_polys((8, clauses[:15] * 3)).polys
+    assert buchberger(below) == buchberger(below, Strategy())
+    assert not variety_calls
+    at = cnf_to_polys((8, clauses)).polys
+    assert buchberger(at) == buchberger(at, Strategy())
+    assert variety_calls == [16]
+
+
+@pytest.mark.parametrize("nvars,m", [(300, 40), (60, 30)])
+def test_sparse_wide_cnf_stays_on_pair_loop(variety_calls, nvars, m):
+    # clause shape alone would send these to the variety route, but a
+    # sparse system has a large zero set with a wide diagram: CNF of these
+    # sizes ran out of a 2 GB cap there and took under a second on the
+    # pair loop
+    system = cnf_to_polys((nvars, random_cnf(random.Random(m), nvars, m)))
+    t0 = time.perf_counter()
+    basis = buchberger(system.polys)
+    assert time.perf_counter() - t0 < 60
+    assert basis and not basis[0].is_one()
+    assert not variety_calls
+
+
 def test_sat_models_verified():
     rnd = random.Random(29)
     for _ in range(30):
@@ -823,13 +959,14 @@ def test_mult5_tampered_model_node_budget():
 
 
 def test_hole4_plain_node_budget():
-    # memory guard on the plain engine: the count is deterministic, 33,360
+    # memory guard on the pair loop (a dense clause system, so the Strategy
+    # keeps it off the variety route): the count is deterministic, 33,360
     # nodes when every reduced polynomial enters the basis directly and
     # 47,031 when each went through the single-polynomial symmetry cache
     system = pigeonhole(4)
     man = system.ring.manager
     before = len(man)
-    assert sat_check(system.polys)[0] == "UNSAT"
+    assert buchberger(system.polys, Strategy()) == [system.ring.one]
     assert len(man) - before <= 40_000
 
 

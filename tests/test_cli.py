@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,23 @@ def test_sat_conjunction_preprocess(tmp_path, capsys):
     path = write(tmp_path, "hole2.cnf", text)
     code, out, _ = run(capsys, "sat", path, "--preprocess", "conjunction")
     assert code == 20
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_sat_plain_pigeonhole_in_seconds(tmp_path, capsys, k):
+    # a dense clause system goes by its zero set; through the pair loop
+    # alone hole5 took 84 s
+    from zddgb.encode import pigeonhole_cnf
+
+    nv, cls = pigeonhole_cnf(k)
+    text = f"p cnf {nv} {len(cls)}\n" + "".join(
+        " ".join(map(str, c)) + " 0\n" for c in cls
+    )
+    path = write(tmp_path, f"hole{k}.cnf", text)
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "sat", path)
+    assert time.perf_counter() - t0 < 10
+    assert code == 20 and out == "s UNSATISFIABLE\n"
 
 
 @pytest.mark.parametrize("poly", ["--a + b", "+-a + b", "++a + b"])
