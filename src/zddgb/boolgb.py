@@ -15,7 +15,8 @@ the pair loop builds many times the nodes of the variety route (hole5:
 wide: 40 random 3-clauses over 300 variables ran out of 2 GB on the
 variety route and took 0.04 s on the pair loop.  Multipliers, whose
 definitions are not clauses, and the other orderings (`points_gb` is lex
-only) keep the pair loop.
+only) keep the pair loop.  `conjunction_generator` reads its one generator
+off the same zero set, under every ordering.
 
 `bgb_single`, the basis of one polynomial from its linear-lead factors
 and its core shifted onto the first variables (reusable for every shift
@@ -41,7 +42,7 @@ from .boolpoly import (
     lead_vars,
     mul_monomial,
 )
-from .interp import PointSet, points_gb, zeros
+from .interp import PointSet, _interp_lex, points_gb, zeros
 from .zdd import ONE, ZERO
 
 
@@ -637,19 +638,18 @@ def conjunction_generator(gens) -> BoolPoly:
     """The unique Boolean polynomial generating the same ideal as gens
     (with the field relations): 1 + prod(1 + g).
 
-    Short polynomials are multiplied first to keep intermediates small.
+    The product is the indicator of the common zero set V of the nonzero
+    gens (`_zero_set`), so the result is 1 plus the interpolant of V over
+    the full cube, its ANF.  Multiplying the factors one by one swells the
+    intermediates (hole6: 5.4 s against 0.02 s).
     """
     gens = list(gens)
     ring = gens[0].ring
-    count = ring.manager.count_paths
-    factors = [g + ring.one for g in gens]
-    factors.sort(key=lambda g: count(g.z))
-    c = ring.one
-    for g in factors:
-        c = c * g
-        if c.is_zero():
-            break
-    return ring.one + c
+    for g in gens:
+        _same_ring(gens[0], g)
+    variety = _zero_set(ring, [g for g in gens if not g.is_zero()])
+    man = ring.manager
+    return ring.one + BoolPoly(ring, _interp_lex(man, man.full_family(), variety.z))
 
 
 def sat_check(gens, preprocess: str | None = None):
@@ -659,7 +659,8 @@ def sat_check(gens, preprocess: str | None = None):
     ("SAT", model) with the lex-smallest point of the basis's variety,
     computed by `zeros` over the full cube and verified.  With
     preprocess="conjunction" the system is first collapsed to its unique
-    ideal generator by Boolean multiplication, as the benchmark runs do.
+    ideal generator, read off its zero set (`conjunction_generator`), and
+    the basis of that one generator is computed, as the benchmark runs do.
     The basis comes from `buchberger`, so a dense clause system under lp
     (plain CNF, which `cnf_to_polys` encodes clause by clause) is decided
     by its zero set, with no pair loop; the verdict and model are the

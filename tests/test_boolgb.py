@@ -32,6 +32,7 @@ from zddgb.boolpoly import (
     deg,
     eval_poly,
     lead_vars,
+    mul_boolean,
     mul_monomial,
     spoly,
 )
@@ -992,12 +993,32 @@ def test_greedy_nf_points_basis_node_budget():
 
 
 def test_hole5_conjunction_node_budget():
-    # regression guard on the Boolean product: the count is deterministic,
-    # 60,073 with three recursive products per shared top variable and
-    # 72,759 with four
+    # regression guard on the Boolean product of the conjunction, built
+    # here because `conjunction_generator` reads the zero set: the count is
+    # deterministic, 60,073 with three recursive products per shared top
+    # variable and 72,759 with four, factors 1 + g shortest first
     system = pigeonhole(5)
+    ring = system.ring
+    count = ring.manager.count_paths
+    product = ring.one
+    for f in sorted((g + ring.one for g in system.polys),
+                    key=lambda f: count(f.z)):
+        product = mul_boolean(product, f)
+    assert product.is_zero()
+    assert len(ring.manager) <= 65_000
+
+
+@pytest.mark.parametrize("system, bound", [
+    # deterministic counts of the whole manager: 2,331, 24,270 and 76,589
+    # nodes (the hole5 product alone builds 60,073)
+    (lambda: pigeonhole(5), 3_000),
+    (lambda: pigeonhole(7), 30_000),
+    (lambda: mult_verification(5), 90_000),
+], ids=["hole5", "hole7", "mult5"])
+def test_conjunction_zero_set_node_budget(system, bound):
+    system = system()
     assert sat_check(system.polys, preprocess="conjunction")[0] == "UNSAT"
-    assert len(system.ring.manager) <= 65_000
+    assert len(system.ring.manager) <= bound
 
 
 def test_conjunction_generator_is_unique_generator():
@@ -1012,3 +1033,24 @@ def test_conjunction_generator_is_unique_generator():
         vin = variety([g.term_set() for g in gens], n)
         vc = variety([c.term_set()], n)
         assert vin == vc
+
+
+def test_conjunction_generator_matches_product():
+    # the generator read off the zero set is the explicit 1 + prod(1 + g),
+    # term for term, under every ordering; zero generators drop out, a
+    # constant 1 gives 1 and the all-zero list gives 0
+    rnd = random.Random(29)
+    for order in ("lp", "dlex", "dp_asc"):
+        for _ in range(40):
+            ring = BoolRing.indexed(rnd.randrange(1, 7), order)
+            gens = [rand_poly(ring, rnd) for _ in range(rnd.randrange(1, 5))]
+            gens += [ring.zero] * rnd.randrange(2)
+            gens += [ring.one] * (rnd.random() < 0.15)
+            rnd.shuffle(gens)
+            product = ring.one
+            for g in gens:
+                product = mul_boolean(product, g + ring.one)
+            assert conjunction_generator(gens) == ring.one + product
+        ring = BoolRing.indexed(4, order)
+        assert conjunction_generator([ring.zero, ring.zero]).is_zero()
+        assert conjunction_generator([ring.zero, ring.one]).is_one()
