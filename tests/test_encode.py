@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -324,10 +325,49 @@ def test_mult_verification_encodings_agree(n):
 
 
 def test_mult_verification_7_node_budget():
-    # regression guard on the Boolean product behind the expanded golden
-    # side: 53,384 nodes with three recursive products, 103,660 with four
+    # regression guard on the Boolean products behind the expanded golden
+    # side and the output comparison: 32,393 nodes with the comparison
+    # built most significant bit first, 53,265 least significant bit first
     system = mult_verification(7)
-    assert len(system.ring.manager) <= 60_000
+    assert len(system.ring.manager) <= 35_000
+
+
+def test_mult_verification_8_node_budget():
+    # 187,507 nodes most significant bit first, 435,298 least first
+    system = mult_verification(8)
+    assert len(system.ring.manager) <= 200_000
+
+
+# sha256 head over n = 2..7, tamper off and on, of the ring's names, every
+# polynomial but the comparison as text, and the comparison's term count,
+# as the encoder built them with the comparison least significant bit first
+MULT_VERIFICATION_DIGEST = "e2387212607716cc"
+
+
+def test_mult_verification_order_keeps_every_polynomial():
+    h = hashlib.sha256()
+    for n in range(2, 8):
+        for tamper in (False, True):
+            system = mult_verification(n, tamper)
+            ring = system.ring
+            golden, _ = bit_mul(
+                [ring.var(f"a{i}") for i in range(n)],
+                [ring.var(f"b{i}") for i in range(n)],
+            )
+            lsb_first = ring.one
+            for i in range(n):
+                lsb_first = lsb_first * (ring.one + ring.var(f"o{i}") + golden[i])
+            assert lsb_first.z == system.polys[-1].z, (n, tamper)
+            h.update(
+                repr(
+                    (
+                        ring.names,
+                        [str(p) for p in system.polys[:-1]],
+                        len(system.polys[-1]),
+                    )
+                ).encode()
+            )
+    assert h.hexdigest()[:16] == MULT_VERIFICATION_DIGEST
 
 
 def test_mult_verification_tampered_has_countermodel():
