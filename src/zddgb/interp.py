@@ -170,7 +170,8 @@ def _interp_lex(man: ZddManager, D: int, O: int) -> int:
     flips = man.diff(free1, _zeros(man, ht, free1))
     oe = man.union(man.symmetric_diff(man.diff(o1, d0), flips), o0)
     he = _interp_lex(man, man.union(d1, d0), oe)
-    r = man.symmetric_diff(man.mk_node(i, ht, ZERO), he)
+    # h_e has no x_i, so the node x_i*h_t + h_e is the sum itself
+    r = man.mk_node(i, ht, he)
     cache[key] = r
     return r
 

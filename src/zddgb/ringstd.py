@@ -27,6 +27,7 @@ a sign and a number n^k as the coefficient n^k mod m; its names follow
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import struct
@@ -380,9 +381,11 @@ class ZmPoly:
         return max(sum(e) for e, _ in self.terms)
 
     def ecart(self) -> int:
-        """deg(f) - deg(lm(f)); guides reducer choice in the normal form."""
+        """deg(f) - deg(lm(f)); guides reducer choice in the normal form.
+        Under dlex the lead has the largest degree, so it is 0."""
         if self._ecart is None:
-            self._ecart = self.deg() - sum(self.lm()) if self._t else 0
+            self._ecart = (self.deg() - sum(self.lm())
+                           if self._t and not self.ring._dlex else 0)
         return self._ecart
 
     def __add__(self, other: "ZmPoly") -> "ZmPoly":
@@ -502,45 +505,69 @@ def nf_ring(f: ZmPoly, G) -> ZmPoly:
     """Polynomial weak normal form: the result is 0 or has its leading term
     outside the leading ideal of the reducer set.
 
-    The reducers are ordered once by ecart, ties by position in G, and
-    each one's packed lead monomial and coefficient are read once per
-    call.  Each step hands the lead coefficients of the reducers whose
-    lead divides lm(f), in that order, to one `solve_lead` call: a single
-    divisor of least ecart when there is one, else a combination over the
-    shortest ecart prefix that solves; each reducer used is then
-    subtracted in one merge, f - x*t*g.  The orderings are global, so the
-    lead falls strictly at every step; Mora's device of appending the
-    remainder to the reducers is not needed, since no later lead could be
-    its multiple.
+    The reducers are ordered once per call by ecart, ties by position in
+    G, in the table that `_nf` reduces against.  The orderings are global,
+    so the lead falls strictly at every step; Mora's device of appending
+    the remainder to the reducers is not needed, since no later lead could
+    be its multiple.
     """
-    mod = f.ring.mod
-    guard = f.ring._guard
+    return _nf(f, _table(f, G))
+
+
+def _table(f: ZmPoly, G) -> list:
+    """The table of G for `_nf`: (lead monomial, lead coefficient, reducer)
+    of G's nonzero elements, by ecart, ties by position in G.  Every
+    element of G must share f's ring."""
     G = list(G)
     for g in G:
         _same_ring(f, g)
-    # (lead monomial, lead coefficient, reducer), nonzero reducers by ecart
-    T = [(*g._t[0], g) for g in sorted((g for g in G if g._t), key=ZmPoly.ecart)]
+    return [(*g._t[0], g) for g in sorted((g for g in G if g._t), key=ZmPoly.ecart)]
+
+
+def _nf(f: ZmPoly, T) -> ZmPoly:
+    """Weak normal form of f against a table built as by `_table`.
+
+    Each step scans T for the reducers whose lead divides lm(f).  The
+    first whose lead coefficient divides lc(f) is subtracted alone;
+    when none does, the lead coefficients of all of them, in table order,
+    go to one `solve_lead` call, which solves over the shortest ecart
+    prefix it can.  Each reducer used is subtracted in one merge,
+    f - x*t*g.
+    """
+    ring = f.ring
+    mod = ring.mod
+    m, guard = mod.m, ring._guard
+    gcd, div_exact = math.gcd, mod.div_exact
     while f._t:
         mf, cf = f._t[0]
         # g's lead divides mf when no field of mf - lm(g) borrows its guard bit
         top = mf | guard
-        cands = [t for t in T if (top - t[0]) & guard == guard]
-        if not cands:
-            return f
-        sol = solve_lead(mod, cf, [c for _, c, _ in cands])
-        if sol is None:
-            return f
-        for (mg, _, g), x in zip(cands, sol):
-            if x:
-                f = f._add_mul(mf - mg, -x, g)
+        cands = []
+        for t in T:
+            mg, cg, g = t
+            if (top - mg) & guard == guard:
+                if cf % gcd(cg, m) == 0:
+                    f = f._add_mul(mf - mg, -div_exact(cf, cg), g)
+                    break
+                cands.append(t)
+        else:
+            if not cands:
+                return f
+            sol = solve_lead(mod, cf, [c for _, c, _ in cands])
+            if sol is None:
+                return f
+            for (mg, _, g), x in zip(cands, sol):
+                if x:
+                    f = f._add_mul(mf - mg, -x, g)
     return f
 
 
 def rednf_ring(f: ZmPoly, G) -> ZmPoly:
     """Tail-reduced normal form: weak NF applied to every remaining term."""
+    T = _table(f, G)
     kept = []
     while True:
-        f = nf_ring(f, G)
+        f = _nf(f, T)
         if not f._t:
             return ZmPoly._canonical(f.ring, tuple(kept))
         kept.append(f._t[0])
@@ -589,6 +616,10 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
     soon as a remainder is a unit constant u: the ideal is then the whole
     ring, u divides every lead, every later remainder would reduce to 0,
     and the reduced basis is [u].
+
+    The reducer order is set once per basis: every reduction runs `_nf`
+    against one table of G's leads, ordered by ecart, ties by position in
+    G, into which each new element is inserted once.
     """
     gens = list(gens)
     for g in gens:
@@ -601,6 +632,9 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
     mod = ring.mod
 
     G: list[ZmPoly] = []
+    # G's table for `_nf`: each new element goes after those of equal
+    # ecart, so T stays sorted(G, key=ecart) as a stable sort leaves it
+    T: list = []
     queue: list = []
     done: set[tuple[int, int]] = set()
     queued_lcm: dict[tuple[int, int], tuple[int, int]] = {}
@@ -616,6 +650,7 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
         idx = len(G)
         G.append(h)
         mon, coef = h._t[0]
+        bisect.insort_right(T, (mon, coef, h), key=lambda t: t[2].ecart())
         if not mon and mod.is_unit(coef):
             return True
         for j in range(idx):
@@ -628,7 +663,7 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
         return False
 
     for f in gens:
-        h = nf_ring(f, G)
+        h = _nf(f, T)
         if h._t and add(h):
             return _reduce_basis(G)
 
@@ -654,7 +689,7 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
             done.add((a, b))
         if not s._t:
             continue
-        h = nf_ring(s, G)
+        h = _nf(s, T)
         if h._t and add(h):
             return _reduce_basis(G)
 
@@ -666,7 +701,8 @@ def _chain_drop(G, i, l, lcm_term, done, queued_lcm) -> bool:
     each of the pairs (i, j) and (j, l) is done or queued with a properly
     smaller lcm term."""
     ring = G[i].ring
-    mod = ring.mod
+    m = ring.m
+    gcd = math.gcd
     # the variables' guard bits decide divisibility: a queued lcm's degree
     # field may hold a degree past the limit (see ZmRing._lcm)
     guard = ring._guard & ring._var_mask
@@ -674,19 +710,16 @@ def _chain_drop(G, i, l, lcm_term, done, queued_lcm) -> bool:
     top = ml | guard
     for j, g in enumerate(G):
         mj, cj = g._t[0]
-        if (j == i or j == l or (top - mj) & guard != guard
-                or not mod.divides(cj, cl)):
+        if (top - mj) & guard != guard or cl % gcd(cj, m) or j == i or j == l:
             continue
-        if all(
-            side in done
-            or (
-                (q := queued_lcm.get(side)) is not None
-                and q != lcm_term
-                and (top - q[0]) & guard == guard
-                and mod.divides(q[1], cl)
-            )
-            for side in ((min(i, j), max(i, j)), (min(l, j), max(l, j)))
-        ):
+        for side in ((i, j) if i < j else (j, i), (l, j) if l < j else (j, l)):
+            if side in done:
+                continue
+            q = queued_lcm.get(side)
+            if (q is None or q == lcm_term or (top - q[0]) & guard != guard
+                    or cl % gcd(q[1], m)):
+                break
+        else:
             return True
     return False
 

@@ -425,6 +425,19 @@ def nf_ring_reference(f: ZmPoly, G) -> ZmPoly:
     return f
 
 
+def rednf_ring_reference(f: ZmPoly, G) -> ZmPoly:
+    """Tail-reduced normal form: `nf_ring_reference` applied to every
+    remaining term."""
+    G = list(G)
+    kept = []
+    while True:
+        f = nf_ring_reference(f, G)
+        if f.is_zero():
+            return ZmPoly(f.ring, kept)
+        kept.append(f.lt())
+        f = f.tail()
+
+
 def is_strong_basis(G, samples: int = 50, seed: int = 0,
                     max_deg: int = 2, gens=None) -> bool:
     """Sampled check that some lt(g) divides lt(f) for ideal elements f.

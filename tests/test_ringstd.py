@@ -4,7 +4,6 @@ import json
 import math
 import random
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +13,7 @@ from oracles import (
     eval_zm_terms,
     is_strong_basis,
     nf_ring_reference,
+    rednf_ring_reference,
     verify_standard_rep,
     zm_annihilator_set,
     zm_div_exact,
@@ -229,6 +229,10 @@ def test_nf_examples():
     R4 = ZmRing(4, ["x"])
     assert nf_ring(R4.parse("2*x^2"), [R4.parse("2*x")]).is_zero()
     assert nf_ring(R4.parse("x"), [R4.parse("2*x")]) == R4.parse("x")
+    # rednf_ring reads its reducers once, so a one-shot iterator reduces
+    # the tail too
+    R8 = ZmRing(8, ["x", "y"])
+    assert str(rednf_ring(R8.parse("x + y"), iter([R8.parse("y - 2")]))) == "x + 2"
 
 
 def test_nf_z8_pair_value():
@@ -293,15 +297,11 @@ def reducer_case(draw):
 @settings(max_examples=400)
 @given(reducer_case())
 def test_nf_ring_matches_reference(case):
-    # nf_ring reads each reducer's lead once per call; its answers, and those
-    # of rednf_ring built on it, are the reference's term for term
-    from zddgb import ringstd
-
+    # nf_ring and rednf_ring reduce against a table of leads built once per
+    # call; their answers are the references' term for term
     f, G = case
     assert nf_ring(f, G).terms == nf_ring_reference(f, G).terms
-    with mock.patch.object(ringstd, "nf_ring", nf_ring_reference):
-        expected = rednf_ring(f, G)
-    assert rednf_ring(f, G).terms == expected.terms
+    assert rednf_ring(f, G).terms == rednf_ring_reference(f, G).terms
 
 
 def test_solve_lead_examples():
@@ -754,7 +754,8 @@ def test_std_basis_stops_at_a_unit(monkeypatch, tmp_path, capsys):
 
         monkeypatch.setattr(ringstd, name, wrapped)
 
-    for name in ("spoly_ring", "spoly_extended", "nf_ring", "_reduce_basis"):
+    # std_basis reduces through _nf, whose return value is the remainder
+    for name in ("spoly_ring", "spoly_extended", "_nf", "_reduce_basis"):
         recording(name)
     for m, i, unit in ((8, 203, "7"), (8, 5, "1"), (8, 145, "3"), (4, 124, "1"),
                        (4, 12, "3")):
@@ -765,7 +766,7 @@ def test_std_basis_stops_at_a_unit(monkeypatch, tmp_path, capsys):
         assert [str(g) for g in basis] == [unit], (m, i)
         # the build phase: everything before _reduce_basis starts
         build = events[:[name for name, _ in events].index("_reduce_basis")]
-        units = [k for k, (name, h) in enumerate(build) if name == "nf_ring"
+        units = [k for k, (name, h) in enumerate(build) if name == "_nf"
                  and h.terms and not any(h.lm()) and ring.mod.is_unit(h.lc())]
         assert units and str(build[units[0]][1]) == unit, (m, i)
         # no s-polynomial and no reduction after the first unit remainder
