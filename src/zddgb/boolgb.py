@@ -171,13 +171,25 @@ def greedy_nf(f: BoolPoly, G) -> BoolPoly:
     lies in the ideal of G plus the field ideal.  When G is a Groebner
     basis the result is unique; otherwise it depends on which reductor
     each step picks (see `_ReductionTable`).
+
+    The manager keeps the table of the last call's reductors in
+    `_nf_table`, as (ids of the nonzero reductors in order, table), so a
+    run of queries against one basis builds it once; the table is never
+    mutated.  One slot, not a dict of tables: it keeps no table of every
+    basis the manager has seen, and the manager's memo dicts keep only
+    ints, which the garbage collector does not track.
     """
     reductors = []
     for g in G:
         _same_ring(f, g)
         if not g.is_zero():
-            reductors.append((g, lead_vars(g)))
-    return BoolPoly(f.ring, _ReductionTable(f.ring, reductors).reduce(f.z))
+            reductors.append(g)
+    man = f.ring.manager
+    key = tuple(g.z for g in reductors)
+    if man._nf_table is None or man._nf_table[0] != key:
+        man._nf_table = (key, _ReductionTable(
+            f.ring, [(g, lead_vars(g)) for g in reductors]))
+    return BoolPoly(f.ring, man._nf_table[1].reduce(f.z))
 
 
 # -- criteria -------------------------------------------------------------------
@@ -580,16 +592,16 @@ def _variety_basis(ring: BoolRing, clauses) -> list[BoolPoly]:
 
 def _zero_set(ring: BoolRing, polys) -> PointSet:
     """The common zeros of the nonzero polys, filtered from the full cube
-    by `zeros` in ascending-lead order.
+    by `zeros` in ascending-lead order.  It serves the variety route, the
+    conjunction generator and the model of a degree or block basis.
 
     Under lex a lead whose first variable is x_k bounds every term of its
     polynomial to x_k..x_{n-1}, so the smallest leads constrain the bottom
     levels of the point-set diagram first and its upper levels stay the
     cube's chain for longer.  The set is the same in any order, but its
-    intermediate diagrams are not: in lead-descending order mult6_tampered's
-    basis built 401 k nodes against 27 k, and fewest terms first, which
-    ignores the levels, built 5.8 M nodes in 40 s on random 2-CNF with 160
-    clauses over 80 variables, against 21 k in 0.12 s.
+    intermediate diagrams are not: fewest terms first, which ignores the
+    levels, built 5.8 M nodes in 40 s on random 2-CNF with 160 clauses over
+    80 variables, against 21 k in 0.12 s.
     """
     key = ring.sort_key
     variety = PointSet.full_cube(ring)
@@ -656,16 +668,23 @@ def sat_check(gens, preprocess: str | None = None):
     """Decide solvability of {g = 0 : g in gens} over {0,1}^n.
 
     Returns ("UNSAT", None) when the basis collapses to {1}; otherwise
-    ("SAT", model) with the lex-smallest point of the basis's variety,
-    computed by `zeros` over the full cube and verified.  With
-    preprocess="conjunction" the system is first collapsed to its unique
-    ideal generator, read off its zero set (`conjunction_generator`), and
-    the basis of that one generator is computed, as the benchmark runs do.
-    The basis comes from `buchberger`, so a dense clause system under lp
-    (plain CNF, which `cnf_to_polys` encodes clause by clause) is decided
-    by its zero set, with no pair loop; the verdict and model are the
-    same on either route, because the basis is.  The variety is
-    intersected in ascending-lead order (`_zero_set`).
+    ("SAT", model), verified on every generator.  The model is the least
+    point of the basis's variety V when points are compared from x_{n-1}
+    first, that is min(V, key=lambda p: p[::-1]), under every ordering.
+    With preprocess="conjunction" the system is first collapsed to its
+    unique ideal generator, read off its zero set (`conjunction_generator`),
+    and the basis of that one generator is computed, as the benchmark runs
+    do.  The basis comes from `buchberger`, so a dense clause system under
+    lp (plain CNF, which `cnf_to_polys` encodes clause by clause) is
+    decided by its zero set, with no pair loop; the verdict and model are
+    the same on either route, because the basis is.
+
+    Under lp the basis is an elimination basis and the model is read off
+    it by `_elimination_point`, which never builds V: tampered mult8 took
+    7.4 s and 478 MB by a walk over V, against 0.69 s and 119 MB, and for
+    sparse wide CNF V cannot be built at all.  A degree or block basis is
+    no elimination basis, so there the model is the walk `_least_point`
+    over V (`_zero_set`).
     """
     gens = list(gens)
     if not gens:
@@ -680,25 +699,47 @@ def sat_check(gens, preprocess: str | None = None):
     basis = buchberger(work)
     if basis and basis[0].is_one():
         return "UNSAT", None
-    model = _lex_min_point(_zero_set(ring, basis))
+    if ring.blocks is None:
+        model = _elimination_point(ring, basis)
+    else:
+        model = _least_point(_zero_set(ring, basis))
     for g in gens:
         if eval_poly(g, model) != 0:
             raise AssertionError("witness fails a generator; engine bug")
     return "SAT", model
 
 
-def _lex_min_point(S: PointSet) -> tuple[int, ...]:
-    """The lex-smallest point of the nonempty point set S: the walk takes
-    x_i = 0 whenever some point below allows it."""
+def _elimination_point(ring: BoolRing, basis) -> tuple[int, ...]:
+    """The x_{n-1}-first least zero of the lex basis of a proper ideal
+    that holds the field ideal.
+
+    An element whose top variable is x_k lies in F_2[x_k..x_{n-1}], and the
+    elements of top variable k or more are a basis of the projection of V
+    onto x_k..x_{n-1} (elimination theorem).  V is finite, so each point of
+    one projection extends to the next (extension theorem): from x_{n-1}
+    down to x_0, x_k = 1 exactly when an element of top variable k does not
+    vanish at x_k = 0.  No diagram node is made."""
+    var = ring.manager._var
+    levels: list[list[BoolPoly]] = [[] for _ in range(ring.n)]
+    for g in basis:
+        levels[var[g.z]].append(g)
+    point = [0] * ring.n
+    for k in range(ring.n - 1, -1, -1):
+        if any(eval_poly(g, point) for g in levels[k]):
+            point[k] = 1
+    return tuple(point)
+
+
+def _least_point(S: PointSet) -> tuple[int, ...]:
+    """The x_{n-1}-first least point of the nonempty point set S: from
+    x_{n-1} down, keep the points with x_k = 0 when there are any; one
+    point is left."""
     ring = S.ring
     man = ring.manager
-    assign = [0] * ring.n
     z = S.z
-    while z > ONE:
-        e = man.else_branch(z)
-        if e != ZERO:
-            z = e
-        else:
-            assign[man.top(z)] = 1
-            z = man.then_branch(z)
-    return tuple(assign)
+    for k in range(ring.n - 1, -1, -1):
+        z0 = man.subset0(z, k)
+        if z0 != ZERO:
+            z = z0
+    ones = set(man.path_vars(man.first_path(z)))
+    return tuple(int(v in ones) for v in range(ring.n))

@@ -197,7 +197,8 @@ def cmd_sat(args) -> int:
     if polys:
         verdict, model = sat_check(polys, preprocess=preprocess)
     else:
-        # no constraints: every point is a model, the lex-smallest is 0...0
+        # no constraints: every point is a model, and sat_check's least
+        # point (compared from the last variable first) is 0...0
         verdict, model = "SAT", (0,) * ring.n
     seconds = time.perf_counter() - t0
     if verdict == "UNSAT":

@@ -88,6 +88,8 @@ class ZddManager:
         self._bmul: dict = {}
         self._nfmon: dict = {}
         self._deg: dict = {}
+        # greedy_nf's table of its last reductor list: (reductor ids, table)
+        self._nf_table = None
         # interp
         self._zeros: dict = {}
         self._ilex: dict = {}

@@ -1,9 +1,14 @@
 import itertools
+import json
+import os
 import random
 import signal
+import subprocess
+import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -824,7 +829,7 @@ def test_variety_route_agrees_with_pair_loop_and_brute_force():
         assert buchberger(gens) == buchberger(gens, Strategy()) == expected, name
         verdict, model = sat_check(gens)
         if pts:
-            assert (verdict, model) == ("SAT", min(pts)), name
+            assert (verdict, model) == ("SAT", min(pts, key=lambda p: p[::-1])), name
         else:
             assert (verdict, model) == ("UNSAT", None), name
 
@@ -923,17 +928,17 @@ def test_sat_models_verified():
         vin = variety([g.term_set() for g in gens], n)
         if verdict == "SAT":
             assert model in vin
-            assert model == min(vin)
+            assert model == min(vin, key=lambda p: p[::-1])
         else:
             assert not vin
 
 
 @settings(max_examples=150)
 @given(orderings(max_n=8), st.integers(0, 2**32))
-def test_sat_model_is_lex_min_of_variety(n_ordering, seed):
+def test_sat_model_is_least_point_from_last_variable(n_ordering, seed):
     """The verdict matches the brute-force variety under every ordering,
-    and the model is its lex-smallest point, whatever order the basis is
-    intersected in."""
+    and the model is its least point compared from x_{n-1} first, whether
+    it is read off the lex basis or off the variety of a degree basis."""
     n, ordering = n_ordering
     ring = BoolRing.indexed(n, ordering)
     rnd = random.Random(seed)
@@ -943,20 +948,94 @@ def test_sat_model_is_lex_min_of_variety(n_ordering, seed):
     verdict, model = sat_check(gens)
     vin = variety([g.term_set() for g in gens], n)
     if vin:
-        assert verdict == "SAT" and model == min(vin)
+        assert verdict == "SAT" and model == min(vin, key=lambda p: p[::-1])
     else:
         assert (verdict, model) == ("UNSAT", None)
 
 
 def test_mult5_tampered_model_node_budget():
     # regression guard on model extraction: the count is deterministic,
-    # 7,396 nodes when the variety is intersected in ascending-lead order
-    # and 57,967 in lead-descending order
+    # 2,581 nodes since the model is read off the lex basis by elimination
+    # (6,360 by a walk over the variety intersected in ascending-lead
+    # order, 57,967 in lead-descending order); the budget leaves 16 %
     system = mult_verification(5, tamper=True)
     man = system.ring.manager
     before = len(man)
     assert sat_check(system.polys)[0] == "SAT"
-    assert len(man) - before <= 12_000
+    assert len(man) - before <= 3_000
+
+
+def test_mult8_tampered_model_node_budget():
+    # the count is deterministic: 133,859 nodes, all of them the basis's,
+    # against 486,023 when the model was read off the variety; the budget
+    # leaves 12 %
+    system = mult_verification(8, tamper=True)
+    man = system.ring.manager
+    before = len(man)
+    assert sat_check(system.polys)[0] == "SAT"
+    assert len(man) - before <= 150_000
+
+
+def test_lp_model_builds_no_variety(monkeypatch):
+    # a tampered multiplier is no clause system, so under lp neither the
+    # basis nor the model reads the zero set, and the model step alone
+    # creates no node
+    calls = []
+    monkeypatch.setattr(boolgb, "_zero_set",
+                        lambda ring, polys: calls.append(ring))
+    system = mult_verification(5, tamper=True)
+    verdict, model = sat_check(system.polys)
+    assert verdict == "SAT" and not calls
+    basis = buchberger(system.polys)
+    man = system.ring.manager
+    before = len(man)
+    assert boolgb._elimination_point(system.ring, basis) == model
+    assert len(man) == before
+
+
+def test_sat_model_same_under_every_ordering():
+    # the model is the x_{n-1}-first least point of V, which no ordering
+    # changes, whether it is read off the lex basis or off V
+    rnd = random.Random(44)
+    systems = [(3, [[1, -2], [2, 3]])]
+    systems += [(8, random_cnf(rnd, 8, m)) for m in (6, 12, 18, 24, 30)]
+    for n, clauses in systems:
+        models = set()
+        for ordering in ("lp", "dlex", "dp_asc", f"block(dp_asc:{n // 2},dlex:{n})"):
+            gens = cnf_to_polys((n, clauses), ordering).polys
+            models.add(sat_check(gens))
+        vin = variety([g.term_set() for g in gens], n)
+        expected = (("SAT", min(vin, key=lambda p: p[::-1])) if vin
+                    else ("UNSAT", None))
+        assert models == {expected}, clauses
+    assert sat_check(cnf_to_polys(systems[0]).polys) == ("SAT", (1, 1, 0))
+
+
+SPARSE_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from zddgb.boolgb import sat_check
+from zddgb.encode import cnf_to_polys
+n, clauses = json.load(sys.stdin)
+print(json.dumps(sat_check(cnf_to_polys((n, clauses)).polys)))
+"""
+
+
+def test_sparse_wide_cnf_model_under_address_space_cap():
+    # V of 40 random 3-clauses over 300 variables is too wide a diagram
+    # to build: a walk over it exhausted a 1 GiB cap, which the model read
+    # off the lex basis stays far below
+    clauses = random_cnf(random.Random(40), 300, 40)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", SPARSE_CHILD],
+                          input=json.dumps([300, clauses]),
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    verdict, model = json.loads(proc.stdout)
+    assert verdict == "SAT" and len(model) == 300
+    for clause in clauses:
+        assert any(model[abs(lit) - 1] == (lit > 0) for lit in clause)
 
 
 def test_hole4_plain_node_budget():

@@ -186,7 +186,7 @@ def test_sat_order_applies_to_dimacs(tmp_path, capsys):
     for order in ("lp", "dlex", "dp_asc", "block(dp_asc:1,dlex:3)"):
         code, out, _ = run(capsys, "sat", path, "--order", order)
         assert code == 10
-        assert out.splitlines() == ["s SATISFIABLE", "v -1 -2 3 0"]
+        assert out.splitlines() == ["s SATISFIABLE", "v 1 2 -3 0"]
 
 
 def test_sat_conjunction_preprocess(tmp_path, capsys):
