@@ -3,9 +3,10 @@
 Subcommands: gb, nf, sat, zeros, interp, encode.  Exit codes: 0 on
 success, 2 on parse errors, 3 on internal invariant violations, 4 when an
 input exceeds a resource limit (recursion depth, memory, 2^32 diagram
-nodes, or an exponent or degree past 32767 over Z/m); `sat` follows the
-SAT-solver convention of 10 (satisfiable, model printed) and 20
-(unsatisfiable).
+nodes, or an exponent or degree past 32767 over Z/m; memory includes the
+SystemError that CPython raises when it runs out deep in a recursion);
+`sat` follows the SAT-solver convention of 10 (satisfiable, model
+printed) and 20 (unsatisfiable).
 """
 
 from __future__ import annotations
@@ -41,10 +42,7 @@ def read_system(text: str, order: str | None, modulus: int | None = None):
     file_mod = None
     first: dict[str, int] = {}  # directive -> line of its first occurrence
     polys_src: list[tuple[int, str]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in enc._content_lines(text):
         head, *rest = line.split(None, 1)
         arg = rest[0] if rest else ""
         if head not in ("vars", "order", "mod"):
@@ -112,10 +110,7 @@ def read_points(text: str, values: bool):
     pts, vals = [], []
     seen: dict[str, tuple[int, int]] = {}  # bits -> (value, line)
     width = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in enc._content_lines(text):
         parts = line.split()
         bits = parts[0]
         if not set(bits) <= {"0", "1"}:
@@ -332,7 +327,7 @@ def main(argv=None) -> int:
     except ExponentOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, SystemError) as exc:
         # the diagram recursions take one frame per variable level
         print(f"error: resource limit reached ({str(exc) or type(exc).__name__})",
               file=sys.stderr)

@@ -43,6 +43,16 @@ class Circuit:
     disequality: tuple[str, str] | None = None
 
 
+def _content_lines(text: str):
+    """(number from 1, line) for each line of text, cut at `#` and
+    stripped, that is not blank; circuit, system and point files share
+    this rule."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield ln, line
+
+
 def parse_circuit(text: str) -> Circuit:
     """Line-oriented format: wordlen, signal, assign, assert, disequal.
 
@@ -52,10 +62,7 @@ def parse_circuit(text: str) -> Circuit:
     declared: dict[str, int] = {}      # signal -> line of its declaration
     uses: list[tuple[str, int]] = []   # (signal, line) in reading order
     first: dict[str, int] = {}         # wordlen/disequal -> its line
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in _content_lines(text):
         parts = line.split()
         kw = parts[0]
         if kw in ("wordlen", "disequal"):

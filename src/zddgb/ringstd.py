@@ -1,11 +1,16 @@
 """Standard bases for polynomial ideals over Z/m.
 
 Z/m is weak factorial, and in Z/m the ideal (a) equals (gcd(a, m)): the
-coefficient arithmetic (divisibility, lcm, annihilators, exact division)
-is integer gcd arithmetic, with no factorization of m.  Buchberger's
-loop gains extended s-polynomials (annihilator multiples) and a zero-divisor
-criterion on top of the classical product and chain criteria.  Orderings
-are global (lex or degree-lex), with variable index 0 the largest.
+coefficient arithmetic of `Modulus` (divisibility, lcm, annihilators,
+exact division, and `solve`, which writes a lead coefficient over the
+leads of several reducers) is integer gcd arithmetic; only
+`Modulus.primes` factorizes m.  Buchberger's loop gains extended
+s-polynomials (annihilator multiples) and a zero-divisor criterion on top
+of the classical product and chain criteria.  Orderings are global (lex
+or degree-lex), with variable index 0 the largest.  Every normal form
+reduces against a table of reducer leads ordered by ecart (`_table`),
+built once per `nf_ring` or `rednf_ring` call, once per `std_basis` run
+and once per reduced basis.
 
 Polynomials are sorted term lists whose monomials are packed ints (as in
 Bachmann and Schoenemann, "Monomial representations for Groebner bases
@@ -36,34 +41,10 @@ from dataclasses import dataclass
 from .boolpoly import _parse_terms, _same_ring, check_names
 
 
-def factorize(m: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization by trial division.  Only `Modulus.primes` calls
-    it, for `nu`, `core` and `unit_normalize`; the solver never does."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    out = []
-    d, rest = 2, m
-    while d * d <= rest:
-        if rest % d == 0:
-            e = 0
-            while rest % d == 0:
-                rest //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if rest > 1:
-        out.append((rest, 1))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Modulus:
-    """The coefficient ring Z/m, m >= 2.
-
-    In Z/m the ideal (a) equals (gcd(a, m)), so divisibility, lcm, gcd,
-    annihilators and exact division all come from one integer gcd; only
-    the methods indexed by the primes of m factorize it.
-    """
+    """The coefficient ring Z/m, m >= 2: integer gcd arithmetic, except
+    `primes` and the methods that read it (module docstring)."""
 
     m: int
 
@@ -73,7 +54,19 @@ class Modulus:
 
     @property
     def primes(self) -> tuple[tuple[int, int], ...]:
-        return factorize(self.m)
+        """(p, e) for each prime power p^e exactly dividing m."""
+        out, d, rest = [], 2, self.m
+        while d * d <= rest:
+            e = 0
+            while rest % d == 0:
+                rest //= d
+                e += 1
+            if e:
+                out.append((d, e))
+            d += 1 if d == 2 else 2
+        if rest > 1:
+            out.append((rest, 1))
+        return tuple(out)
 
     def nu(self, a: int) -> tuple[int, ...]:
         """Capped valuation vector: min(v_p(a), e_p) per prime of m."""
@@ -139,38 +132,26 @@ class Modulus:
         k = m // g
         return a // g * pow(b // g, -1, k) % k
 
-
-def solve_lead(mod: Modulus, c: int, coeffs) -> list[int] | None:
-    """Coefficients x_i with sum x_i * coeffs[i] = c mod m, or None.
-
-    The first single divisor wins: one nonzero x_i.  Otherwise one
-    extended-gcd pass over coeffs stops at the shortest prefix whose gcd
-    divides c, and the x_i past it are 0.  Solvable iff gcd(coeffs, m)
-    divides c.
-    """
-    coeffs = list(coeffs)
-    for i, a in enumerate(coeffs):
-        if mod.divides(a, c):
-            out = [0] * len(coeffs)
-            out[i] = mod.div_exact(c, a)
-            return out
-    m = mod.m
-    g = m
-    us: list[int] = []
-    for a in coeffs:
-        g, u, v = _ext_gcd(g, a)
-        us = [x * u % m for x in us] + [v % m]
-        if c % g == 0:
-            scale = c // g % m
-            return [x * scale % m for x in us] + [0] * (len(coeffs) - len(us))
-    return None
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
+    def solve(self, c: int, coeffs) -> list[int] | None:
+        """x_i in [0, m) with sum x_i * coeffs[i] = c mod m, or None when
+        gcd(coeffs, m) does not divide c.  One extended-gcd pass stops at
+        the shortest prefix whose gcd divides c; the x_i past it are 0."""
+        m = self.m
+        g, xs = m, []
+        for a in coeffs:
+            if c % g == 0:
+                break
+            # extended Euclid on (g, a), iteratively: u*g + v*a = r = gcd
+            r, r1, v, v1 = g, a, 0, 1
+            while r1:
+                q = r // r1
+                r, r1, v, v1 = r1, r - q * r1, v1, v - q * v1
+            u = (r - v * a) // g
+            g, xs = r, [x * u % m for x in xs] + [v % m]
+        if c % g:
+            return None
+        scale = c // g % m
+        return [x * scale % m for x in xs] + [0] * (len(coeffs) - len(xs))
 
 
 # -- packed monomials and polynomials -------------------------------------------
@@ -505,11 +486,10 @@ def nf_ring(f: ZmPoly, G) -> ZmPoly:
     """Polynomial weak normal form: the result is 0 or has its leading term
     outside the leading ideal of the reducer set.
 
-    The reducers are ordered once per call by ecart, ties by position in
-    G, in the table that `_nf` reduces against.  The orderings are global,
-    so the lead falls strictly at every step; Mora's device of appending
-    the remainder to the reducers is not needed, since no later lead could
-    be its multiple.
+    `_nf` reduces against the reducers' table, built once per call.  The
+    orderings are global, so the lead falls strictly at every step; Mora's
+    device of appending the remainder to the reducers is not needed, since
+    no later lead could be its multiple.
     """
     return _nf(f, _table(f, G))
 
@@ -527,12 +507,12 @@ def _table(f: ZmPoly, G) -> list:
 def _nf(f: ZmPoly, T) -> ZmPoly:
     """Weak normal form of f against a table built as by `_table`.
 
-    Each step scans T for the reducers whose lead divides lm(f).  The
-    first whose lead coefficient divides lc(f) is subtracted alone;
-    when none does, the lead coefficients of all of them, in table order,
-    go to one `solve_lead` call, which solves over the shortest ecart
-    prefix it can.  Each reducer used is subtracted in one merge,
-    f - x*t*g.
+    Each step scans T for the reducers whose lead divides lm(f) and
+    subtracts the first whose lead coefficient divides lc(f): the only
+    single-divisor test.  When none does and there are some, their lead
+    coefficients, in table order, go to one `Modulus.solve` call, which
+    solves over the shortest ecart prefix it can.  Each reducer used is
+    subtracted in one merge, f - x*t*g.
     """
     ring = f.ring
     mod = ring.mod
@@ -551,10 +531,8 @@ def _nf(f: ZmPoly, T) -> ZmPoly:
                     break
                 cands.append(t)
         else:
-            if not cands:
-                return f
-            sol = solve_lead(mod, cf, [c for _, c, _ in cands])
-            if sol is None:
+            sol = cands and mod.solve(cf, [c for _, c, _ in cands])
+            if not sol:
                 return f
             for (mg, _, g), x in zip(cands, sol):
                 if x:
@@ -564,7 +542,11 @@ def _nf(f: ZmPoly, T) -> ZmPoly:
 
 def rednf_ring(f: ZmPoly, G) -> ZmPoly:
     """Tail-reduced normal form: weak NF applied to every remaining term."""
-    T = _table(f, G)
+    return _rednf(f, _table(f, G))
+
+
+def _rednf(f: ZmPoly, T) -> ZmPoly:
+    """`rednf_ring` against a table built as by `_table`."""
     kept = []
     while True:
         f = _nf(f, T)
@@ -615,11 +597,8 @@ def std_basis(gens, strategy: RingStrategy | None = None) -> list[ZmPoly]:
     reduces to zero against the result.  Deterministic.  The loop stops as
     soon as a remainder is a unit constant u: the ideal is then the whole
     ring, u divides every lead, every later remainder would reduce to 0,
-    and the reduced basis is [u].
-
-    The reducer order is set once per basis: every reduction runs `_nf`
-    against one table of G's leads, ordered by ecart, ties by position in
-    G, into which each new element is inserted once.
+    and the reduced basis is [u].  Every reduction runs `_nf` against
+    one table of G's leads, into which each new element is inserted once.
     """
     gens = list(gens)
     for g in gens:
@@ -743,9 +722,9 @@ def _reduce_basis(G) -> list[ZmPoly]:
         if not any((top - h._t[0][0]) & guard == guard
                    and mod.divides(h._t[0][1], cg) for h in kept):
             kept.append(g)
-    out = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        reduced = ZmPoly._canonical(ring, g._t[:1]) + rednf_ring(g.tail(), others)
-        out.append(reduced)
+    # one table: the ecart sort is stable, so g's entry left out is the
+    # table of the others in their order in kept
+    T = _table(kept[0], kept)
+    out = [ZmPoly._canonical(ring, g._t[:1])
+           + _rednf(g.tail(), [t for t in T if t[2] is not g]) for g in kept]
     return sorted(out, key=lambda g: g._t[0], reverse=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from zddgb.boolpoly import _nf_mon
 from zddgb.interp import PointSet, standard_monomials
-from zddgb.ringstd import ZmPoly, solve_lead
+from zddgb.ringstd import ZmPoly
 from zddgb.zdd import ONE, ZddManager
 
 
@@ -348,6 +348,43 @@ def zm_div_exact(m: int, a: int, b: int) -> int:
     bump = math.prod(p for p, _ in zm_prime_powers(m) if n % p)
     u = (n + m // core * bump) % m
     return pow(u, -1, m) * a % m // core
+
+
+# the lead-coefficient solve as the engine had it before `Modulus.solve`
+# (single divisor first, then a recursive extended-gcd prefix pass), kept
+# verbatim: the normal-form references reduce with it, so they share no
+# solver code with the engine
+def solve_lead(mod, c: int, coeffs) -> list[int] | None:
+    """Coefficients x_i with sum x_i * coeffs[i] = c mod m, or None.
+
+    The first single divisor wins: one nonzero x_i.  Otherwise one
+    extended-gcd pass over coeffs stops at the shortest prefix whose gcd
+    divides c, and the x_i past it are 0.  Solvable iff gcd(coeffs, m)
+    divides c.
+    """
+    coeffs = list(coeffs)
+    for i, a in enumerate(coeffs):
+        if mod.divides(a, c):
+            out = [0] * len(coeffs)
+            out[i] = mod.div_exact(c, a)
+            return out
+    m = mod.m
+    g = m
+    us: list[int] = []
+    for a in coeffs:
+        g, u, v = _ext_gcd(g, a)
+        us = [x * u % m for x in us] + [v % m]
+        if c % g == 0:
+            scale = c // g % m
+            return [x * scale % m for x in us] + [0] * (len(coeffs) - len(us))
+    return None
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    if b == 0:
+        return a, 1, 0
+    g, x, y = _ext_gcd(b, a % b)
+    return g, y, x - (a // b) * y
 
 
 # -- checks on the package's own types -------------------------------------------

@@ -503,6 +503,22 @@ def test_resource_limits_exit_4(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_system_error_exit_4(tmp_path, capsys, monkeypatch):
+    # out of memory deep in a recursion, CPython can raise SystemError
+    # rather than MemoryError; it exits 4 like any resource limit
+    import zddgb.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise SystemError("error return without exception set")
+
+    monkeypatch.setattr(cli, "sat_check", exhausted)
+    cnf = write(tmp_path, "f.cnf", "p cnf 2 1\n1 2 0\n")
+    code, out, err = run(capsys, "sat", cnf)
+    assert code == 4 and out == ""
+    assert err == ("error: resource limit reached "
+                   "(error return without exception set)\n")
+
+
 def test_node_id_limit_exit_4(tmp_path, capsys, monkeypatch):
     import zddgb.zdd as zdd
 

@@ -14,6 +14,7 @@ from oracles import (
     is_strong_basis,
     nf_ring_reference,
     rednf_ring_reference,
+    solve_lead,
     verify_standard_rep,
     zm_annihilator_set,
     zm_div_exact,
@@ -34,7 +35,6 @@ from zddgb.ringstd import (
     ZmRing,
     nf_ring,
     rednf_ring,
-    solve_lead,
     spoly_extended,
     spoly_ring,
     std_basis,
@@ -305,10 +305,30 @@ def test_nf_ring_matches_reference(case):
 
 
 def test_solve_lead_examples():
-    assert solve_lead(Modulus(8), 4, [2]) == [2]
-    sol = solve_lead(Modulus(12), 1, [4, 3])
+    assert Modulus(8).solve(4, [2]) == [2]
+    sol = Modulus(12).solve(1, [4, 3])
     assert sol is not None and (4 * sol[0] + 3 * sol[1]) % 12 == 1
-    assert solve_lead(Modulus(8), 1, [2]) is None
+    assert Modulus(8).solve(1, [2]) is None
+
+
+@settings(max_examples=400)
+@given(st.sampled_from((4, 8, 6, 12, 30, 36, 2**61 - 1)).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(0, m - 1),
+                        st.lists(st.integers(0, m - 1), max_size=4))))
+def test_modulus_solve_property(case):
+    # solvable exactly when gcd(coeffs, m) divides c; then the solution is
+    # reduced mod m and zero past the shortest prefix whose gcd divides c
+    m, c, coeffs = case
+    sol = Modulus(m).solve(c, coeffs)
+    if c % math.gcd(*coeffs, m):
+        assert sol is None
+        return
+    assert sol is not None and len(sol) == len(coeffs)
+    assert sum(x * a for x, a in zip(sol, coeffs)) % m == c
+    assert all(0 <= x < m for x in sol)
+    k = next(k for k in range(len(coeffs) + 1)
+             if c % math.gcd(*coeffs[:k], m) == 0)
+    assert not any(sol[k:])
 
 
 # -- standard bases -----------------------------------------------------------------------
@@ -414,10 +434,10 @@ def test_solver_path_never_factorizes(monkeypatch, tmp_path, capsys):
     # factorization unavailable a prime modulus near 2^61 is as cheap as 12
     from zddgb import cli, ringstd
 
-    def no_factorize(m):
-        raise AssertionError(f"factorize({m}) called")
+    def no_factorize(mod):
+        raise AssertionError(f"Modulus({mod.m}).primes read")
 
-    monkeypatch.setattr(ringstd, "factorize", no_factorize)
+    monkeypatch.setattr(ringstd.Modulus, "primes", property(no_factorize))
     for m in (12, 2**61 - 1):
         R = ZmRing(m, ["x", "y"])
         gens = [R.parse("2*x + 3*y"), R.parse("x*y + 5"), R.parse("6*y^2 + 4")]
@@ -800,7 +820,7 @@ def test_multi_prime_reductions_unchanged(monkeypatch):
     from zddgb import ringstd
 
     combos = 0
-    solve = ringstd.solve_lead
+    solve = ringstd.Modulus.solve
 
     def counting_solve(mod, c, coeffs):
         nonlocal combos
@@ -808,7 +828,7 @@ def test_multi_prime_reductions_unchanged(monkeypatch):
         combos += sol is not None and sum(1 for x in sol if x) > 1
         return sol
 
-    monkeypatch.setattr(ringstd, "solve_lead", counting_solve)
+    monkeypatch.setattr(ringstd.Modulus, "solve", counting_solve)
     h = hashlib.sha256()
     for m in (6, 12, 30, 36):
         for i in range(32):
