@@ -177,14 +177,16 @@ def greedy_nf(f: BoolPoly, G) -> BoolPoly:
     run of queries against one basis builds it once; the table is never
     mutated.  One slot, not a dict of tables: it keeps no table of every
     basis the manager has seen, and the manager's memo dicts keep only
-    ints, which the garbage collector does not track.
+    ints, which the garbage collector does not track.  The slot is emptied
+    with the memos when the thread activates another manager.
     """
+    man = f.ring.manager
+    man.activate()
     reductors = []
     for g in G:
         _same_ring(f, g)
         if not g.is_zero():
             reductors.append(g)
-    man = f.ring.manager
     key = tuple(g.z for g in reductors)
     if man._nf_table is None or man._nf_table[0] != key:
         man._nf_table = (key, _ReductionTable(
@@ -495,6 +497,7 @@ def buchberger(gens, strategy: Strategy | None = None) -> list[BoolPoly]:
     if not gens:
         return []
     ring = gens[0].ring
+    ring.manager.activate()
     for f in gens:
         _same_ring(gens[0], f)
     if strategy is None and ring.blocks is None:
@@ -624,6 +627,7 @@ def interreduce(basis):
     if not basis:
         return []
     ring = basis[0].ring
+    ring.manager.activate()
     if any(g.is_one() for g in basis):
         return [ring.one]
     key = ring.sort_key
@@ -657,6 +661,7 @@ def conjunction_generator(gens) -> BoolPoly:
     """
     gens = list(gens)
     ring = gens[0].ring
+    ring.manager.activate()
     for g in gens:
         _same_ring(gens[0], g)
     variety = _zero_set(ring, [g for g in gens if not g.is_zero()])
@@ -690,6 +695,7 @@ def sat_check(gens, preprocess: str | None = None):
     if not gens:
         raise ValueError("sat_check needs at least one polynomial")
     ring = gens[0].ring
+    ring.manager.activate()
     if preprocess == "conjunction":
         work = [conjunction_generator(gens)]
     elif preprocess is None:

@@ -503,11 +503,22 @@ def terms_iter(f: BoolPoly):
 # -- evaluation -----------------------------------------------------------------
 
 
-def eval_poly(f: BoolPoly, point) -> int:
-    """Value of f's Boolean function at a 0/1 point."""
+def _check_point(ring: BoolRing, point) -> tuple:
+    """point as a tuple, when it is a 0/1 vector (bools count) with one
+    coordinate per variable of ring; ValueError naming it otherwise."""
     point = tuple(point)
-    if len(point) != f.ring.n:
-        raise ValueError("point length must match the variable count")
+    if len(point) != ring.n:
+        raise ValueError(f"point {point!r}: length must match the variable "
+                         f"count {ring.n}")
+    # two scans in C, not a Python step per coordinate
+    if point.count(0) + point.count(1) != len(point):
+        raise ValueError(f"point {point!r}: coordinates must be 0 or 1")
+    return point
+
+
+def eval_poly(f: BoolPoly, point) -> int:
+    """Value of f's Boolean function at a 0/1 point (bools count)."""
+    point = _check_point(f.ring, point)
     man = f.ring.manager
     memo: dict[int, int] = {}
 

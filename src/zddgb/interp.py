@@ -8,7 +8,10 @@ points is a ZDD over the same manager as the polynomials it meets.
 
 from __future__ import annotations
 
-from .boolpoly import BoolPoly, BoolRing, _contains_empty, _same_ring
+from itertools import compress
+
+from .boolpoly import (BoolPoly, BoolRing, _check_point, _contains_empty,
+                       _same_ring)
 from .zdd import ONE, ZERO, ZddManager
 
 
@@ -27,11 +30,11 @@ class PointSet:
 
     @classmethod
     def from_points(cls, ring: BoolRing, points) -> "PointSet":
-        points = [tuple(p) for p in points]
-        if any(len(p) != ring.n for p in points):
-            raise ValueError("point length must match the variable count")
+        """The set of the given 0/1 points (bools count); ValueError names
+        the first point of the wrong length or with another coordinate."""
+        points = [_check_point(ring, p) for p in points]
         return cls(ring, ring.manager.from_sets(
-            [i for i, b in enumerate(p) if b] for p in points))
+            compress(range(ring.n), p) for p in points))
 
     @classmethod
     def full_cube(cls, ring: BoolRing) -> "PointSet":
@@ -90,7 +93,9 @@ class PartialFn:
 def zeros(p: BoolPoly, S: PointSet) -> PointSet:
     """{s in S : p(s) = 0}, by one cached recursion over both diagrams."""
     _same_ring(p, S)
-    return PointSet(S.ring, _zeros(S.ring.manager, p.z, S.z))
+    man = S.ring.manager
+    man.activate()
+    return PointSet(S.ring, _zeros(man, p.z, S.z))
 
 
 def _zeros(man: ZddManager, p: int, S: int) -> int:
@@ -136,6 +141,7 @@ def interpolate_smallest_lex(b: PartialFn) -> BoolPoly:
     to polynomials (term by term, 0 smallest overall).
     """
     man = b.ring.manager
+    man.activate()
     return BoolPoly(b.ring, _interp_lex(man, b.domain().z, b.ones.z))
 
 
@@ -179,6 +185,7 @@ def _interp_lex(man: ZddManager, D: int, O: int) -> int:
 def nf_by_interpolate(f: BoolPoly, P: PointSet) -> BoolPoly:
     """Reduced lex normal form of f modulo the vanishing ideal of P."""
     man = P.ring.manager
+    man.activate()
     return BoolPoly(f.ring, _interp_lex(man, P.z, man.diff(P.z, zeros(f, P).z)))
 
 
@@ -189,6 +196,7 @@ def standard_monomials(P: PointSet) -> int:
     SM(P) = x_i * SM(P1 ∩ P0) ∪ SM(P1 ∪ P0) (Felszeghy, Ráth and Rónyai,
     "The lex game and some applications", J. Symb. Comput. 41, 2006).
     """
+    P.ring.manager.activate()
     return _standard_monomials(P.ring.manager, P.z)
 
 
@@ -228,6 +236,7 @@ def points_gb(P: PointSet) -> list[BoolPoly]:
     """
     ring = P.ring
     man = ring.manager
+    man.activate()
     n = ring.n
     var, then, els = man._var, man._then, man._else
     memo: dict = {}

@@ -14,6 +14,8 @@ is exited through the then-edge.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Iterator
 
 
@@ -32,13 +34,37 @@ ONE = 1
 # node ids fill a 32-bit field of the unique-table and memo keys
 NODE_ID_LIMIT = 1 << 32
 
+# the operation memos of a manager, here and in the polynomial and variety
+# layers; `reset` and the drop in `activate` empty exactly these
+MEMOS = (
+    # kernel operations
+    "_union", "_intersect", "_diff", "_xor", "_subset0", "_subset1",
+    "_change", "_count",
+    # boolpoly and boolgb
+    "_bmul", "_nfmon", "_deg",
+    # interp
+    "_zeros", "_ilex", "_stdmon",
+)
+
+# per thread: a weak reference to the manager that last called `activate`
+_active = threading.local()
+
 
 class ZddManager:
     """Arena of hash-consed ZDD nodes over a fixed number of variables.
 
-    All nodes and operation caches live until `reset()`.  A manager and
-    every identifier derived from it are confined to a single logical
-    thread; independent computations should use independent managers.
+    Nodes live until `reset()`.  The operation memos are a disposable
+    cache beside the unique table, like the computed table of Brace,
+    Rudell and Bryant (DAC 1990), and they serve only the manager in use:
+    each engine entry point (`greedy_nf`, `buchberger`, `points_gb`,
+    `zeros`, ...) calls `activate()` first, which empties the memos of the
+    manager that this thread activated last, if that is another one and
+    still alive.  Nothing but time depends on the memos: node ids, and
+    every polynomial, point set and printed basis, stay valid and
+    unchanged.  They are not emptied when a call returns, since repeated
+    queries against one basis reuse them.  A manager and every identifier
+    derived from it are confined to a single logical thread; independent
+    computations should use independent managers.
 
     The unique table `_unique` is a list of dicts, one per variable; the
     subtable of v maps `t << 32 | e` to the node (v, t, e).  Each cached
@@ -75,25 +101,37 @@ class ZddManager:
         self._else = [0, 0]
         # one subtable per variable: t << 32 | e -> node (v, t, e)
         self._unique: list[dict[int, int]] = [{} for _ in range(self.num_vars)]
-        # kernel operations
-        self._union: dict = {}
-        self._intersect: dict = {}
-        self._diff: dict = {}
-        self._xor: dict = {}
-        self._subset0: dict = {}
-        self._subset1: dict = {}
-        self._change: dict = {}
-        self._count: dict = {}
-        # boolpoly and boolgb
-        self._bmul: dict = {}
-        self._nfmon: dict = {}
-        self._deg: dict = {}
+        self._drop_memos()
+
+    def _drop_memos(self) -> None:
+        """Empty every memo (`MEMOS`) and greedy_nf's table slot."""
+        for name in MEMOS:
+            setattr(self, name, {})
         # greedy_nf's table of its last reductor list: (reductor ids, table)
         self._nf_table = None
-        # interp
-        self._zeros: dict = {}
-        self._ilex: dict = {}
-        self._stdmon: dict = {}
+
+    def activate(self) -> None:
+        """Make this the manager in use by the calling thread.
+
+        When the thread last activated another manager that is still
+        alive, that manager's memos are emptied first.  Its nodes stay, so
+        its diagrams stay valid; a later call on it fills its memos again.
+        The previous manager is held by a weak reference, so activation
+        keeps no manager alive.
+        """
+        ref = getattr(_active, "ref", None)
+        last = None if ref is None else ref()
+        if last is self:
+            return
+        if last is not None:
+            last._drop_memos()
+        _active.ref = weakref.ref(self)
+
+    def stats(self) -> dict:
+        """{"nodes": decision nodes, "memos": {memo name: entries}}, the
+        names without their leading underscore."""
+        return {"nodes": len(self),
+                "memos": {name[1:]: len(getattr(self, name)) for name in MEMOS}}
 
     # -- node structure ----------------------------------------------------
 

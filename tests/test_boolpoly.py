@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -425,6 +426,20 @@ def test_eval_examples(ring):
     r1 = BoolRing(["x"], "lp")
     assert eval_poly(r1.parse("x + 1"), (1,)) == 0
     assert eval_poly(ring.parse("a*c + c"), (1, 0, 1)) == 0
+
+
+def test_eval_refuses_points_that_are_not_0_1():
+    # a coordinate used to count as 1 when truthy: x0 + x1 read 1 at
+    # (2, 0) and ('a', 0), and 0 at (-1, 5)
+    ring = BoolRing.indexed(2)
+    f = ring.parse("x0 + x1")
+    for point in ((2, 0), (-1, 5), ("a", 0), (0, 0.5), (None, 1)):
+        with pytest.raises(ValueError, match=re.escape(repr(point))):
+            eval_poly(f, point)
+    with pytest.raises(ValueError, match="length"):
+        eval_poly(f, (1,))
+    assert [eval_poly(f, p) for p in ((0, 1), (1, 1), [1, 0])] == [1, 0, 1]
+    assert eval_poly(f, (True, False)) == 1 and eval_poly(f, (True, True)) == 0
 
 
 def test_spoly_properties():

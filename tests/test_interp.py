@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -129,6 +130,20 @@ def test_partial_fn_overlap_rejected():
     P = PointSet.from_points(ring, [(1,)])
     with pytest.raises(InterpolationError):
         PartialFn(P, P)
+
+
+def test_from_points_refuses_points_that_are_not_0_1():
+    # a coordinate used to count as 1 when truthy: [(2, 0), (1, -1)] held
+    # (1, 0) and (1, 1)
+    ring = BoolRing.indexed(2)
+    for pts, bad in (([(2, 0), (1, -1)], (2, 0)),
+                     ([(0, 1), (1, -1), (3, 3)], (1, -1)),
+                     ([(1, 0), ("a", 0)], ("a", 0)),
+                     ([(0, 0), (1, 0, 1)], (1, 0, 1))):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            PointSet.from_points(ring, pts)
+    P = PointSet.from_points(ring, [(True, False), (0, 1), [1, 1]])
+    assert sorted(P.points()) == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_point_sets_of_two_rings_raise():
