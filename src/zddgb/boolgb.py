@@ -78,9 +78,28 @@ class _ReductionTable:
     pass: per lead it keeps the first reductor of the least rank, as
     `add` does, then sorts the entries once and builds `lead_set` with one
     `from_sets` call.  `add` grows a table one reductor at a time.
+
+    When every kept lead is one variable, x_v with g_v = x_v + tail_v, the
+    normal form is unique even if the reductors are no Groebner basis:
+    each tail term is smaller than x_v, so under every ordering its
+    variables are smaller than x_v, the substitution x_v := tail_v is
+    triangular, and the quotient by the reductors and the field ideal is
+    the ring of the non-lead variables.  A table built in one pass with
+    such leads (`linear`; `add` and `replace` clear it) reduces without
+    `skip` by that substitution, as PolyBoRi's ll_red_nf does: with
+    f = x_v*f1 + f0, NF(f) = s_v*NF(f1) + NF(f0), where s_v is NF(tail_v)
+    for a lead x_v and x_v otherwise.  The values s_v are computed once,
+    the smallest lead under the ordering first, so each one finds the
+    values of its tail's leads made; a node -> NF memo on the table serves
+    every query against it.  So `greedy_nf` takes the substitution; the
+    pair loop, which grows its table by `add`, and `interreduce`, which
+    reduces with `skip` and then calls `replace`, keep the steps
+    (rebuilding the substitution after each pair-loop insert made the
+    gb_bool benchmark's solve 15 % slower).
     """
 
-    __slots__ = ("ring", "lead_set", "by_lead", "entries")
+    __slots__ = ("ring", "lead_set", "by_lead", "entries", "linear",
+                 "_subst", "_nf_memo")
 
     def __init__(self, ring: BoolRing, reductors=()):
         self.ring = ring
@@ -95,6 +114,9 @@ class _ReductionTable:
         self.by_lead = by_lead
         self.entries: list[tuple] = sorted(by_lead.values())
         self.lead_set = ring.manager.from_sets(by_lead)
+        self.linear = bool(by_lead) and all(len(l) == 1 for l in by_lead)
+        self._subst: dict[int, int] | None = None  # v -> s_v, at first use
+        self._nf_memo: dict[int, int] = {}  # node -> NF by substitution
 
     def _entry(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> tuple:
         # t is read from the diagram: len(g) is capped at 2^63 - 1
@@ -102,6 +124,7 @@ class _ReductionTable:
                 lead_vars, g.z, sum(1 << v for v in lead_vars))
 
     def add(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
+        self.linear = False
         prev = self.by_lead.get(lead_vars)
         man = self.ring.manager
         if prev is None:
@@ -112,6 +135,7 @@ class _ReductionTable:
 
     def replace(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
         """Make g the reductor of its lead, which lead_set already holds."""
+        self.linear = False
         prev = self.by_lead.get(lead_vars)
         if prev is not None:
             self.entries.remove(prev)
@@ -138,6 +162,8 @@ class _ReductionTable:
         lead_set = self.lead_set
         if skip is not None:
             lead_set = man.diff(lead_set, man.singleton(skip))
+        elif self.linear:
+            return self._substitute(fz)
         if lead_set == ZERO:
             return fz
         blocks = self.ring.blocks
@@ -161,6 +187,43 @@ class _ReductionTable:
             fz = man.symmetric_diff(fz, p)
         return result
 
+    def _substitute(self, fz: int) -> int:
+        """Normal form of fz by the substitution x_v := s_v (see the class
+        docstring); every kept lead is one variable."""
+        man = self.ring.manager
+        var, then, els = man._var, man._then, man._else
+        memo = self._nf_memo
+        subst = self._subst
+
+        def nf(z: int) -> int:
+            if z <= ONE:
+                return z
+            r = memo.get(z)
+            if r is not None:
+                return r
+            v = var[z]
+            hi = nf(then[z])
+            lo = nf(els[z])
+            s = subst.get(v)
+            if s is None and var[hi] > v and var[lo] > v:
+                r = man.mk_node(v, hi, lo)
+            else:
+                if s is None:
+                    s = man.mk_node(v, ONE, ZERO)
+                r = man.symmetric_diff(_mul(man, s, hi), lo)
+            memo[z] = r
+            return r
+
+        if subst is None:
+            self._subst = subst = {}
+            key = self.ring.sort_key
+            for lead in sorted(self.by_lead, key=key):
+                v = lead[0]
+                tail = man.symmetric_diff(self.by_lead[lead][2],
+                                          man.mk_node(v, ONE, ZERO))
+                subst[v] = nf(tail)
+        return nf(fz)
+
 
 def greedy_nf(f: BoolPoly, G) -> BoolPoly:
     """Reduced normal form of f against the polynomials G.
@@ -169,16 +232,21 @@ def greedy_nf(f: BoolPoly, G) -> BoolPoly:
     at once; irreducible terms move to the result in bulk.  The result
     contains no term divisible by any lead of G, and f minus the result
     lies in the ideal of G plus the field ideal.  When G is a Groebner
-    basis the result is unique; otherwise it depends on which reductor
-    each step picks (see `_ReductionTable`).
+    basis, or when every lead of G is one variable, the result is unique;
+    otherwise it depends on which reductor each step picks (see
+    `_ReductionTable`).  When every lead is one variable, as in the
+    bases of gate-level circuit models, where each gate output has its
+    own variable, the result is computed by substitution, not by steps.
 
     The manager keeps the table of the last call's reductors in
     `_nf_table`, as (ids of the nonzero reductors in order, table), so a
-    run of queries against one basis builds it once; the table is never
-    mutated.  One slot, not a dict of tables: it keeps no table of every
-    basis the manager has seen, and the manager's memo dicts keep only
-    ints, which the garbage collector does not track.  The slot is emptied
-    with the memos when the thread activates another manager.
+    run of queries against one basis builds it, and fills its substitution
+    memo, once; its reductors never change.  One slot, not a dict of
+    tables: it keeps no table of every basis the manager has seen, and the
+    manager's memo dicts and the table's memo keep only ints, which the
+    garbage collector does not track.  The slot, and with it the table's
+    memo, is emptied with the memos when the thread activates another
+    manager.
     """
     man = f.ring.manager
     man.activate()
@@ -660,6 +728,8 @@ def conjunction_generator(gens) -> BoolPoly:
     intermediates (hole6: 5.4 s against 0.02 s).
     """
     gens = list(gens)
+    if not gens:
+        raise ValueError("conjunction_generator needs at least one polynomial")
     ring = gens[0].ring
     ring.manager.activate()
     for g in gens:

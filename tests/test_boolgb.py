@@ -208,6 +208,51 @@ def test_one_pass_table_matches_add(n_ordering, seed):
 
 
 @settings(max_examples=200)
+@given(orderings(), st.integers(0, 2**32))
+def test_linear_lead_substitution_matches_greedy_steps(n_ordering, seed):
+    """Against reductors whose leads are all single variables, the table
+    built in one pass reduces by substitution, a table filled by add
+    reduces step by step, and the two agree: the normal form is unique
+    even when the reductors are no Groebner basis.  Leads repeat, tails
+    need not be reduced and may hold other leads, and ring.one may join
+    the list.  Against a basis from buchberger, both agree with the
+    term-list oracle."""
+    n, ordering = n_ordering
+    if n == 0:
+        return
+    ring = BoolRing.indexed(n, ordering)
+    key = ring.sort_key
+    monomials = [m for k in range(n + 1) for m in itertools.combinations(range(n), k)]
+    rnd = random.Random(seed)
+    reductors = []
+    for _ in range(rnd.randrange(1, 2 * n)):
+        v = rnd.randrange(n)
+        below = [m for m in monomials if key(m) < key((v,))]
+        tail = [m for m in below if rnd.random() < rnd.choice([0.2, 0.5])]
+        reductors.append((ring.from_terms([(v,)] + tail), (v,)))
+    with_one = rnd.random() < 0.2
+    if with_one:
+        reductors.insert(rnd.randrange(len(reductors) + 1), (ring.one, ()))
+    built = boolgb._ReductionTable(ring, reductors)
+    filled = boolgb._ReductionTable(ring)
+    for g, lead in reductors:
+        filled.add(g, lead)
+    assert built.linear != with_one and not filled.linear
+    G = buchberger([g for g, _ in reductors])
+    on_basis = boolgb._ReductionTable(ring, [(g, lead_vars(g)) for g in G])
+    basis = [g.term_set() for g in G]
+
+    def mon_key(t):
+        return key(tuple(sorted(t)))
+
+    for _ in range(8):
+        f = rand_poly(ring, rnd, 8, rnd.choice([0.3, 0.6]))
+        assert built.reduce(f.z) == filled.reduce(f.z)
+        got = frozenset(map(frozenset, ring.poly(on_basis.reduce(f.z)).terms()))
+        assert got == naive_normal_form(f.term_set(), basis, mon_key)
+
+
+@settings(max_examples=200)
 @given(orderings(max_n=10), st.integers(0, 2**32))
 def test_pick_is_smallest_dividing_entry(n_ordering, seed):
     """pick(m, skip) is the smallest entry of by_lead whose lead divides m
@@ -1050,6 +1095,28 @@ def test_hole4_plain_node_budget():
     assert len(man) - before <= 40_000
 
 
+def test_greedy_nf_linear_lead_basis_node_budget():
+    # regression guard on the substitution path: every lead of this basis
+    # is one variable, and the count is deterministic, 3,033 nodes for the
+    # 100 queries, against 19,981 by greedy reduction steps
+    system = mult_verification(5, tamper=True)
+    ring = system.ring
+    basis = buchberger(system.polys)  # the basis sat_check decides on
+    assert all(len(lead_vars(g)) == 1 for g in basis)
+    rnd = random.Random(0)
+    queries = [
+        ring.from_terms(frozenset(v for v in range(ring.n)
+                                  if rnd.random() < 4 / ring.n)
+                        for _ in range(20))
+        for _ in range(100)
+    ]
+    man = ring.manager
+    before = len(man)
+    for f in queries:
+        greedy_nf(f, basis)
+    assert len(man) - before <= 6_000
+
+
 def test_greedy_nf_points_basis_node_budget():
     # regression guard on the reductor rank: the count is deterministic,
     # 49,121 nodes with the rank len(g) << deg(lead) and 113,065 with the
@@ -1112,6 +1179,11 @@ def test_conjunction_generator_is_unique_generator():
         vin = variety([g.term_set() for g in gens], n)
         vc = variety([c.term_set()], n)
         assert vin == vc
+
+
+def test_conjunction_generator_needs_a_polynomial():
+    with pytest.raises(ValueError, match="needs at least one polynomial"):
+        conjunction_generator([])
 
 
 def test_conjunction_generator_matches_product():

@@ -17,7 +17,7 @@ from zddgb import ZmRing
 from zddgb.boolgb import buchberger
 from zddgb.boolpoly import BoolRing, eval_poly, lead_vars
 from zddgb.cli import main, read_system
-from zddgb.encode import blast, parse_circuit, word_level_encode
+from zddgb.encode import blast, mult_verification, parse_circuit, word_level_encode
 from zddgb.ringstd import ExponentOverflowError, std_basis
 
 from test_encode import RUNNING_EXAMPLE
@@ -86,6 +86,25 @@ def test_nf(tmp_path, capsys):
     for extra in ((), ("--mod", "4")):
         assert run(capsys, "nf", path, "--poly", "x +", *extra) == (
             2, "", "error: --poly: dangling '+' in 'x +'\n")
+
+
+def test_nf_against_linear_lead_basis(tmp_path, capsys):
+    # the reduced lex basis of a tampered multiplier has one variable as
+    # every lead, so nf reduces by substitution; the output is pinned
+    system = mult_verification(4, tamper=True)
+    head = "vars " + " ".join(system.ring.names) + "\n"
+    path = write(tmp_path, "mult4.txt",
+                 head + "".join(f"{p}\n" for p in system.polys))
+    code, basis, _ = run(capsys, "gb", path)
+    assert code == 0 and len(basis.splitlines()) == 25
+    path = write(tmp_path, "basis.txt", head + basis)
+    code, out, _ = run(capsys, "nf", path, "--poly",
+                       "o3*o2 + t15*t3 + o1*t1*t0 + t6*a2 + b1*o0 + t7 + 1")
+    assert code == 0
+    assert out == (
+        "a3*a1*a0*b0 + a3*a1*b0 + a3*b0 + a1*a0*b3*b0 + a1*a0*b3 + a1*a0*b2"
+        " + a1*a0*b0 + a1*b2*b0 + a1*b2 + a0*b3*b2 + a0*b3*b0 + a0*b2"
+        " + a0*b0\n")
 
 
 def test_nf_off_basis_agrees_on_variety(tmp_path, capsys):

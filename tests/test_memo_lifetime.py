@@ -79,6 +79,22 @@ def test_operation_on_another_ring_empties_the_memos():
     assert any(memo_sizes(B.manager).values())
 
 
+def test_activation_drops_the_table_and_its_substitution_memo():
+    ring = BoolRing.indexed(4)
+    basis = [ring.parse("x0 + x1*x2 + x3"), ring.parse("x1 + x3 + 1")]
+    f = ring.parse("x0*x1 + x0*x3 + x2")
+    form = greedy_nf(f, basis)
+    table = ring.manager._nf_table[1]
+    assert table.linear and table._nf_memo
+    del table
+    filled(5, 11)
+    assert ring.manager._nf_table is None
+    gc.collect()
+    assert not [t for t in gc.get_objects()
+                if isinstance(t, boolgb._ReductionTable) and t.ring is ring]
+    assert greedy_nf(f, basis) == form
+
+
 def test_emptied_manager_keeps_its_bases_and_nodes():
     A, PA, polys, basis = filled(7, 4)
     printed = [str(g) for g in basis]
