@@ -239,14 +239,16 @@ def greedy_nf(f: BoolPoly, G) -> BoolPoly:
     own variable, the result is computed by substitution, not by steps.
 
     The manager keeps the table of the last call's reductors in
-    `_nf_table`, as (ids of the nonzero reductors in order, table), so a
-    run of queries against one basis builds it, and fills its substitution
-    memo, once; its reductors never change.  One slot, not a dict of
-    tables: it keeps no table of every basis the manager has seen, and the
-    manager's memo dicts and the table's memo keep only ints, which the
-    garbage collector does not track.  The slot, and with it the table's
-    memo, is emptied with the memos when the thread activates another
-    manager.
+    `_nf_table`, as ((ring, ids of the nonzero reductors in order), table),
+    so a run of queries against one basis builds it, and fills its
+    substitution memo, once; its reductors never change.  The key holds
+    the ring because a ring and its lp view (`BoolRing._lex_view`) share
+    the manager but not the ordering that the table's leads follow.  One
+    slot, not a dict of tables: it keeps no table of every basis the
+    manager has seen, and the manager's memo dicts and the table's memo
+    keep only ints, which the garbage collector does not track.  The slot,
+    and with it the table's memo, is emptied with the memos when the
+    thread activates another manager.
     """
     man = f.ring.manager
     man.activate()
@@ -255,7 +257,7 @@ def greedy_nf(f: BoolPoly, G) -> BoolPoly:
         _same_ring(f, g)
         if not g.is_zero():
             reductors.append(g)
-    key = tuple(g.z for g in reductors)
+    key = (f.ring, tuple(g.z for g in reductors))
     if man._nf_table is None or man._nf_table[0] != key:
         man._nf_table = (key, _ReductionTable(
             f.ring, [(g, lead_vars(g)) for g in reductors]))
@@ -663,8 +665,8 @@ def _variety_basis(ring: BoolRing, clauses) -> list[BoolPoly]:
 
 def _zero_set(ring: BoolRing, polys) -> PointSet:
     """The common zeros of the nonzero polys, filtered from the full cube
-    by `zeros` in ascending-lead order.  It serves the variety route, the
-    conjunction generator and the model of a degree or block basis.
+    by `zeros` in ascending-lead order.  It serves the variety route and
+    the conjunction generator.
 
     Under lex a lead whose first variable is x_k bounds every term of its
     polynomial to x_k..x_{n-1}, so the smallest leads constrain the bottom
@@ -744,41 +746,33 @@ def sat_check(gens, preprocess: str | None = None):
 
     Returns ("UNSAT", None) when the basis collapses to {1}; otherwise
     ("SAT", model), verified on every generator.  The model is the least
-    point of the basis's variety V when points are compared from x_{n-1}
-    first, that is min(V, key=lambda p: p[::-1]), under every ordering.
-    With preprocess="conjunction" the system is first collapsed to its
-    unique ideal generator, read off its zero set (`conjunction_generator`),
-    and the basis of that one generator is computed, as the benchmark runs
-    do.  The basis comes from `buchberger`, so a dense clause system under
-    lp (plain CNF, which `cnf_to_polys` encodes clause by clause) is
-    decided by its zero set, with no pair loop; the verdict and model are
-    the same on either route, because the basis is.
-
-    Under lp the basis is an elimination basis and the model is read off
-    it by `_elimination_point`, which never builds V: tampered mult8 took
-    7.4 s and 478 MB by a walk over V, against 0.69 s and 119 MB, and for
-    sparse wide CNF V cannot be built at all.  A degree or block basis is
-    no elimination basis, so there the model is the walk `_least_point`
-    over V (`_zero_set`).
+    point of the zero set V compared from x_{n-1} first, that is
+    min(V, key=lambda p: p[::-1]).  Neither answer depends on the ordering,
+    so both are decided under the ring's lp view (`BoolRing._lex_view`, the
+    ring itself under lp): `buchberger` computes the basis, and
+    `_elimination_point` reads the model off it without building V
+    (tampered mult8: 0.69 s and 119 MB, against 7.4 s and 478 MB by a walk
+    over V).  With preprocess="conjunction" the system is first collapsed
+    to its unique ideal generator (`conjunction_generator`), as the
+    benchmark runs do.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("sat_check needs at least one polynomial")
     ring = gens[0].ring
     ring.manager.activate()
+    for g in gens:
+        _same_ring(gens[0], g)
+    lex = ring._lex_view()
+    work = [BoolPoly(lex, g.z) for g in gens]
     if preprocess == "conjunction":
-        work = [conjunction_generator(gens)]
-    elif preprocess is None:
-        work = gens
-    else:
+        work = [conjunction_generator(work)]
+    elif preprocess is not None:
         raise ValueError(f"unknown preprocess mode {preprocess!r}")
     basis = buchberger(work)
     if basis and basis[0].is_one():
         return "UNSAT", None
-    if ring.blocks is None:
-        model = _elimination_point(ring, basis)
-    else:
-        model = _least_point(_zero_set(ring, basis))
+    model = _elimination_point(lex, basis)
     for g in gens:
         if eval_poly(g, model) != 0:
             raise AssertionError("witness fails a generator; engine bug")
@@ -804,18 +798,3 @@ def _elimination_point(ring: BoolRing, basis) -> tuple[int, ...]:
         if any(eval_poly(g, point) for g in levels[k]):
             point[k] = 1
     return tuple(point)
-
-
-def _least_point(S: PointSet) -> tuple[int, ...]:
-    """The x_{n-1}-first least point of the nonempty point set S: from
-    x_{n-1} down, keep the points with x_k = 0 when there are any; one
-    point is left."""
-    ring = S.ring
-    man = ring.manager
-    z = S.z
-    for k in range(ring.n - 1, -1, -1):
-        z0 = man.subset0(z, k)
-        if z0 != ZERO:
-            z = z0
-    ones = set(man.path_vars(man.first_path(z)))
-    return tuple(int(v in ones) for v in range(ring.n))

@@ -20,6 +20,7 @@ of + - * ^.
 
 from __future__ import annotations
 
+import copy
 import re
 
 from .zdd import ONE, ZERO, ZddError, ZddManager
@@ -116,6 +117,16 @@ class BoolRing:
     @classmethod
     def indexed(cls, n: int, ordering: str = "lp"):
         return cls([f"x{i}" for i in range(n)], ordering)
+
+    def _lex_view(self) -> "BoolRing":
+        """This ring under lp, with the same names and manager: a diagram
+        reads the same in both, since the variable order is the index
+        order under every ordering.  An lp ring is its own view."""
+        if self.blocks is None:
+            return self
+        view = copy.copy(self)
+        view.blocks, view.sort_key = None, _lex_key
+        return view
 
     def poly(self, z: int) -> "BoolPoly":
         return BoolPoly(self, z)

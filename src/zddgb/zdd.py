@@ -107,7 +107,8 @@ class ZddManager:
         """Empty every memo (`MEMOS`) and greedy_nf's table slot."""
         for name in MEMOS:
             setattr(self, name, {})
-        # greedy_nf's table of its last reductor list: (reductor ids, table)
+        # greedy_nf's table of its last reductor list:
+        # ((ring, reductor ids), table)
         self._nf_table = None
 
     def activate(self) -> None:

@@ -32,6 +32,7 @@ from zddgb.boolgb import (
     suitable_shift,
 )
 from zddgb.boolpoly import (
+    BoolPoly,
     BoolRing,
     RingMismatchError,
     deg,
@@ -41,8 +42,9 @@ from zddgb.boolpoly import (
     mul_monomial,
     spoly,
 )
-from zddgb.encode import cnf_to_polys, mult_verification, pigeonhole
+from zddgb.encode import cnf_to_polys, mult_verification, pigeonhole, pigeonhole_cnf
 from zddgb.interp import PointSet, nf_by_interpolate, points_gb
+from zddgb.ringstd import ZmPoly, ZmRing, std_basis
 
 
 def rand_poly(ring, rnd, max_terms=5, density=0.4):
@@ -77,6 +79,21 @@ def test_greedy_nf_examples():
     r2 = BoolRing(["x", "y"], "lp")
     # x*y + x = x (*) (y + 1): derived by truth-table membership
     assert greedy_nf(r2.parse("x*y + x"), [r2.parse("y + 1")]).is_zero()
+
+
+def test_greedy_nf_table_slot_is_keyed_by_ring():
+    # a ring and its lp view share the manager and the reductor ids, but
+    # not the lead of x0 + x1*x2: x1*x2 under dlex, x0 under lp
+    dlex = BoolRing.indexed(3, "dlex")
+    lex = dlex._lex_view()
+    assert lex.manager is dlex.manager and lex is not dlex
+    assert lex.names is dlex.names and lex._lex_view() is lex
+    g, f = dlex.parse("x0 + x1*x2"), dlex.parse("x0")
+    expected = {dlex: "x0", lex: "x1*x2"}
+    for rings in ((dlex, lex), (lex, dlex)):
+        for ring in rings:
+            form = greedy_nf(BoolPoly(ring, f.z), [BoolPoly(ring, g.z)])
+            assert form.ring is ring and str(form) == expected[ring]
 
 
 def test_greedy_nf_reduced_and_in_ideal():
@@ -727,6 +744,33 @@ def test_criteria_keep_basis_and_variety(n_ordering, seed):
     assert variety([g.term_set() for g in G], n) == vin
 
 
+def test_buchberger_matches_z2_standard_basis():
+    # two engines that share no reduction code: the Z/2 standard basis of
+    # the generators and the field polynomials x_i^2 + x_i, restricted to
+    # its multilinear elements, is the reduced Boolean basis
+    rnd = random.Random(36)
+    for trial in range(200):
+        n = rnd.randint(1, 6)
+        ordering = rnd.choice(["lp", "dlex"])
+        ring = BoolRing.indexed(n, ordering)
+        gens = [g for g in (rand_poly(ring, rnd) for _ in range(rnd.randint(1, 4)))
+                if g]
+        if not gens:
+            continue
+        Z2 = ZmRing(2, ring.names, ordering)
+        field = [ZmPoly(Z2, [(tuple(2 * (w == v) for w in range(n)), 1),
+                             (tuple(int(w == v) for w in range(n)), 1)])
+                 for v in range(n)]
+        lifted = [ZmPoly(Z2, [(tuple(int(v in t) for v in range(n)), 1)
+                              for t in g.terms()]) for g in gens]
+        multilinear = {
+            frozenset(tuple(v for v in range(n) if e[v]) for e, _ in h.terms)
+            for h in std_basis(lifted + field)
+            if all(max(e, default=0) <= 1 for e, _ in h.terms)}
+        expected = {g.term_set() for g in buchberger(gens, Strategy())}
+        assert multilinear == expected, (trial, ordering)
+
+
 def test_gb_deterministic_byte_identical():
     rnd = random.Random(27)
     ring = BoolRing.indexed(6, "lp")
@@ -982,8 +1026,7 @@ def test_sat_models_verified():
 @given(orderings(max_n=8), st.integers(0, 2**32))
 def test_sat_model_is_least_point_from_last_variable(n_ordering, seed):
     """The verdict matches the brute-force variety under every ordering,
-    and the model is its least point compared from x_{n-1} first, whether
-    it is read off the lex basis or off the variety of a degree basis."""
+    and the model is its least point compared from x_{n-1} first."""
     n, ordering = n_ordering
     ring = BoolRing.indexed(n, ordering)
     rnd = random.Random(seed)
@@ -1021,21 +1064,48 @@ def test_mult8_tampered_model_node_budget():
     assert len(man) - before <= 150_000
 
 
+def in_ordering(system, ordering: str) -> list[BoolPoly]:
+    """The polynomials of system, rebuilt on a fresh ring of its names
+    under ordering."""
+    ring = BoolRing(system.ring.names, ordering)
+    return [ring.from_terms(g.terms()) for g in system.polys]
+
+
 def test_lp_model_builds_no_variety(monkeypatch):
-    # a tampered multiplier is no clause system, so under lp neither the
-    # basis nor the model reads the zero set, and the model step alone
-    # creates no node
+    # a tampered multiplier is no clause system, so under every ordering
+    # neither the basis nor the model reads the zero set: the model is read
+    # off the lex basis of the ring's lp view, and that step alone creates
+    # no node
     calls = []
     monkeypatch.setattr(boolgb, "_zero_set",
                         lambda ring, polys: calls.append(ring))
     system = mult_verification(5, tamper=True)
-    verdict, model = sat_check(system.polys)
-    assert verdict == "SAT" and not calls
-    basis = buchberger(system.polys)
-    man = system.ring.manager
+    for ordering in ("lp", "dlex", "dp_asc", "block(dlex:20,dp_asc:46)"):
+        polys = in_ordering(system, ordering)
+        verdict, model = sat_check(polys)
+        assert verdict == "SAT" and not calls, ordering
+        lex = polys[0].ring._lex_view()
+        basis = buchberger([BoolPoly(lex, g.z) for g in polys])
+        man = lex.manager
+        before = len(man)
+        assert boolgb._elimination_point(lex, basis) == model
+        assert len(man) == before
+
+
+@pytest.mark.parametrize("system, ordering, verdict, bound", [
+    # deterministic counts of the nodes sat_check creates: 2,136 and
+    # 3,033, since every ordering is decided under lp (hole5 under dlex
+    # built 2.89 M nodes in 54 s on the ring's own degree basis and its
+    # variety); the budgets leave 40 % and 15 %
+    (lambda: pigeonhole(5), "dp_asc", "UNSAT", 3_000),
+    (lambda: mult_verification(5, tamper=True), "dlex", "SAT", 3_500),
+], ids=["hole5-dp_asc", "mult5_tampered-dlex"])
+def test_sat_node_budget_under_degree_orderings(system, ordering, verdict, bound):
+    polys = in_ordering(system(), ordering)
+    man = polys[0].ring.manager
     before = len(man)
-    assert boolgb._elimination_point(system.ring, basis) == model
-    assert len(man) == before
+    assert sat_check(polys)[0] == verdict
+    assert len(man) - before <= bound
 
 
 def test_sat_model_same_under_every_ordering():
@@ -1056,24 +1126,45 @@ def test_sat_model_same_under_every_ordering():
     assert sat_check(cnf_to_polys(systems[0]).polys) == ("SAT", (1, 1, 0))
 
 
+def test_degree_pair_loop_decides_clause_systems():
+    # sat decides every ordering under lp, so the degree-ordered pair loop
+    # on clause systems is checked here: the systems of the test above
+    # (dense ones included, which under lp take the variety route) keep
+    # their zero set, and collapse to {1} exactly when it is empty
+    rnd = random.Random(44)
+    systems = [(3, [[1, -2], [2, 3]]), (12, pigeonhole_cnf(3)[1])]
+    systems += [(8, random_cnf(rnd, 8, m)) for m in (6, 12, 18, 24, 30)]
+    for n, clauses in systems:
+        for ordering in ("dlex", "dp_asc", f"block(dp_asc:{n // 2},dlex:{n})"):
+            gens = cnf_to_polys((n, clauses), ordering).polys
+            G = buchberger(gens, Strategy())
+            vin = variety([g.term_set() for g in gens], n)
+            if vin:
+                assert variety([g.term_set() for g in G], n) == vin
+                assert certificate_holds(G, gens[0].ring), (clauses, ordering)
+            else:
+                assert G == [gens[0].ring.one], (clauses, ordering)
+
+
 SPARSE_CHILD = """
 import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from zddgb.boolgb import sat_check
 from zddgb.encode import cnf_to_polys
-n, clauses = json.load(sys.stdin)
-print(json.dumps(sat_check(cnf_to_polys((n, clauses)).polys)))
+n, clauses, ordering = json.load(sys.stdin)
+print(json.dumps(sat_check(cnf_to_polys((n, clauses), ordering).polys)))
 """
 
 
-def test_sparse_wide_cnf_model_under_address_space_cap():
+@pytest.mark.parametrize("ordering", ["lp", "dlex"])
+def test_sparse_wide_cnf_model_under_address_space_cap(ordering):
     # V of 40 random 3-clauses over 300 variables is too wide a diagram
     # to build: a walk over it exhausted a 1 GiB cap, which the model read
-    # off the lex basis stays far below
+    # off the lex basis stays far below, under dlex as under lp
     clauses = random_cnf(random.Random(40), 300, 40)
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", SPARSE_CHILD],
-                          input=json.dumps([300, clauses]),
+                          input=json.dumps([300, clauses, ordering]),
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr

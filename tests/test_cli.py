@@ -17,7 +17,13 @@ from zddgb import ZmRing
 from zddgb.boolgb import buchberger
 from zddgb.boolpoly import BoolRing, eval_poly, lead_vars
 from zddgb.cli import main, read_system
-from zddgb.encode import blast, mult_verification, parse_circuit, word_level_encode
+from zddgb.encode import (
+    blast,
+    mult_verification,
+    parse_circuit,
+    pigeonhole_cnf,
+    word_level_encode,
+)
 from zddgb.ringstd import ExponentOverflowError, std_basis
 
 from test_encode import RUNNING_EXAMPLE
@@ -206,6 +212,21 @@ def test_sat_order_applies_to_dimacs(tmp_path, capsys):
         code, out, _ = run(capsys, "sat", path, "--order", order)
         assert code == 10
         assert out.splitlines() == ["s SATISFIABLE", "v 1 2 -3 0"]
+    # sat decides under lp whatever the order: hole5 (30 variables) and a
+    # satisfiable random 3-CNF print the same bytes under every order
+    rnd = random.Random(36)
+    sat_cnf = (20, [[v if rnd.random() < 0.5 else -v
+                     for v in rnd.sample(range(1, 21), 3)] for _ in range(60)])
+    for name, (nv, cls), code_lp in (("hole5", pigeonhole_cnf(5), 20),
+                                     ("sat", sat_cnf, 10)):
+        text = f"p cnf {nv} {len(cls)}\n" + "".join(
+            " ".join(map(str, c)) + " 0\n" for c in cls)
+        path = write(tmp_path, f"{name}.cnf", text)
+        lp = run(capsys, "sat", path, "--order", "lp")
+        assert lp[0] == code_lp and lp[2] == ""
+        half = nv // 2
+        for order in ("dlex", "dp_asc", f"block(dlex:{half},dp_asc:{nv})"):
+            assert run(capsys, "sat", path, "--order", order) == lp, order
 
 
 def test_sat_conjunction_preprocess(tmp_path, capsys):
