@@ -74,26 +74,29 @@ class _ReductionTable:
     in the monomial's.  `lead_set`, the leads as a diagram, serves the
     bulk split of each reduction into irreducible and reducible terms.
 
-    The table of a reductor list, (g, lead vars) pairs, is built in one
-    pass: per lead it keeps the first reductor of the least rank, as
-    `add` does, then sorts the entries once and builds `lead_set` with one
-    `from_sets` call.  `add` grows a table one reductor at a time.
+    A table is built one of two ways.  In one pass from a reductor list of
+    (g, lead vars) pairs whose leads may repeat, as `greedy_nf` builds it:
+    per lead it keeps the first reductor of the least rank, sorts the
+    entries once and builds `lead_set` with one `from_sets` call.  Or from
+    empty by `add`, one reductor with a new lead at a time: the pair loop
+    adds each reduced generator, and `interreduce` adds each element of a
+    minimal basis, reduced against the smaller ones, in ascending lead
+    order.
 
-    When every kept lead is one variable, x_v with g_v = x_v + tail_v, the
-    normal form is unique even if the reductors are no Groebner basis:
-    each tail term is smaller than x_v, so under every ordering its
-    variables are smaller than x_v, the substitution x_v := tail_v is
-    triangular, and the quotient by the reductors and the field ideal is
-    the ring of the non-lead variables.  A table built in one pass with
-    such leads (`linear`; `add` and `replace` clear it) reduces without
-    `skip` by that substitution, as PolyBoRi's ll_red_nf does: with
+    Either table reduces by `reduce`.  When every kept lead is one variable, x_v
+    with g_v = x_v + tail_v, the normal form is unique even if the
+    reductors are no Groebner basis: each tail term is smaller than x_v,
+    so under every ordering its variables are smaller than x_v, the
+    substitution x_v := tail_v is triangular, and the quotient by the
+    reductors and the field ideal is the ring of the non-lead variables.
+    A table built in one pass with such leads (`linear`; `add` clears it)
+    reduces by that substitution, as PolyBoRi's ll_red_nf does: with
     f = x_v*f1 + f0, NF(f) = s_v*NF(f1) + NF(f0), where s_v is NF(tail_v)
     for a lead x_v and x_v otherwise.  The values s_v are computed once,
     the smallest lead under the ordering first, so each one finds the
     values of its tail's leads made; a node -> NF memo on the table serves
-    every query against it.  So `greedy_nf` takes the substitution; the
-    pair loop, which grows its table by `add`, and `interreduce`, which
-    reduces with `skip` and then calls `replace`, keep the steps
+    every query against it.  A table grown by `add` starts empty and is
+    never linear, so the pair loop and `interreduce` take the greedy steps
     (rebuilding the substitution after each pair-loop insert made the
     gb_bool benchmark's solve 15 % slower).
     """
@@ -124,48 +127,35 @@ class _ReductionTable:
                 lead_vars, g.z, sum(1 << v for v in lead_vars))
 
     def add(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
+        """Insert g as the reductor of its lead, which the table does not
+        hold yet."""
         self.linear = False
-        prev = self.by_lead.get(lead_vars)
         man = self.ring.manager
-        if prev is None:
-            self.lead_set = man.union(self.lead_set, man.singleton(lead_vars))
-        elif prev[0] <= man.count_paths(g.z) << len(lead_vars):
-            return
-        self.replace(g, lead_vars)
-
-    def replace(self, g: BoolPoly, lead_vars: tuple[int, ...]) -> None:
-        """Make g the reductor of its lead, which lead_set already holds."""
-        self.linear = False
-        prev = self.by_lead.get(lead_vars)
-        if prev is not None:
-            self.entries.remove(prev)
+        self.lead_set = man.union(self.lead_set, man.singleton(lead_vars))
         entry = self._entry(g, lead_vars)
         self.by_lead[lead_vars] = entry
         insort(self.entries, entry)
 
-    def pick(self, m: tuple[int, ...],
-             skip: tuple[int, ...] | None = None) -> tuple | None:
+    def pick(self, m: tuple[int, ...]) -> tuple | None:
         """The smallest entry whose lead divides the monomial m (ascending
-        variable tuple), leaving out the lead skip; None if there is none."""
+        variable tuple); None if there is none."""
         mask = 0
         for v in m:
             mask |= 1 << v
         for e in self.entries:
-            if e[3] & mask == e[3] and e[1] != skip:
+            if e[3] & mask == e[3]:
                 return e
         return None
 
-    def reduce(self, fz: int, skip: tuple[int, ...] | None = None) -> int:
+    def reduce(self, fz: int) -> int:
         """Reduced normal form of the polynomial with term set fz against
-        the reductors, leaving out the one whose lead is skip."""
-        man = self.ring.manager
-        lead_set = self.lead_set
-        if skip is not None:
-            lead_set = man.diff(lead_set, man.singleton(skip))
-        elif self.linear:
+        the reductors."""
+        if self.linear:
             return self._substitute(fz)
+        lead_set = self.lead_set
         if lead_set == ZERO:
             return fz
+        man = self.ring.manager
         blocks = self.ring.blocks
         pick = self.pick
         # dropping the terms a lead divides commutes with +, so f is split
@@ -175,7 +165,7 @@ class _ReductionTable:
         fz = man.symmetric_diff(fz, result)
         while fz != ZERO:
             # invariant: every term of fz is divisible by some lead
-            _, g_lead, gz, _ = pick(_lead_vars(man, fz, blocks), skip)
+            _, g_lead, gz, _ = pick(_lead_vars(man, fz, blocks))
             q = fz
             for v in g_lead:
                 q = man.subset1(q, v)
@@ -657,10 +647,7 @@ def _variety_basis(ring: BoolRing, clauses) -> list[BoolPoly]:
     """Reduced lex basis of the clauses' ideal plus the field ideal, read
     off their zero set by `points_gb` (lead-descending, as `interreduce`
     lists it); [1] when the set is empty."""
-    variety = _zero_set(ring, clauses)
-    if variety.z == ZERO:
-        return [ring.one]
-    return points_gb(variety)
+    return points_gb(_zero_set(ring, clauses))
 
 
 def _zero_set(ring: BoolRing, polys) -> PointSet:
@@ -686,9 +673,12 @@ def _zero_set(ring: BoolRing, polys) -> PointSet:
 def interreduce(basis):
     """Minimal, tail-reduced form of a Boolean basis, sorted lead-descending.
 
-    One reduction pass suffices: no lead of a minimal basis divides
-    another, so reducing a tail never changes a lead, and each element
-    ends free of every other element's lead.
+    One pass in ascending lead order suffices: a lead divides only terms
+    at least as large as itself, so each element's tail reduces against
+    the smaller elements alone, which the table already holds in reduced
+    form, and no kept lead divides another, so reduction keeps each lead.
+    The constant 1, whose empty lead sorts first and divides every lead,
+    leaves [1].
     """
     basis = list(basis)
     for g in basis:
@@ -698,23 +688,19 @@ def interreduce(basis):
         return []
     ring = basis[0].ring
     ring.manager.activate()
-    if any(g.is_one() for g in basis):
-        return [ring.one]
     key = ring.sort_key
     kept: list[tuple[int, tuple[int, ...], BoolPoly]] = []
     for lm, g in sorted(((lead_vars(g), g) for g in basis), key=lambda t: key(t[0])):
         lg = sum(1 << v for v in lm)
         if not any(lh & lg == lh for lh, _, _ in kept):
             kept.append((lg, lm, g))
-    # one table for the pass: each element is reduced against all leads
-    # but its own, and its reduced form then replaces it as a reductor
-    table = _ReductionTable(ring, [(g, lm) for _, lm, g in kept])
+    table = _ReductionTable(ring)
     polys = []
     for _, lm, g in kept:
-        h = BoolPoly(ring, table.reduce(g.z, skip=lm))
-        table.replace(h, lm)
+        h = BoolPoly(ring, table.reduce(g.z))
+        table.add(h, lm)
         polys.append(h)
-    return polys[::-1]  # the leads are distinct and tail reduction keeps them
+    return polys[::-1]
 
 
 # -- satisfiability -------------------------------------------------------------------

@@ -285,9 +285,11 @@ def blast(c: Circuit) -> BitSystem:
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
-    """DIMACS CNF: 'p cnf V C' header, clauses terminated by 0."""
+    """DIMACS CNF: one 'p cnf V C' header with V, C >= 0, clauses
+    terminated by 0."""
     nvars = None
     nclauses = None
+    header = 0  # line of the header
     clauses: list[list[int]] = []
     current: list[int] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -295,6 +297,10 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
+            if header:
+                raise EncodeError(
+                    f"second 'p cnf' line (first on line {header})", ln)
+            header = ln
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise EncodeError(f"malformed header {line!r}", ln)
@@ -302,6 +308,8 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
                 nvars, nclauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise EncodeError(f"malformed header {line!r}", ln) from None
+            if nvars < 0 or nclauses < 0:
+                raise EncodeError(f"negative count in header {line!r}", ln)
             continue
         if nvars is None:
             raise EncodeError("clause before header", ln)
@@ -321,7 +329,7 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
         clauses.append(current)
     if nvars is None:
         raise EncodeError("missing 'p cnf' header")
-    if nclauses is not None and nclauses != len(clauses):
+    if nclauses != len(clauses):
         raise EncodeError(
             f"header announces {nclauses} clauses, found {len(clauses)}"
         )

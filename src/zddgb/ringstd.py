@@ -379,7 +379,8 @@ class ZmPoly:
 
     def _add_mul(self, t: int, x: int, g: "ZmPoly") -> "ZmPoly":
         """self + x * X^t * g, for a packed monomial t, in one merge of the
-        two sorted term lists: no intermediate polynomial."""
+        two sorted term lists: no intermediate polynomial.  On the zero
+        polynomial it is the term shift x * X^t * g."""
         ring = self.ring
         m, guard = ring.m, ring._guard
         s = self._t
@@ -404,22 +405,9 @@ class ZmPoly:
         out += s[i:]
         return ZmPoly._canonical(ring, tuple(out))
 
-    def _shift(self, t: int, coef: int) -> "ZmPoly":
-        """coef * X^t * self for a packed monomial t."""
-        ring = self.ring
-        m, guard = ring.m, ring._guard
-        out = []
-        for e, c in self._t:
-            e += t
-            if e & guard:
-                raise ExponentOverflowError()
-            c = c * coef % m
-            if c:
-                out.append((e, c))
-        return ZmPoly._canonical(ring, tuple(out))
-
     def mul_term(self, exps: tuple[int, ...], coef: int) -> "ZmPoly":
-        return self._shift(self.ring.sort_key(exps), coef)
+        return ZmPoly._canonical(self.ring, ())._add_mul(
+            self.ring.sort_key(exps), coef, self)
 
     def __mul__(self, other: "ZmPoly") -> "ZmPoly":
         _same_ring(self, other)
@@ -434,7 +422,7 @@ class ZmPoly:
         return ZmPoly._canonical(self.ring, _sorted_residues(acc, self.ring.m))
 
     def scale(self, c: int) -> "ZmPoly":
-        return self._shift(0, c)
+        return ZmPoly._canonical(self.ring, ())._add_mul(0, c, self)
 
     def eval(self, point) -> int:
         m = self.ring.m
@@ -468,7 +456,8 @@ def spoly_ring(f: ZmPoly, g: ZmPoly) -> ZmPoly:
     (mf, cf), (mg, cg) = f._t[0], g._t[0]
     cl = mod.lcm(cf, cg)
     ml = f.ring._lcm(mf, mg)
-    return f._shift(ml - mf, mod.div_exact(cl, cf))._add_mul(
+    return ZmPoly._canonical(f.ring, ())._add_mul(
+        ml - mf, mod.div_exact(cl, cf), f)._add_mul(
         ml - mg, -mod.div_exact(cl, cg), g)
 
 

@@ -229,6 +229,18 @@ def test_sat_order_applies_to_dimacs(tmp_path, capsys):
             assert run(capsys, "sat", path, "--order", order) == lp, order
 
 
+def test_sat_dimacs_header_errors_exit_2(tmp_path, capsys):
+    # `p cnf -1 0` once printed `v 0` and exited 10; a second header once
+    # replaced the first and printed `v 1 -2 -3 0`
+    for text, err in (
+            ("p cnf -1 0\n",
+             "error: line 1: negative count in header 'p cnf -1 0'\n"),
+            ("p cnf 2 1\n1 0\np cnf 3 1\n",
+             "error: line 3: second 'p cnf' line (first on line 1)\n")):
+        path = write(tmp_path, "bad.cnf", text)
+        assert run(capsys, "sat", path) == (2, "", err)
+
+
 def test_sat_conjunction_preprocess(tmp_path, capsys):
     from zddgb.encode import pigeonhole_cnf
 

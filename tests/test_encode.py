@@ -251,6 +251,24 @@ def test_parse_dimacs_and_errors():
     assert err is not None and err.line == 2
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("p cnf -1 0\n", 1, "negative count in header 'p cnf -1 0'"),
+    ("c x\np cnf 2 -1\n", 2, "negative count in header 'p cnf 2 -1'"),
+    ("p cnf 2 1\n1 0\np cnf 3 1\n", 3,
+     "second 'p cnf' line (first on line 1)"),
+    ("p cnf 2 1\np cnf 2 1\n1 0\n", 2,
+     "second 'p cnf' line (first on line 1)"),
+], ids=["negative-vars", "negative-clauses", "second-after-clause",
+        "second-before-clause"])
+def test_parse_dimacs_header_errors_name_the_line(text, line, message):
+    # a negative count and a second header were once accepted; the second
+    # header silently replaced the first
+    with pytest.raises(EncodeError) as exc:
+        parse_dimacs(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 def test_cnf_to_polys_examples():
     system = cnf_to_polys(parse_dimacs("p cnf 2 1\n1 0\n"))
     assert [str(p) for p in system.polys] == ["v1 + 1"]
