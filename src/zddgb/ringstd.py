@@ -9,8 +9,9 @@ s-polynomials (annihilator multiples) and a zero-divisor criterion on top
 of the classical product and chain criteria.  Orderings are global (lex
 or degree-lex), with variable index 0 the largest.  Every normal form
 reduces against a table of reducer leads ordered by ecart (`_table`),
-built once per `nf_ring` or `rednf_ring` call, once per `std_basis` run
-and once per reduced basis.
+built once per `std_basis` run and once per reduced basis; `nf_ring` and
+`rednf_ring` keep the table of their last reducer list on the ring, so a
+run of queries against one basis builds it once.
 
 Polynomials are sorted term lists whose monomials are packed ints (as in
 Bachmann and Schoenemann, "Monomial representations for Groebner bases
@@ -182,6 +183,12 @@ class ZmRing:
     layout is in the module docstring).  Packed monomials compare as the
     monomials do, so the packing is also the tuple-level sort key for
     callers.
+
+    `_nf_table` holds the table of the last reducer list that `nf_ring` or
+    `rednf_ring` saw, as (tuple of the reducers, table): one slot, not a
+    dict of tables, so it keeps no table of every basis the ring has seen.
+    A ring may be shared by threads: each call reads the slot once and
+    compares the whole key, so a race only costs a rebuild.
     """
 
     def __init__(self, m: int, names, ordering: str = "lp"):
@@ -200,6 +207,7 @@ class ZmRing:
         self._unpack_fields = struct.Struct(
             f">{'2x' if self._dlex else ''}{self.n}H").unpack
         self._var_mask = (1 << 16 * self.n) - 1
+        self._nf_table = None
 
     @property
     def m(self) -> int:
@@ -475,12 +483,29 @@ def nf_ring(f: ZmPoly, G) -> ZmPoly:
     """Polynomial weak normal form: the result is 0 or has its leading term
     outside the leading ideal of the reducer set.
 
-    `_nf` reduces against the reducers' table, built once per call.  The
-    orderings are global, so the lead falls strictly at every step; Mora's
-    device of appending the remainder to the reducers is not needed, since
-    no later lead could be its multiple.
+    `_nf` reduces against the reducers' table (`_ring_table`), which a run
+    of calls against one reducer list builds once.  The orderings are
+    global, so the lead falls strictly at every step; Mora's device of
+    appending the remainder to the reducers is not needed, since no later
+    lead could be its multiple.
     """
-    return _nf(f, _table(f, G))
+    return _nf(f, _ring_table(f, G))
+
+
+def _ring_table(f: ZmPoly, G) -> list:
+    """The table of G for f, from f's ring's slot `_nf_table` when G holds
+    the same polynomials in the same order as the slot's key, else built
+    by `_table` and stored there.  The key holds the polynomials, not
+    their ids, and ZmPoly equality includes the ring, so a hit skips no
+    ring check that could fail."""
+    G = tuple(G)
+    ring = f.ring
+    slot = ring._nf_table
+    if slot is not None and slot[0] == G:
+        return slot[1]
+    T = _table(f, G)
+    ring._nf_table = (G, T)
+    return T
 
 
 def _table(f: ZmPoly, G) -> list:
@@ -530,8 +555,9 @@ def _nf(f: ZmPoly, T) -> ZmPoly:
 
 
 def rednf_ring(f: ZmPoly, G) -> ZmPoly:
-    """Tail-reduced normal form: weak NF applied to every remaining term."""
-    return _rednf(f, _table(f, G))
+    """Tail-reduced normal form: weak NF applied to every remaining term,
+    against the table that `nf_ring` uses (`_ring_table`)."""
+    return _rednf(f, _ring_table(f, G))
 
 
 def _rednf(f: ZmPoly, T) -> ZmPoly:

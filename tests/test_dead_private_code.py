@@ -1,6 +1,7 @@
 """No private code of the package is dead: every private (`_name`)
 function, method or class under src/zddgb, and every private attribute
-that `ZddManager.reset` assigns, is referenced in src/zddgb or perfbench
+that a package class assigns in `__init__` (or in `ZddManager.reset`,
+which its `__init__` calls), is referenced in src/zddgb or perfbench
 outside its own body.  A reference is a name, an attribute, an imported
 name or a string constant equal to it; the last covers the names that
 perfbench/tracer.py wraps by string."""
@@ -34,20 +35,21 @@ def references(tree: ast.AST):
 
 def private_definitions(tree: ast.AST):
     """(name, first line, last line) of each private function, method and
-    class in tree, and of each private attribute that `ZddManager.reset`
-    assigns, with the lines of reset as its body."""
+    class in tree, and of each private attribute that a class's `__init__`
+    or `reset` assigns, with the lines of that method as its body."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)) and is_private(node.name):
             yield node.name, node.lineno, node.end_lineno
-        if isinstance(node, ast.ClassDef) and node.name == "ZddManager":
-            for reset in node.body:
-                if isinstance(reset, ast.FunctionDef) and reset.name == "reset":
-                    for sub in ast.walk(reset):
+        if isinstance(node, ast.ClassDef):
+            for init in node.body:
+                if (isinstance(init, ast.FunctionDef)
+                        and init.name in ("__init__", "reset")):
+                    for sub in ast.walk(init):
                         if (isinstance(sub, ast.Attribute)
                                 and isinstance(sub.ctx, ast.Store)
                                 and is_private(sub.attr)):
-                            yield sub.attr, reset.lineno, reset.end_lineno
+                            yield sub.attr, init.lineno, init.end_lineno
 
 
 def test_every_private_definition_is_referenced():
@@ -62,6 +64,10 @@ def test_every_private_definition_is_referenced():
         for d in private_definitions(tree)
     ]
     assert len(defined) > 20
+    # the scan reaches the attributes of every class, not only the manager's
+    assert {("zdd.py", "_unique"), ("ringstd.py", "_nf_table"),
+            ("ringstd.py", "_guard")} <= {
+        (path.name, name) for path, name, _, _ in defined}
     dead = [
         f"{path.name}:{first}: {name}"
         for path, name, first, last in defined

@@ -297,11 +297,113 @@ def reducer_case(draw):
 @settings(max_examples=400)
 @given(reducer_case())
 def test_nf_ring_matches_reference(case):
-    # nf_ring and rednf_ring reduce against a table of leads built once per
-    # call; their answers are the references' term for term
+    # nf_ring and rednf_ring reduce against a table of leads that the ring
+    # keeps for its last reducer list; their answers are the references'
+    # term for term
     f, G = case
     assert nf_ring(f, G).terms == nf_ring_reference(f, G).terms
     assert rednf_ring(f, G).terms == rednf_ring_reference(f, G).terms
+
+
+@st.composite
+def interleaved_queries(draw):
+    """Reducer lists of one ring, some value-equal or reordered, and a run
+    of nf_ring and rednf_ring queries that switches between them."""
+    m = draw(st.sampled_from((4, 8, 6, 12, 30)))
+    n = draw(st.integers(1, 3))
+    ring = ZmRing(m, [f"x{i}" for i in range(n)], draw(st.sampled_from(("lp", "dlex"))))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * n), st.integers(0, m - 1))
+
+    def poly(max_terms):
+        return ZmPoly(ring, draw(st.lists(term, max_size=max_terms)))
+
+    gens = [poly(3) for _ in range(draw(st.integers(1, 3)))]
+    basis, other = std_basis(gens), std_basis([poly(3) for _ in range(2)])
+    lists = {
+        "basis": basis,
+        "other": other,
+        "raw": gens,
+        "copy": [ZmPoly(ring, g.terms) for g in basis],
+        "reversed": gens[::-1],
+        "zeros": [ring.zero, *other, ring.zero],
+    }
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        name = draw(st.sampled_from(sorted(lists) + ["generator"]))
+        G = lists.get(name, basis)
+        f = poly(3)
+        for g in G:
+            if g and draw(st.booleans()):
+                exps, c = draw(term)
+                f = f + g.mul_term(exps, c)
+        queries.append((name, draw(st.booleans()), f))
+    return lists, basis, queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(interleaved_queries())
+def test_nf_ring_table_slot_matches_reference(case):
+    # each answer is the reference's, whichever list the previous query used
+    lists, basis, queries = case
+    for name, tail, f in queries:
+        G = lists.get(name, basis)
+        arg = (g for g in G) if name == "generator" else G
+        if tail:
+            assert rednf_ring(f, arg).terms == rednf_ring_reference(f, G).terms, name
+        else:
+            assert nf_ring(f, arg).terms == nf_ring_reference(f, G).terms, name
+
+
+def test_nf_ring_builds_one_table_per_reducer_list(monkeypatch):
+    from zddgb import ringstd
+
+    builds = []
+    table = ringstd._table
+
+    def counting(f, G):
+        builds.append(len(G))
+        return table(f, G)
+
+    R = ZmRing(8, ["x", "y", "z"])
+    basis = std_basis([R.parse("x*y + 2*z"), R.parse("4*y^2 + x"), R.parse("z^2 + 2*x")])
+    assert len(basis) == 4
+    monkeypatch.setattr(ringstd, "_table", counting)
+    rnd = random.Random(3)
+    queries = [rand_zm(R, rnd) for _ in range(8)]
+    for k, f in enumerate(queries):
+        query = rednf_ring if k % 2 else nf_ring
+        assert query(f, basis).terms == (
+            rednf_ring_reference if k % 2 else nf_ring_reference)(f, basis).terms
+    assert len(builds) == 1
+    # a value-equal copy reuses the table; a reordered list does not, since
+    # ties in ecart follow list position
+    nf_ring(queries[0], [ZmPoly(R, g.terms) for g in basis])
+    assert len(builds) == 1
+    nf_ring(queries[0], basis[::-1])
+    assert len(builds) == 2
+    # here the order decides the answer: x + y comes first, then x + z
+    G = [R.parse("x + y"), R.parse("x + z")]
+    assert str(nf_ring(R.parse("x"), G)) == "7*y"
+    assert str(nf_ring(R.parse("x"), G[::-1])) == "7*z"
+    assert len(builds) == 4
+
+
+def test_nf_ring_table_slot_keeps_ring_checks():
+    R1, R2 = ZmRing(4, ["x", "y"]), ZmRing(4, ["x", "y"])
+    G = [R1.parse("x + 1"), R1.parse("2*y")]
+    f = R1.parse("x*y")
+    assert str(nf_ring(f, G)) == "3*y"
+    slot = R1._nf_table
+    # a polynomial of another ring against the cached G
+    with pytest.raises(RingMismatchError):
+        nf_ring(R2.parse("x*y + y"), G)
+    with pytest.raises(RingMismatchError):
+        rednf_ring(R2.parse("x*y + y"), G)
+    assert R1._nf_table is slot and R2._nf_table is None
+    # a reducer of another ring with the cached reducer's terms
+    with pytest.raises(RingMismatchError):
+        nf_ring(f, [G[0], R2.parse("2*y")])
+    assert R1._nf_table is slot
 
 
 def test_solve_lead_examples():
